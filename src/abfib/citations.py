@@ -10,10 +10,7 @@ CITATIONS = {
     "plane-line-bundles": "h^0(O(k)) = (k+1)(k+2)/2 on the plane; h^1 = 0; h^2 by Serre duality with K = O(-3)",
     "euler-sequence": "twisted Euler sequence 0 -> Omega^1(k) -> O(k-1)^3 -> O(k) -> 0",
     "riemann-roch": "Riemann-Roch on the plane: chi = 2 + c1(c1+3)/2 - c2 for rank 2",
-    "chi-twist": "chi(V(1)) = chi(V) + c1(V) + 4 for rank-2 V on the plane",
     "serre-duality": "Serre duality on the plane with canonical bundle O(-3)",
-    "leray-degenerate": "degenerate Leray bookkeeping: h^k(X, O_X) = sum over p+q=k of h^q(R^p pi_* O_X)",
-    "canonical-r2": "for an abelian-surface fibration with trivial canonical bundle, R^2 pi_* O_X = O(-3)",
     # constraint-engine premises (classical statements the inequalities build on)
     "kollar-vanishing": "Kollar: R^p pi_* O_X is torsion-free and H^q(P^2, R^p pi_* O_X (k)) = 0 for q > 0, k > 0; hence chi(V(1)) = h^0(V(1)) >= 0",
     "first-chern-bound": "degeneration of the relative Hodge filtration forces c1(R^1 pi_* O_X) <= c1(R^2 pi_* O_X) = -3",
@@ -39,12 +36,10 @@ CITATIONS = {
     # Weierstrass families
     "weierstrass-model": "Weierstrass form y^2 z = x^3 + a x z^2 + b z^3 in P(L^-2 + L^-3 + O), a in O(4l), b in O(6l), Delta = 4 a^3 + 27 b^2 in O(12l)",
     "finite-field-scan": "exhaustive rational-point scan over F_p: a certificate about F_p-points only, not about the geometric generic fibre",
-    "weierstrass-rescaling": "(a, b) -> (lambda^4 a, lambda^6 b) rescales Delta by lambda^12 and fixes the family",
     "param-count": "parameter count = sum of section-space dimensions - rescalings - dim PGL(3)",
     "stated-dimension-count": "section-space dimensions as stated in the source derivation (reproduced verbatim for comparison)",
     "recomputed-dimension-count": "section-space dimensions recomputed as h^0 of the actual plane line bundles",
     # genus-two Jacobians
-    "jacobian-normalization": "normalizing the rank-2 bundle W of a genus-two Jacobian fibration forces the twist degree d = c1(W)",
     "genus-two-branch": "branch divisors are sections of O_P(W)(6) tensor O(-6), i.e. of O(-6) tensor Sym^6 W*",
     "repeated-root": "if the two lowest sextic coefficients are forced to vanish, the branch divisor has a repeated root along the zero section (documented exclusion)",
     "borel-weil": "Weyl dimension formula for GL(3) highest weights: (m1-m2+1)(m2-m3+1)(m1-m3+2)/2",

@@ -12,18 +12,20 @@ Three layers, kept separate on purpose:
    the literature rather than re-derived.  Each such verdict is flagged and
    carries whatever side conditions the engine CAN check.
 
-`classify` routes each admissible cohomology triple of a holonomy class
-through these layers and returns structured verdicts.
+`RULES` is the holonomy table: one row per cohomology triple (and class,
+where the triple's fate depends on it) naming the decisive rule, the
+expected outcome and the builder that runs these layers.  `classify` looks
+each triple of a class up in it and returns structured verdicts.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from math import comb
 
 from .citations import cite
 from .sheafcalc import (
-    ChernPair,
     CohVector,
     Cotangent,
     DirectSum,
@@ -241,53 +243,53 @@ def _rr_step(a: int, b: int, t: CohVector) -> RuleStep:
     )
 
 
-_DOCUMENTED_RULES = {}
+def _bound(t: CohVector) -> C1Window:
+    bound = inequality_verdict(t)
+    if not isinstance(bound, C1Window):
+        raise AssertionError(f"the inequality engine refutes {tuple(t)}")
+    return bound
 
 
-def _documented(rule_id):
-    def register(fn):
-        _DOCUMENTED_RULES[rule_id] = fn
-        return fn
+@dataclass(frozen=True)
+class Rule:
+    """One row of the holonomy table: a triple, the classes it applies to,
+    its decisive rule, the outcome expected of it, and the verdict builder.
 
-    return register
+    The expected outcome is data, not read off the verdict: the report
+    compares it against what `build` returns.
+    """
+
+    triple: CohVector
+    classes: tuple[str, ...]
+    rule_id: str
+    outcome: str
+    build: Callable[[Rule, tuple[int, int]], Verdict]
+
+    def verdict(self, window: tuple[int, int]) -> Verdict:
+        return self.build(self, window)
 
 
-@_documented("triple-343")
-def _rule_343(window=DEFAULT_C1_WINDOW) -> Verdict:
-    t = CohVector(3, 4, 3)
+def _no_split_type(row: Rule, window) -> Verdict:
+    t = row.triple
     found = split_candidates(t, window)
-    steps = (
-        RuleStep("triple-343", cite("triple-343"), "no rank-2 V with cohomology (3,4,3)", checked=False),
-        _enumeration_step(t, window, found),
-    )
     if found:
         raise AssertionError("split enumeration contradicts the documented rule")
+    steps = (
+        RuleStep(row.rule_id, cite(row.rule_id), "no rank-2 V with cohomology ({},{},{})".format(*t), checked=False),
+        _enumeration_step(t, window, found),
+    )
     return Verdict(IMPOSSIBLE, documented=True, steps=steps)
 
 
-@_documented("triple-222")
-def _rule_222(window=DEFAULT_C1_WINDOW) -> Verdict:
-    t = CohVector(2, 2, 2)
-    found = split_candidates(t, window)
-    steps = (
-        RuleStep("triple-222", cite("triple-222"), "no rank-2 V with cohomology (2,2,2)", checked=False),
-        _enumeration_step(t, window, found),
-    )
-    if found:
-        raise AssertionError("split enumeration contradicts the documented rule")
-    return Verdict(IMPOSSIBLE, documented=True, steps=steps)
-
-
-@_documented("abelian-albanese")
-def _rule_abelian(window=DEFAULT_C1_WINDOW) -> Verdict:
-    triple = (4, 6, 4)
+def _abelian_albanese(row: Rule, window) -> Verdict:
+    triple = tuple(row.triple)
     binom = tuple(comb(4, i) for i in (1, 2, 3))
     if triple != binom:
         raise AssertionError("triple is not the abelian four-fold Hodge vector")
     steps = (
         RuleStep(
-            "abelian-albanese",
-            cite("abelian-albanese"),
+            row.rule_id,
+            cite(row.rule_id),
             "a four-fold with this Hodge vector is covered by its Albanese torus and cannot fibre in abelian surfaces over the plane",
             checked=False,
         ),
@@ -301,15 +303,14 @@ def _rule_abelian(window=DEFAULT_C1_WINDOW) -> Verdict:
     return Verdict(ABELIAN_BASE_OBSTRUCTION, documented=True, steps=steps)
 
 
-@_documented("enriques-picard")
-def _rule_enriques(window=DEFAULT_C1_WINDOW) -> Verdict:
-    t = CohVector(0, 0, 0)
+def _enriques_picard(row: Rule, window) -> Verdict:
+    t = row.triple
     eff = (window[0], min(window[1], -3))
     found = split_candidates(t, eff)
     steps = (
         RuleStep(
-            "enriques-picard",
-            cite("enriques-picard"),
+            row.rule_id,
+            cite(row.rule_id),
             "the invariant Picard class of the K3 x K3 cover obstructs every abelian-surface fibration over the plane",
             checked=False,
         ),
@@ -324,39 +325,9 @@ def _rule_enriques(window=DEFAULT_C1_WINDOW) -> Verdict:
     return Verdict(IMPOSSIBLE, documented=True, steps=steps)
 
 
-@_documented("nodal-c1")
-def _rule_nodal_c1(window=DEFAULT_C1_WINDOW) -> Verdict:
-    c = chern(split_pair(-2, -2))
-    steps = (
-        RuleStep(
-            "nodal-c1",
-            cite("nodal-c1"),
-            "under either equality hypothesis c1(V) = -3 exactly",
-            checked=False,
-        ),
-        RuleStep(
-            "riemann-roch",
-            cite("riemann-roch"),
-            f"c1(O(-2)+O(-2)) = {c.c1} != -3",
-            checked=True,
-        ),
-    )
-    return Verdict(IMPOSSIBLE, documented=True, steps=steps)
-
-
-def documented_rule(rule_id: str, window: tuple[int, int] = DEFAULT_C1_WINDOW) -> Verdict:
-    """Verdict for a named documented rule; its checkable side conditions are run."""
-    try:
-        builder = _DOCUMENTED_RULES[rule_id]
-    except KeyError:
-        raise ValueError(f"unknown documented rule {rule_id!r}") from None
-    return builder(window)
-
-
-def _forced_split_101(window) -> Verdict:
-    t = CohVector(1, 0, 1)
-    bound = inequality_verdict(t)
-    assert isinstance(bound, C1Window)
+def _forced_split_101(row: Rule, window) -> Verdict:
+    t = row.triple
+    bound = _bound(t)
     eff = (max(window[0], bound.lo), min(window[1], bound.hi))
     found = split_candidates(t, eff)
     if found != [(0, -3)]:
@@ -364,8 +335,8 @@ def _forced_split_101(window) -> Verdict:
     steps = bound.steps + (
         _enumeration_step(t, eff, found),
         RuleStep(
-            "split-forced-101",
-            cite("split-forced-101"),
+            row.rule_id,
+            cite(row.rule_id),
             "V with cohomology (1,0,1) splits; the unique split type is the enumerated one",
             checked=False,
         ),
@@ -374,10 +345,9 @@ def _forced_split_101(window) -> Verdict:
     return Verdict(FORCED_SPLIT, documented=True, steps=steps, branches=(SplitBranch(0, -3),))
 
 
-def _forced_split_000(window) -> Verdict:
-    t = CohVector(0, 0, 0)
-    bound = inequality_verdict(t)
-    assert isinstance(bound, C1Window)
+def _forced_split_000(row: Rule, window) -> Verdict:
+    t = row.triple
+    bound = _bound(t)
     eff = (max(window[0], bound.lo), min(window[1], bound.hi))
     found = split_candidates(t, eff)
     if found != [(-1, -2), (-2, -2)]:
@@ -386,8 +356,8 @@ def _forced_split_000(window) -> Verdict:
     steps = bound.steps + (
         _enumeration_step(t, eff, found),
         RuleStep(
-            "split-forced-000",
-            cite("split-forced-000"),
+            row.rule_id,
+            cite(row.rule_id),
             "V with cohomology (0,0,0) splits as one of the enumerated types",
             checked=False,
         ),
@@ -408,18 +378,19 @@ def _forced_split_000(window) -> Verdict:
     )
 
 
-def _forced_cotangent(window) -> Verdict:
-    t = CohVector(0, 1, 0)
+def _forced_cotangent(row: Rule, window) -> Verdict:
+    t = row.triple
     found = split_candidates(t, window)
     v = coh(Cotangent())
     if v != t or found:
         raise AssertionError("cotangent side conditions failed")
-    bound = inequality_verdict(t)
-    assert isinstance(bound, C1Window) and (bound.lo, bound.hi) == (-3, -3)
+    bound = _bound(t)
+    if (bound.lo, bound.hi) != (-3, -3):
+        raise AssertionError(f"expected c1 = -3 exactly, got [{bound.lo}, {bound.hi}]")
     steps = (
         RuleStep(
-            "matsushita-cotangent",
-            cite("matsushita-cotangent"),
+            row.rule_id,
+            cite(row.rule_id),
             "the direct image of a Lagrangian fibration over the plane is the cotangent bundle",
             checked=False,
         ),
@@ -434,45 +405,80 @@ def _forced_cotangent(window) -> Verdict:
     return Verdict(FORCED_COTANGENT, documented=True, steps=steps)
 
 
+def _inequality_refutation(row: Rule, window) -> Verdict:
+    v = inequality_verdict(row.triple)
+    if not isinstance(v, Verdict):
+        raise AssertionError(f"the inequality engine does not refute {tuple(row.triple)}")
+    return v
+
+
+# The holonomy table: the single place where a triple is routed to the rule
+# that decides it.  (0,0,0) is the one triple whose rule depends on the class.
+RULES: tuple[Rule, ...] = (
+    Rule(CohVector(4, 6, 4), ("trivial",), "abelian-albanese", ABELIAN_BASE_OBSTRUCTION, _abelian_albanese),
+    Rule(CohVector(3, 4, 3), ("trivial",), "triple-343", IMPOSSIBLE, _no_split_type),
+    Rule(CohVector(2, 2, 2), ("trivial", "su2"), "triple-222", IMPOSSIBLE, _no_split_type),
+    Rule(CohVector(1, 0, 1), ("trivial", "su2", "su3"), "split-forced-101", FORCED_SPLIT, _forced_split_101),
+    Rule(CohVector(0, 2, 0), ("su2xsu2",), "inequality-engine", IMPOSSIBLE, _inequality_refutation),
+    Rule(CohVector(0, 0, 0), ("su2xsu2",), "enriques-picard", IMPOSSIBLE, _enriques_picard),
+    Rule(CohVector(0, 0, 0), ("su4",), "split-forced-000", FORCED_SPLIT, _forced_split_000),
+    Rule(CohVector(0, 1, 0), ("sp2",), "matsushita-cotangent", FORCED_COTANGENT, _forced_cotangent),
+)
+
+
+def _nodal_c1() -> Verdict:
+    c = chern(split_pair(-2, -2))
+    steps = (
+        RuleStep(
+            "nodal-c1",
+            cite("nodal-c1"),
+            "under either equality hypothesis c1(V) = -3 exactly",
+            checked=False,
+        ),
+        RuleStep(
+            "riemann-roch",
+            cite("riemann-roch"),
+            f"c1(O(-2)+O(-2)) = {c.c1} != -3",
+            checked=True,
+        ),
+    )
+    return Verdict(IMPOSSIBLE, documented=True, steps=steps)
+
+
+def documented_rule(rule_id: str, window: tuple[int, int] = DEFAULT_C1_WINDOW) -> Verdict:
+    """Verdict for a rule of RULES, or for nodal-c1, which decides no triple
+    of the table; its checkable side conditions are run."""
+    if rule_id == "nodal-c1":
+        return _nodal_c1()
+    for row in RULES:
+        if row.rule_id == rule_id:
+            return row.verdict(window)
+    raise ValueError(f"unknown documented rule {rule_id!r}")
+
+
+def rule_for(h: HolonomyClass, t: CohVector) -> Rule:
+    """The row of RULES that decides triple t for class h."""
+    for row in RULES:
+        if row.triple == t and h.id in row.classes:
+            return row
+    raise ValueError(f"no rule route for triple {tuple(t)} in class {h.id!r}")
+
+
 def classify(
     h: HolonomyClass, window: tuple[int, int] = DEFAULT_C1_WINDOW
 ) -> list[tuple[CohVector, Verdict]]:
     """One verdict per admissible triple of the class."""
-    out = []
-    for t in h.triples:
-        if t == (4, 6, 4):
-            v = documented_rule("abelian-albanese", window)
-        elif t == (3, 4, 3):
-            v = documented_rule("triple-343", window)
-        elif t == (2, 2, 2):
-            v = documented_rule("triple-222", window)
-        elif t == (1, 0, 1):
-            v = _forced_split_101(window)
-        elif t == (0, 1, 0):
-            v = _forced_cotangent(window)
-        elif t == (0, 2, 0):
-            v = inequality_verdict(t)
-            assert isinstance(v, Verdict)
-        elif t == (0, 0, 0):
-            if h.id == "su2xsu2":
-                v = documented_rule("enriques-picard", window)
-            else:
-                v = _forced_split_000(window)
-        else:
-            raise ValueError(f"no rule route for triple {t}")
-        out.append((t, v))
-    return out
+    return [(t, rule_for(h, t).verdict(window)) for t in h.triples]
 
 
 def classify_all(window: tuple[int, int] = DEFAULT_C1_WINDOW) -> dict[str, list]:
     return {h.id: classify(h, window) for h in HOLONOMY_CLASSES}
 
 
-def admissible_class_ids(window: tuple[int, int] = DEFAULT_C1_WINDOW) -> set[str]:
-    """Classes admitting at least one admissible direct image."""
-    out = set()
-    for h in HOLONOMY_CLASSES:
-        for _, v in classify(h, window):
-            if v.outcome in (FORCED_SPLIT, FORCED_COTANGENT):
-                out.add(h.id)
-    return out
+def admissible_class_ids(table: dict[str, list]) -> set[str]:
+    """Classes of a `classify_all` table with at least one admissible direct image."""
+    return {
+        class_id
+        for class_id, verdicts in table.items()
+        if any(v.outcome in (FORCED_SPLIT, FORCED_COTANGENT) for _, v in verdicts)
+    }

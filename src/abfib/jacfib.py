@@ -29,10 +29,10 @@ from .sheafcalc import (
     chern,
     coh_line,
     format_bundle,
+    param_count,
     sym6_dual_twist,
 )
 from .classifier import IMPOSSIBLE, POSSIBLE, RuleStep, Verdict
-from .weierstrass import param_count
 
 # the branch divisor is a sextic in the fibre coordinate twisted by this
 BRANCH_TWIST = -6
@@ -91,26 +91,9 @@ def borel_weil_dim(w: GL3Weight) -> int:
     m1, m2, m3 = w.sorted_desc()
     num = (m1 - m2 + 1) * (m2 - m3 + 1) * (m1 - m3 + 2)
     # the three factors are two gaps and their sum shifted; product is even
-    assert num % 2 == 0
+    if num % 2:
+        raise AssertionError(f"odd Weyl numerator {num} for weight {w}")
     return num // 2
-
-
-def normalize_d(c1_w: int) -> int:
-    """Branch-twist degree d forced by normalizing W.
-
-    W is determined up to a line-bundle twist; fixing the twist so that W
-    equals the rank-2 direct image V gives W = O(d) tensor det(W)* tensor V.
-    Taking first Chern classes (a line-bundle factor contributes twice its
-    degree on a rank-2 bundle):
-
-        c1(W) = 2*d + 2*(-c1(W)) + c1(V),  with c1(V) = c1(W),
-
-    which solves to d = c1(W).
-    """
-    d = c1_w
-    # exact first-Chern identity for the solved d
-    assert c1_w == 2 * d - 2 * c1_w + c1_w
-    return d
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +205,7 @@ class JacobianCase:
 
     case_id: str
     w: BundleExpr
-    d: int
+    d: int  # branch-twist degree; normalizing W to the direct image forces d = c1(W)
     space: SectionSpace
     verdict: Verdict
     family_type: str | None  # set only for admissible rows
@@ -270,14 +253,14 @@ def classify_jacobian_fibrations() -> tuple[JacobianCase, ...]:
             )
             space = branch_section_space(case_id)
             rows.append(
-                JacobianCase(case_id, w, normalize_d(c.c1), space, verdict, None, None, None)
+                JacobianCase(case_id, w, c.c1, space, verdict, None, None, None)
             )
             continue
         space = branch_section_space(case_id)
         verdict = repeated_root_verdict(space)
         if verdict.outcome == IMPOSSIBLE:
             rows.append(
-                JacobianCase(case_id, w, normalize_d(c.c1), space, verdict, None, None, None)
+                JacobianCase(case_id, w, c.c1, space, verdict, None, None, None)
             )
             continue
         h = _leray_check(w)
@@ -304,16 +287,11 @@ def classify_jacobian_fibrations() -> tuple[JacobianCase, ...]:
         # projectivise the section (one rescaling), quotient by PGL(3)
         params = param_count([space.dimension], 1)
         rows.append(
-            JacobianCase(case_id, w, normalize_d(c.c1), space, annotated, family_type, params, h)
+            JacobianCase(case_id, w, c.c1, space, annotated, family_type, params, h)
         )
     return tuple(rows)
 
 
-def admissible_cases() -> tuple[JacobianCase, ...]:
-    return tuple(r for r in classify_jacobian_fibrations() if r.verdict.outcome == POSSIBLE)
-
-
-# one documented example outside the table: Lagrangian fibrations of
-# generalized Kummer four-folds carry abelian-surface fibres of
-# polarization type (1,3); no computation is attached
-KUMMER_NOTE = cite("kummer-13")
+def admissible_cases(rows: tuple[JacobianCase, ...]) -> tuple[JacobianCase, ...]:
+    """The rows of a `classify_jacobian_fibrations` table that survive."""
+    return tuple(r for r in rows if r.verdict.outcome == POSSIBLE)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from . import classifier, jacfib, scenario, weierstrass
+from . import classifier, jacfib, scenario
 from .citations import cite
 from .classifier import DEFAULT_C1_WINDOW, HOLONOMY_CLASSES
 from .sheafcalc import (
@@ -33,6 +33,7 @@ from .sheafcalc import (
     coh,
     coh_cotangent_twist,
     coh_line,
+    param_count,
     riemann_roch,
 )
 
@@ -121,24 +122,13 @@ def render_text(report: Report) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _derived(check: str, rule: str, ok: bool, payload: dict) -> Record:
+    """Record of a recomputation: DERIVED-PASS if it matched, else DERIVED-FAIL."""
+    return Record(check, cite(rule), DERIVED_PASS if ok else DERIVED_FAIL, payload)
+
+
 # ---------------------------------------------------------------------------
 # classify
-
-# expected outcome and decisive rule per cohomology triple; (0,0,0) is
-# class-dependent
-_EXPECTED_TRIPLE = {
-    (4, 6, 4): (classifier.ABELIAN_BASE_OBSTRUCTION, "abelian-albanese"),
-    (3, 4, 3): (classifier.IMPOSSIBLE, "triple-343"),
-    (2, 2, 2): (classifier.IMPOSSIBLE, "triple-222"),
-    (1, 0, 1): (classifier.FORCED_SPLIT, "split-forced-101"),
-    (0, 1, 0): (classifier.FORCED_COTANGENT, "matsushita-cotangent"),
-    (0, 2, 0): (classifier.IMPOSSIBLE, "inequality-engine"),
-}
-
-_EXPECTED_000 = {
-    "su2xsu2": (classifier.IMPOSSIBLE, "enriques-picard"),
-    "su4": (classifier.FORCED_SPLIT, "split-forced-000"),
-}
 
 ADMISSIBLE_CLASS_IDS = frozenset({"trivial", "su2", "su3", "su4", "sp2"})
 
@@ -157,15 +147,14 @@ def _verdict_payload(v: classifier.Verdict) -> dict:
     }
 
 
-def _classify_records(h: classifier.HolonomyClass, window) -> list[Record]:
+def _classify_records(h: classifier.HolonomyClass, verdicts) -> list[Record]:
     out = []
-    for t, v in classifier.classify(h, window):
-        key = (t.h0, t.h1, t.h2)
-        expected, rule = _EXPECTED_000[h.id] if key == (0, 0, 0) else _EXPECTED_TRIPLE[key]
+    for t, v in verdicts:
+        row = classifier.rule_for(h, t)
         payload = _verdict_payload(v)
-        payload["triple"] = list(key)
-        payload["expected_outcome"] = expected
-        if v.outcome != expected:
+        payload["triple"] = list(t)
+        payload["expected_outcome"] = row.outcome
+        if v.outcome != row.outcome:
             status = DERIVED_FAIL
         elif v.documented:
             status = DOCUMENTED_RULE
@@ -175,8 +164,8 @@ def _classify_records(h: classifier.HolonomyClass, window) -> list[Record]:
             )
         else:
             status = DERIVED_PASS
-        check = f"classify/{h.id}/({key[0]},{key[1]},{key[2]})"
-        out.append(Record(check, cite(rule), status, payload))
+        check = "classify/{}/({},{},{})".format(h.id, *t)
+        out.append(Record(check, cite(row.rule_id), status, payload))
     return out
 
 
@@ -189,16 +178,17 @@ def build_classify(selector: str, window=DEFAULT_C1_WINDOW, seed: int = 0) -> Re
     )
     if not classes:
         raise ValueError(f"unknown holonomy class {selector!r}")
+    table = {h.id: classifier.classify(h, window) for h in classes}
     records: list[Record] = []
     for h in classes:
-        records.extend(_classify_records(h, window))
+        records.extend(_classify_records(h, table[h.id]))
     if selector == "all":
-        got = classifier.admissible_class_ids(window)
+        got = classifier.admissible_class_ids(table)
         records.append(
-            Record(
+            _derived(
                 "classify/admissible-set",
-                cite("split-enumeration"),
-                DERIVED_PASS if got == ADMISSIBLE_CLASS_IDS else DERIVED_FAIL,
+                "split-enumeration",
+                got == ADMISSIBLE_CLASS_IDS,
                 {
                     "expected": sorted(ADMISSIBLE_CLASS_IDS),
                     "got": sorted(got),
@@ -244,14 +234,7 @@ def build_torus(path, seed: int = 0) -> Report:
         )
     ]
     if sc.model.n > 0:
-        records.append(
-            Record(
-                f"torus/{name}/free",
-                cite("snf-fixed-point"),
-                DERIVED_PASS if res.free else DERIVED_FAIL,
-                {"free": res.free},
-            )
-        )
+        records.append(_derived(f"torus/{name}/free", "snf-fixed-point", res.free, {"free": res.free}))
     if res.delegated:
         records.append(
             Record(
@@ -279,20 +262,21 @@ def build_torus(path, seed: int = 0) -> Report:
             )
         )
     elif res.hodge is not None:
+        # schema 1 also carries h^{p,0}, which equals h^q(O_X) for these quotients
         records.append(
             Record(
                 f"torus/{name}/hodge",
                 cite("hodge-quotient"),
                 DERIVED_PASS,
-                {"h_q": list(res.hodge.h_q), "h_p0": list(res.hodge.h_p0)},
+                {"h_q": list(res.hodge.h_q), "h_p0": list(res.hodge.h_q)},
             )
         )
     for c in res.checks:
         records.append(
-            Record(
+            _derived(
                 f"torus/{name}/expect/{c.key}",
-                cite(_EXPECT_CITATIONS[c.key]),
-                DERIVED_PASS if c.ok else DERIVED_FAIL,
+                _EXPECT_CITATIONS[c.key],
+                c.ok,
                 {"expected": _plain(c.expected), "actual": _plain(c.actual)},
             )
         )
@@ -316,18 +300,19 @@ STATED_PRODUCT = {"l": 1, "l2": 2, "dims": (5, 7, 9, 13), "params": 24}
 
 def _h0_via_rr(k: int) -> int:
     # second arithmetic path: chi(O(k)) with vanishing h^1, h^2 for k >= 0
-    assert k >= 0
+    if k < 0:
+        raise ValueError(f"Riemann-Roch gives h^0(O(k)) only for k >= 0, got {k}")
     return riemann_roch(ChernPair(1, k, 0))
 
 
 def _param_record(check: str, degrees: tuple[int, ...], rescalings: int) -> Record:
     dims = [coh_line(k).h0 for k in degrees]
     cross = [_h0_via_rr(k) for k in degrees]
-    params = weierstrass.param_count(dims, rescalings)
-    return Record(
+    params = param_count(dims, rescalings)
+    return _derived(
         check,
-        cite("param-count"),
-        DERIVED_PASS if dims == cross else DERIVED_FAIL,
+        "param-count",
+        dims == cross,
         {
             "degrees": list(degrees),
             "dims": dims,
@@ -340,8 +325,8 @@ def _param_record(check: str, degrees: tuple[int, ...], rescalings: int) -> Reco
 
 def _discrepancy_record(check: str, degrees, stated_dims, stated_params, rescalings) -> Record:
     recomputed_dims = [coh_line(k).h0 for k in degrees]
-    stated_total = weierstrass.param_count(list(stated_dims), rescalings)
-    recomputed_total = weierstrass.param_count(recomputed_dims, rescalings)
+    stated_total = param_count(list(stated_dims), rescalings)
+    recomputed_total = param_count(recomputed_dims, rescalings)
     return Record(
         check,
         cite("stated-dimension-count"),
@@ -387,7 +372,9 @@ def fibre_product_discrepancy() -> Record:
     )
 
 
-def _sampling_payload(rec: weierstrass.SamplingRecord) -> dict:
+def _sampling_payload(rec) -> dict:
+    from . import weierstrass
+
     failures = [
         {"trial": o.index, "witness": list(o.witness)}
         for o in rec.outcomes
@@ -414,13 +401,17 @@ def build_weierstrass(
     fibre_product: bool = False,
     l2: int = 1,
 ) -> Report:
+    # imported here, not at module level, so that commands without an F_p
+    # scan never load numpy
+    from . import weierstrass
+
     bundle, coeff = weierstrass.weierstrass_bundle_degrees(l)
     smooth = weierstrass.smoothness_trials(l, p, seed, trials)
     records = [
-        Record(
+        _derived(
             "weierstrass/degrees",
-            cite("weierstrass-model"),
-            DERIVED_PASS if smooth.degree_ok else DERIVED_FAIL,
+            "weierstrass-model",
+            smooth.degree_ok,
             {
                 "l": l,
                 "bundle_degrees": list(bundle),
@@ -429,10 +420,10 @@ def build_weierstrass(
                 "degree_verified_on_samples": smooth.degree_ok,
             },
         ),
-        Record(
+        _derived(
             "weierstrass/smoothness",
-            cite("finite-field-scan"),
-            DERIVED_PASS if smooth.degree_ok else DERIVED_FAIL,
+            "finite-field-scan",
+            smooth.degree_ok,
             _sampling_payload(smooth),
         ),
         _param_record("weierstrass/param-count", (4 * l, 6 * l), 1),
@@ -444,12 +435,7 @@ def build_weierstrass(
         payload = _sampling_payload(trans)
         payload["l2"] = l2
         records.append(
-            Record(
-                "weierstrass/transversality",
-                cite("finite-field-scan"),
-                DERIVED_PASS if trans.degree_ok else DERIVED_FAIL,
-                payload,
-            )
+            _derived("weierstrass/transversality", "finite-field-scan", trans.degree_ok, payload)
         )
         records.append(
             _param_record(
@@ -488,10 +474,10 @@ def build_jacfib(seed: int = 0) -> Report:
                 and row.leray_h == want["leray"]
             )
             records.append(
-                Record(
+                _derived(
                     check,
-                    cite("genus-two-branch"),
-                    DERIVED_PASS if ok else DERIVED_FAIL,
+                    "genus-two-branch",
+                    ok,
                     {
                         "outcome": row.verdict.outcome,
                         "d": row.d,
@@ -531,10 +517,10 @@ def build_jacfib(seed: int = 0) -> Report:
                 and forced_degrees == [-6, -3]
             )
             records.append(
-                Record(
+                _derived(
                     check,
-                    cite("repeated-root"),
-                    DERIVED_PASS if ok else DERIVED_FAIL,
+                    "repeated-root",
+                    ok,
                     {
                         "outcome": row.verdict.outcome,
                         "degrees": list(row.space.degrees),
@@ -544,16 +530,12 @@ def build_jacfib(seed: int = 0) -> Report:
                     },
                 )
             )
-    admissible = {r.case_id: r.param_count for r in jacfib.admissible_cases()}
+    admissible = {r.case_id: r.param_count for r in jacfib.admissible_cases(rows)}
     records.append(
-        Record(
+        _derived(
             "jacfib/admissible-set",
-            cite("param-count"),
-            (
-                DERIVED_PASS
-                if admissible == {k: v["params"] for k, v in _JACFIB_EXPECTED.items()}
-                else DERIVED_FAIL
-            ),
+            "param-count",
+            admissible == {k: v["params"] for k, v in _JACFIB_EXPECTED.items()},
             {"admissible": {k: admissible[k] for k in sorted(admissible)}},
         )
     )
@@ -586,12 +568,7 @@ BOREL_WEIL_MAX = 30
 
 
 def _property_record(check: str, rule: str, window, failures: list) -> Record:
-    return Record(
-        check,
-        cite(rule),
-        DERIVED_PASS if not failures else DERIVED_FAIL,
-        {"window": list(window), "failures": failures},
-    )
+    return _derived(check, rule, not failures, {"window": list(window), "failures": failures})
 
 
 def build_properties(seed: int = 0) -> Report:

@@ -329,8 +329,8 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
     return ScenarioResult(
         scenario=sc,
         order=group.order,
-        abelian=group.is_abelian,
-        max_order=group.max_element_order,
+        abelian=computed["abelian"],
+        max_order=computed["max-order"],
         free=computed["free"],
         delegated=len(delegated_elements(group)),
         forms=forms,

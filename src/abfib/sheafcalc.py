@@ -18,6 +18,7 @@ into a list of atoms (line bundles and cotangent twists); cohomology and
 Chern data are additive over the atoms.  Symmetric powers of a *non-split*
 rank-2 bundle (e.g. Sym^6 of the tangent bundle) are deliberately not
 evaluated here; they need representation theory and live in `jacfib`.
+`param_count` turns section-space dimensions into a family's parameter count.
 """
 
 from __future__ import annotations
@@ -257,13 +258,9 @@ def riemann_roch(c: ChernPair) -> int:
     raise ValueError(f"unsupported rank {c.rank}")
 
 
-def twist_chern(c: ChernPair, k: int) -> ChernPair:
-    """Chern data of V(k) given that of V; ranks 1 and 2 only."""
-    if c.rank == 1:
-        return ChernPair(1, c.c1 + k, 0)
-    if c.rank == 2:
-        return ChernPair(2, c.c1 + 2 * k, c.c2 + k * c.c1 + k * k)
-    raise ValueError(f"unsupported rank {c.rank}")
+def param_count(dims, rescalings: int) -> int:
+    """Sum of section-space dimensions minus rescalings minus dim PGL(3) = 8."""
+    return sum(dims) - rescalings - 8
 
 
 def sym6_dual_twist(a: int, b: int, t: int) -> list[int]:

@@ -8,8 +8,8 @@ factor's own period.  Every linear part is a signed permutation, which keeps
 the induced lattice map integral no matter what the periods are.
 
 Fixed-point analysis is exact: (L - I) z = -t over the torus is solved by
-Smith normal form, and an independent exhaustive search over a torsion grid
-backs the result (solutions, when they exist, have denominator dividing
+Smith normal form; the tests back it with an independent exhaustive search
+over a torsion grid (solutions, when they exist, have denominator dividing
 twice the translation denominator, because the nonzero elementary divisors
 of L - I are 1 or 2 for signed permutations).
 
@@ -23,9 +23,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-
-import numpy as np
 
 CLOSURE_CAP = 1024
 
@@ -175,7 +172,6 @@ class FiniteGroup:
         self.model = model
         self.elements = tuple(elements)
         self.generators = tuple(generators)
-        self._index = {self._key(e): i for i, e in enumerate(self.elements)}
 
     @staticmethod
     def _key(e: GroupElement):
@@ -188,12 +184,6 @@ class FiniteGroup:
     @property
     def identity(self) -> GroupElement:
         return self.elements[0]
-
-    def index(self, e: GroupElement) -> int:
-        return self._index[self._key(e)]
-
-    def multiply(self, i: int, j: int) -> int:
-        return self.index(compose_elements(self.elements[i], self.elements[j]))
 
     @property
     def is_abelian(self) -> bool:
@@ -385,32 +375,9 @@ def fixed_point_free(f: AffineAuto) -> FreeCertificate:
     w = [Uc[i] / diag[i] if diag[i] else Fraction(0) for i in range(m)]
     z = [_mod1(x) for x in _mat_vec(V, w)]
     check = _mat_vec(M, z)
-    assert all((check[i] - c[i]).denominator == 1 for i in range(m))
+    if any((check[i] - c[i]).denominator != 1 for i in range(m)):
+        raise AssertionError(f"SNF solution {z} does not solve (Lhat - I) z = -t")
     return FreeCertificate(False, diag, residues, (), tuple(z))
-
-
-def fixed_point_free_brute(f: AffineAuto) -> bool:
-    """Exhaustive grid search, independent of the SNF path.
-
-    The lattice map splits into identical copies of L - I on the real and
-    period coordinates, so the two n-dimensional systems are searched
-    separately over the (1 / 2D)-grid, D = translation denominator lcm.
-    """
-    if f.is_identity():
-        raise ValueError("identity fixes everything; test non-identity elements")
-    n = f.model.n
-    D = lcm(1, *(x.denominator for x in f.that))
-    G = 2 * D
-    M = np.array(
-        [[f.L[i][j] - (i == j) for j in range(n)] for i in range(n)], dtype=np.int64
-    )
-    K = np.array(list(itertools.product(range(G), repeat=n)), dtype=np.int64)
-
-    def solvable(part):
-        rhs = np.array([int(G * x) for x in part], dtype=np.int64)
-        return bool(((K @ M.T + rhs) % G == 0).all(axis=1).any())
-
-    return not (solvable(f.that[0::2]) and solvable(f.that[1::2]))
 
 
 def delegated_elements(G: FiniteGroup) -> tuple[GroupElement, ...]:
@@ -472,7 +439,8 @@ def invariant_forms(G: FiniteGroup, p: int) -> int:
         raise ValueError(f"p must lie in [0, {n}]")
     total = sum(exterior_trace(e.auto.L, p) for e in G.elements)
     avg = Fraction(total, G.order)
-    assert avg.denominator == 1
+    if avg.denominator != 1:
+        raise AssertionError(f"non-integral invariant dimension {avg} in degree {p}")
     return int(avg)
 
 
@@ -535,8 +503,7 @@ def _poly_mult(a, b):
 
 @dataclass(frozen=True)
 class HodgeData:
-    h_p0: tuple[int, ...]  # h^{p,0}(X), p = 0..4
-    h_q: tuple[int, ...]  # h^q(X, O_X), q = 0..4
+    h_q: tuple[int, ...]  # h^q(X, O_X) = h^{q,0}(X), q = 0..4
 
 
 def quotient_hodge(factors, G: FiniteGroup) -> HodgeData:
@@ -568,9 +535,9 @@ def quotient_hodge(factors, G: FiniteGroup) -> HodgeData:
     dims = []
     for p in range(5):
         v = Fraction(acc[p], G.order)
-        assert v.denominator == 1
+        if v.denominator != 1:
+            raise AssertionError(f"non-integral h^({p},0) = {v}")
         dims.append(int(v))
     if dims[4] != 1:
         raise NonTrivialCanonical(dims[4])
-    h = tuple(dims)
-    return HodgeData(h, h)
+    return HodgeData(tuple(dims))

@@ -335,12 +335,7 @@ def transversal_intersection(f: HomogPoly, g: HomogPoly) -> ScanResult:
 
 
 # ---------------------------------------------------------------------------
-# parameter counts and sampling
-
-
-def param_count(dims, rescalings: int) -> int:
-    """Sum of section-space dimensions minus rescalings minus dim PGL(3) = 8."""
-    return sum(dims) - rescalings - 8
+# sampling
 
 
 def random_homog(degree: int, p: int, rng: random.Random) -> HomogPoly:

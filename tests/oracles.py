@@ -1,0 +1,30 @@
+"""Reference implementations that tests compare the engines against."""
+
+import itertools
+from math import lcm
+
+import numpy as np
+
+
+def fixed_point_free_brute(f) -> bool:
+    """Exhaustive grid search, independent of the SNF path.
+
+    The lattice map splits into identical copies of L - I on the real and
+    period coordinates, so the two n-dimensional systems are searched
+    separately over the (1 / 2D)-grid, D = translation denominator lcm.
+    """
+    if f.is_identity():
+        raise ValueError("identity fixes everything; test non-identity elements")
+    n = f.model.n
+    D = lcm(1, *(x.denominator for x in f.that))
+    G = 2 * D
+    M = np.array(
+        [[f.L[i][j] - (i == j) for j in range(n)] for i in range(n)], dtype=np.int64
+    )
+    K = np.array(list(itertools.product(range(G), repeat=n)), dtype=np.int64)
+
+    def solvable(part):
+        rhs = np.array([int(G * x) for x in part], dtype=np.int64)
+        return bool(((K @ M.T + rhs) % G == 0).all(axis=1).any())
+
+    return not (solvable(f.that[0::2]) and solvable(f.that[1::2]))

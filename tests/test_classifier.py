@@ -9,6 +9,8 @@ from abfib.classifier import (
     FORCED_SPLIT,
     HOLONOMY_CLASSES,
     IMPOSSIBLE,
+    RULES,
+    HolonomyClass,
     RuleStep,
     Verdict,
     admissible_class_ids,
@@ -16,6 +18,7 @@ from abfib.classifier import (
     classify_all,
     documented_rule,
     inequality_verdict,
+    rule_for,
     split_candidates,
 )
 from abfib.sheafcalc import CohVector, Cotangent, DirectSum, Line, chern, coh, riemann_roch
@@ -265,7 +268,7 @@ def test_classify_all_covers_every_class():
 
 
 def test_admissible_classes():
-    assert admissible_class_ids() == {"trivial", "su2", "su3", "su4", "sp2"}
+    assert admissible_class_ids(classify_all()) == {"trivial", "su2", "su3", "su4", "sp2"}
 
 
 def test_forced_split_riemann_roch_consistency():
@@ -297,3 +300,20 @@ def test_holonomy_table_shape():
     assert triples["su3"] == [(1, 0, 1)]
     assert triples["su4"] == [(0, 0, 0)]
     assert triples["sp2"] == [(0, 1, 0)]
+
+
+def test_rule_table_routes_each_class_triple_exactly_once():
+    reached = set()
+    for h in HOLONOMY_CLASSES:
+        for t in h.triples:
+            rows = [i for i, row in enumerate(RULES) if row.triple == t and h.id in row.classes]
+            assert len(rows) == 1, (h.id, tuple(t))
+            assert RULES[rows[0]] is rule_for(h, t)
+            reached.add(rows[0])
+    assert reached == set(range(len(RULES)))
+
+
+def test_unroutable_triple_raises():
+    stray = HolonomyClass("stray", "stray", "none", (CohVector(5, 0, 5),))
+    with pytest.raises(ValueError, match="no rule route"):
+        classify(stray)

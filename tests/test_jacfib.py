@@ -1,7 +1,6 @@
 import pytest
 
 from abfib.jacfib import (
-    KUMMER_NOTE,
     MILD_DEGENERATIONS,
     GL3Weight,
     MildDegenerationsSpec,
@@ -12,9 +11,9 @@ from abfib.jacfib import (
     branch_section_space,
     case_ids,
     classify_jacobian_fibrations,
-    normalize_d,
     repeated_root_verdict,
 )
+from abfib.citations import cite
 from abfib.classifier import IMPOSSIBLE, POSSIBLE
 from abfib.leray import DirectImageData, total_coh
 from abfib.sheafcalc import Line, chern, coh_line, format_bundle
@@ -55,14 +54,6 @@ def test_borel_weil_pinned():
 def test_borel_weil_symmetric_powers_match_plane_sections():
     for n in range(31):
         assert borel_weil_dim(GL3Weight(n, 0, 0)) == coh_line(n).h0 == h0_line(n)
-
-
-def test_normalize_d():
-    assert normalize_d(-3) == -3
-    assert normalize_d(0) == 0
-    assert normalize_d(-4) == -4
-    for w in W_CANDIDATES:
-        assert normalize_d(chern(w).c1) == chern(w).c1
 
 
 def test_case_ids():
@@ -169,12 +160,12 @@ def test_classification_table():
 
 
 def test_admissible_set_is_exactly_two():
-    ids = {r.case_id for r in admissible_cases()}
+    ids = {r.case_id for r in admissible_cases(classify_jacobian_fibrations())}
     assert ids == {"O(-1) + O(-2)", "Omega1"}
 
 
 def test_leray_cross_check_recomputes():
-    for r in admissible_cases():
+    for r in admissible_cases(classify_jacobian_fibrations()):
         recomputed = total_coh(DirectImageData(Line(0), r.w, Line(-3)))
         assert r.leray_h == recomputed
 
@@ -188,7 +179,7 @@ def test_documented_annotations_present():
     by_id = {r.case_id: r for r in classify_jacobian_fibrations()}
     ihs_rules = [s.rule for s in by_id["Omega1"].verdict.steps if not s.checked]
     assert "beauville-mukai" in ihs_rules
-    assert "(1,3)" in KUMMER_NOTE
+    assert "(1,3)" in cite("kummer-13")
 
 
 def test_table_is_deterministic():

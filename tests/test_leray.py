@@ -1,7 +1,56 @@
+from dataclasses import dataclass
+from math import isqrt
+
 import pytest
 
-from abfib.leray import DegreeSolutions, DirectImageData, solve_R2, total_coh
+from abfib.leray import DirectImageData, total_coh
 from abfib.sheafcalc import Cotangent, DirectSum, Line, coh_line
+
+
+@dataclass(frozen=True)
+class DegreeSolutions:
+    """Degrees k with h^2(O(k)) equal to a target.
+
+    `finite` lists isolated solutions; `all_k_at_least` is set when the
+    solution set is co-finite (target 0: every k >= -2).
+    """
+
+    finite: frozenset[int]
+    all_k_at_least: int | None = None
+
+    def __contains__(self, k: int) -> bool:
+        if self.all_k_at_least is not None and k >= self.all_k_at_least:
+            return True
+        return k in self.finite
+
+    def __str__(self) -> str:
+        if self.all_k_at_least is not None:
+            parts = [f"k >= {self.all_k_at_least}"]
+            parts += [str(k) for k in sorted(self.finite)]
+            return "{" + ", ".join(parts) + "}"
+        return "{" + ", ".join(str(k) for k in sorted(self.finite)) + "}"
+
+
+def solve_R2(h4_target: int) -> DegreeSolutions:
+    """All degrees k with h^2(O(k)) = h4_target.
+
+    h^2(O(k)) = h^0(O(-k-3)) runs through the triangular numbers as k
+    decreases from -3, so positive targets have at most one solution.
+    """
+    if h4_target < 0:
+        raise ValueError("cohomology target must be >= 0")
+    if h4_target == 0:
+        return DegreeSolutions(frozenset(), all_k_at_least=-2)
+    # (j+1)(j+2)/2 = target with j = -k-3 >= 0
+    disc = 1 + 8 * h4_target
+    s = isqrt(disc)
+    if s * s != disc:
+        return DegreeSolutions(frozenset())
+    j, rem = divmod(s - 3, 2)
+    if rem != 0 or j < 0:
+        return DegreeSolutions(frozenset())
+    assert coh_line(-j - 3).h2 == h4_target
+    return DegreeSolutions(frozenset({-j - 3}))
 
 
 def triple(r1):

@@ -1,6 +1,8 @@
+import hashlib
 import json
 
 import pytest
+from test_acceptance import report_all
 
 from abfib import report
 from abfib.report import (
@@ -203,3 +205,10 @@ def test_renderers_deterministic():
     assert render_text(a) == render_text(b)
     different_seed = build_weierstrass(1, 101, 4, 3)
     assert render_json(a) != render_json(different_seed)
+
+
+def test_report_all_checksums_pinned():
+    # the byte-identical gate for refactors: `abfib report all --seed 0`
+    rep = report_all()
+    assert hashlib.md5(render_text(rep).encode()).hexdigest() == "ec343e9370faa34c62f0e034ed75e12f"
+    assert hashlib.md5(render_json(rep).encode()).hexdigest() == "0d8f9a1eca74aebf9e8807a3275e2fc8"

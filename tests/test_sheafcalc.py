@@ -34,8 +34,17 @@ from abfib.sheafcalc import (
     rank,
     riemann_roch,
     sym6_dual_twist,
-    twist_chern,
 )
+
+
+def twist_chern(c: ChernPair, k: int) -> ChernPair:
+    """Chern data of V(k) given that of V; ranks 1 and 2 only."""
+    if c.rank == 1:
+        return ChernPair(1, c.c1 + k, 0)
+    if c.rank == 2:
+        return ChernPair(2, c.c1 + 2 * k, c.c2 + k * c.c1 + k * k)
+    raise ValueError(f"unsupported rank {c.rank}")
+
 
 # ---------------------------------------------------------------------------
 # oracle

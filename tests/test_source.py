@@ -1,0 +1,37 @@
+"""Properties of the package source rather than of its results."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import abfib
+
+SRC = Path(abfib.__file__).parent
+
+
+def test_no_assert_statements_in_src():
+    # `python -O` strips assert statements; engine invariants must raise
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_exact_commands_never_import_numpy():
+    script = (
+        "import sys\n"
+        "from abfib.cli import main\n"
+        "assert 'numpy' not in sys.modules, 'import'\n"
+        "for argv in (['classify', 'all'], ['torus', 'd8'], ['jacfib']):\n"
+        "    assert main(argv) == 0, argv\n"
+        "    assert 'numpy' not in sys.modules, argv\n"
+    )
+    path = os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

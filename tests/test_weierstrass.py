@@ -11,7 +11,6 @@ from abfib.weierstrass import (
     discriminant,
     format_poly,
     is_smooth_curve,
-    param_count,
     parse_poly,
     poly,
     poly_add,
@@ -26,6 +25,7 @@ from abfib.weierstrass import (
     weierstrass_bundle_degrees,
     zero_poly,
 )
+from abfib.sheafcalc import param_count
 
 F = Fraction
 
