@@ -118,6 +118,9 @@ def _dispatch(ns: argparse.Namespace, seed: int) -> rpt.Report:
         if selector != "all" and selector not in CLASSES_BY_ID:
             known = ", ".join(sorted(CLASSES_BY_ID))
             raise ValueError(f"unknown holonomy class {ns.klass!r} (known: {known}, or 'all')")
+        lo, hi = ns.window
+        if lo > hi:
+            raise ValueError(f"--window LO HI needs LO <= HI, got {lo} {hi}")
         return rpt.build_classify(selector, tuple(ns.window), seed=seed)
     if ns.command == "torus":
         return rpt.build_torus(ns.scenario, seed=seed)

@@ -290,12 +290,12 @@ def bundled_scenario_path(name: str) -> Path:
 
 def resolve_scenario(name_or_path) -> Path:
     p = Path(name_or_path)
-    if p.exists():
+    if p.is_file():
         return p
     names = [p.name] if p.suffix else [p.name + ".scn", p.name]
     for name in names:
         bundled = bundled_scenario_path(name)
-        if bundled.exists():
+        if bundled.is_file():
             return bundled
     raise FileNotFoundError(f"no scenario file {name_or_path!r} (and no bundled {p.name!r})")
 

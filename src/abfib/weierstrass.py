@@ -14,7 +14,6 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -247,15 +246,6 @@ def discriminant(w: WeierstrassFamily) -> HomogPoly:
 # finite-field scans
 
 
-@lru_cache(maxsize=None)
-def _plane_points(p: int) -> np.ndarray:
-    """Normalized representatives (first nonzero coordinate 1), lex ascending."""
-    pts = [(0, 0, 1)]
-    pts += [(0, 1, t) for t in range(p)]
-    pts += [(1, s, t) for s in range(p) for t in range(p)]
-    return np.array(pts, dtype=np.int64)
-
-
 def _pow_table(p: int, max_exp: int) -> np.ndarray:
     tab = np.ones((p, max_exp + 1), dtype=np.int64)
     for e in range(1, max_exp + 1):
@@ -263,14 +253,34 @@ def _pow_table(p: int, max_exp: int) -> np.ndarray:
     return tab
 
 
-def _eval_many(f: HomogPoly, pts: np.ndarray, tab: np.ndarray, p: int) -> np.ndarray:
-    acc = np.zeros(len(pts), dtype=np.int64)
-    for (i, j, k), c in f.terms:
-        v = tab[pts[:, 0], i]
-        v = (v * tab[pts[:, 1], j]) % p
-        v = (v * tab[pts[:, 2], k]) % p
-        acc = (acc + c * v) % p
-    return acc
+def _eval_plane(f: HomogPoly, tab: np.ndarray, p: int) -> np.ndarray:
+    """Values of f at all p^2 + p + 1 normalized points, in lex order.
+
+    The points are (0,0,1), then (0,1,t), then (1,s,t); the first nonzero
+    coordinate is 1.  With C[j,k] the coefficient of x1^j*x2^k and V the
+    p x (d+1) power table, the chart x0 = 1 is V C V^T, the line x0 = 0 is
+    V applied to the anti-diagonal of C, and (0,0,1) is C[0,d].  Every
+    entry is reduced mod p before the next product, so no int64 value
+    exceeds (d+1)*p^2: about 1.7e6 at d = 24, p = 257.
+    """
+    d = f.degree
+    coeffs = np.zeros((d + 1, d + 1), dtype=np.int64)
+    for (_, j, k), c in f.terms:
+        coeffs[j, k] = c
+    v = tab[:, : d + 1]
+    chart = ((v @ coeffs) % p) @ v.T % p
+    line = (v @ coeffs[::-1].diagonal()) % p
+    return np.concatenate(([coeffs[0, d]], line, chart.ravel()))
+
+
+def _plane_point(index: int, p: int) -> tuple[int, int, int]:
+    """The normalized point at position index of the lex order above."""
+    if index == 0:
+        return (0, 0, 1)
+    if index <= p:
+        return (0, 1, index - 1)
+    s, t = divmod(index - p - 1, p)
+    return (1, s, t)
 
 
 def _check_scan_args(*polys):
@@ -302,36 +312,33 @@ class ScanResult:
         return self.ok
 
 
+def _scan_result(bad: np.ndarray, p: int) -> ScanResult:
+    if bad.any():
+        return ScanResult(False, _plane_point(int(np.argmax(bad)), p), len(bad))
+    return ScanResult(True, None, len(bad))
+
+
 def is_smooth_curve(f: HomogPoly) -> ScanResult:
     """TRUE iff no F_p-point annihilates f and all three partials."""
     p = _check_scan_args(f)
-    pts = _plane_points(p)
     tab = _pow_table(p, f.degree)
-    mask = _eval_many(f, pts, tab, p) == 0
+    mask = _eval_plane(f, tab, p) == 0
     for var in range(3):
-        mask &= _eval_many(derivative(f, var), pts, tab, p) == 0
-    if mask.any():
-        w = pts[int(np.argmax(mask))]
-        return ScanResult(False, (int(w[0]), int(w[1]), int(w[2])), len(pts))
-    return ScanResult(True, None, len(pts))
+        mask &= _eval_plane(derivative(f, var), tab, p) == 0
+    return _scan_result(mask, p)
 
 
 def transversal_intersection(f: HomogPoly, g: HomogPoly) -> ScanResult:
     """TRUE iff the gradients are independent at every common F_p-zero."""
     p = _check_scan_args(f, g)
-    pts = _plane_points(p)
     tab = _pow_table(p, max(f.degree, g.degree))
-    common = (_eval_many(f, pts, tab, p) == 0) & (_eval_many(g, pts, tab, p) == 0)
-    df = [_eval_many(derivative(f, v), pts, tab, p) for v in range(3)]
-    dg = [_eval_many(derivative(g, v), pts, tab, p) for v in range(3)]
-    dependent = np.ones(len(pts), dtype=bool)
+    common = (_eval_plane(f, tab, p) == 0) & (_eval_plane(g, tab, p) == 0)
+    df = [_eval_plane(derivative(f, v), tab, p) for v in range(3)]
+    dg = [_eval_plane(derivative(g, v), tab, p) for v in range(3)]
+    dependent = np.ones(len(common), dtype=bool)
     for u, v in ((0, 1), (0, 2), (1, 2)):
         dependent &= (df[u] * dg[v] - df[v] * dg[u]) % p == 0
-    bad = common & dependent
-    if bad.any():
-        w = pts[int(np.argmax(bad))]
-        return ScanResult(False, (int(w[0]), int(w[1]), int(w[2])), len(pts))
-    return ScanResult(True, None, len(pts))
+    return _scan_result(common & dependent, p)
 
 
 # ---------------------------------------------------------------------------

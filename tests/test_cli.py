@@ -49,6 +49,18 @@ def test_torus_bundled_and_missing(capsys):
     assert code == 2 and "no scenario file" in err
 
 
+def test_torus_directory_exits_2(tmp_path, capsys):
+    code, out, err = run(["torus", str(tmp_path)], capsys)
+    assert code == 2 and not out
+    assert "no scenario file" in err and "Traceback" not in err
+
+
+def test_classify_inverted_window_exits_2(capsys):
+    code, out, err = run(["classify", "all", "--window", "0", "-30"], capsys)
+    assert code == 2 and not out
+    assert "--window" in err
+
+
 def test_torus_malformed_exits_2_with_line(tmp_path, capsys):
     f = tmp_path / "broken.scn"
     f.write_text("version 1\nname broken\nfactor torus e1\ngenerator z2\n")

@@ -5,6 +5,8 @@ import pytest
 
 from abfib.weierstrass import (
     CERT_CAVEAT,
+    _eval_plane,
+    _pow_table,
     HomogPoly,
     WeierstrassFamily,
     derivative,
@@ -102,6 +104,48 @@ def test_transversality_matches_oracle():
         scan = transversal_intersection(f, g)
         assert scan.ok == verdict
         assert scan.witness == witness
+
+
+# ---------------------------------------------------------------------------
+# kernel edge cases: the matrix-product plane evaluation against the oracle
+
+
+def test_frobenius_fermat_has_vanishing_partials():
+    # over F_7, x0^7 + x1^7 + x2^7 = (x0 + x1 + x2)^7 and every partial is 7*x^6 = 0
+    f = poly(7, {(7, 0, 0): 1, (0, 7, 0): 1, (0, 0, 7): 1}, p=7)
+    assert all(derivative(f, v).is_zero() for v in range(3))
+    scan = is_smooth_curve(f)
+    assert oracle_smooth(f) == (False, (0, 1, 6))
+    assert (scan.ok, scan.witness, scan.points) == (False, (0, 1, 6), 57)
+
+
+def test_discriminant_values_on_every_point():
+    p = 31
+    delta = discriminant(random_family(1, p, random.Random(5)))
+    assert delta.degree == 12
+    values = _eval_plane(delta, _pow_table(p, delta.degree), p)
+    points = oracle_points(p)
+    assert len(values) == len(points) == 993
+    assert [int(v) for v in values] == [oracle_eval(delta.terms, pt, p) for pt in points]
+    scan = is_smooth_curve(delta)
+    assert (scan.ok, scan.witness) == oracle_smooth(delta)
+
+
+def test_int64_edge_full_coefficients():
+    # every coefficient p - 1 at degree 24 (l = 2) and the largest scan prime:
+    # each int64 entry stays below (d + 1) * p^2 before reduction
+    p, d = 257, 24
+    f = poly(d, {(i, j, d - i - j): p - 1 for i in range(d + 1) for j in range(d - i + 1)}, p=p)
+    assert len(f.terms) == (d + 1) * (d + 2) // 2
+    values = _eval_plane(f, _pow_table(p, d), p)
+    assert len(values) == p * p + p + 1
+    assert values[0] == oracle_eval(f.terms, (0, 0, 1), p)
+    for t in range(p):
+        assert values[1 + t] == oracle_eval(f.terms, (0, 1, t), p)
+    rng = random.Random(23)
+    for _ in range(300):
+        s, t = rng.randrange(p), rng.randrange(p)
+        assert values[1 + p + s * p + t] == oracle_eval(f.terms, (1, s, t), p)
 
 
 # ---------------------------------------------------------------------------
