@@ -325,13 +325,20 @@ def _enriques_picard(row: Rule, window) -> Verdict:
     return Verdict(IMPOSSIBLE, documented=True, steps=steps)
 
 
+def _window_misses_split_types(bound: C1Window, t: CohVector, eff, found) -> Verdict:
+    """Verdict when the c1 window leaves out a forced split type: nothing is
+    forced there, and the enumeration shows what the window does contain."""
+    steps = bound.steps + (_enumeration_step(t, eff, found),)
+    return Verdict(POSSIBLE, documented=False, steps=steps)
+
+
 def _forced_split_101(row: Rule, window) -> Verdict:
     t = row.triple
     bound = _bound(t)
     eff = (max(window[0], bound.lo), min(window[1], bound.hi))
     found = split_candidates(t, eff)
     if found != [(0, -3)]:
-        raise AssertionError(f"expected a unique split type, found {found}")
+        return _window_misses_split_types(bound, t, eff, found)
     steps = bound.steps + (
         _enumeration_step(t, eff, found),
         RuleStep(
@@ -351,7 +358,7 @@ def _forced_split_000(row: Rule, window) -> Verdict:
     eff = (max(window[0], bound.lo), min(window[1], bound.hi))
     found = split_candidates(t, eff)
     if found != [(-1, -2), (-2, -2)]:
-        raise AssertionError(f"expected the two split types, found {found}")
+        return _window_misses_split_types(bound, t, eff, found)
     exclusion = "nodal-c1: under either equality hypothesis c1 = -3, but c1(O(-2)+O(-2)) = -4"
     steps = bound.steps + (
         _enumeration_step(t, eff, found),

@@ -77,7 +77,9 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="sample Weierstrass families and scan discriminants over F_p",
     )
-    w.add_argument("--l", type=int, default=1, help="twist parameter (a in O(4l), b in O(6l))")
+    w.add_argument(
+        "--l", type=int, default=1, help="twist parameter, 1 to 8 (a in O(4l), b in O(6l))"
+    )
     w.add_argument("--p", type=int, default=101, help="scan prime, not 2 or 3, at most 257")
     w.add_argument("--trials", type=int, default=20, help="number of sampled families")
     w.add_argument(
@@ -85,7 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also sample a second family and test discriminant transversality",
     )
-    w.add_argument("--l2", type=int, default=1, help="twist parameter of the second family")
+    w.add_argument(
+        "--l2", type=int, default=1, help="twist parameter of the second family, 1 to 8"
+    )
 
     sub.add_parser(
         "jacfib",

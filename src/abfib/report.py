@@ -405,6 +405,10 @@ def build_weierstrass(
     # scan never load numpy
     from . import weierstrass
 
+    max_l = weierstrass.MAX_L
+    for name, value in (("l", l), ("l2", l2)):
+        if not 1 <= value <= max_l:
+            raise ValueError(f"{name} = {value} is outside the twist budget 1..{max_l}")
     bundle, coeff = weierstrass.weierstrass_bundle_degrees(l)
     smooth = weierstrass.smoothness_trials(l, p, seed, trials)
     records = [

@@ -18,6 +18,9 @@ from fractions import Fraction
 import numpy as np
 
 MAX_SCAN_PRIME = 257
+# twist budget for the sampling commands: deg a = 4l, deg b = 6l and the
+# discriminant has degree 12l <= 96
+MAX_L = 8
 
 CERT_CAVEAT = (
     "certificate covers F_p-rational points only, not the algebraic closure"
@@ -102,14 +105,39 @@ def poly_add(f: HomogPoly, g: HomogPoly) -> HomogPoly:
     return _make(f.degree, acc, f.p)
 
 
+def _coeff_matrix(f: HomogPoly, width: int, dtype) -> np.ndarray:
+    """(deg f + 1) x width matrix C with C[j, k] the coefficient of x1^j*x2^k."""
+    coeffs = np.zeros((f.degree + 1, width), dtype=dtype)
+    for (_, j, k), c in f.terms:
+        coeffs[j, k] = c
+    return coeffs
+
+
 def poly_mul(f: HomogPoly, g: HomogPoly) -> HomogPoly:
+    """Product by Kronecker substitution: one dense 1-D convolution.
+
+    With rows padded to w = deg f + deg g + 1, the flattened index of
+    x1^j*x2^k is j*w + k, and the exponents of a product term add without
+    carrying from one row into the next; the first w^2 entries of the
+    convolution are the product's coefficient matrix.  Each product
+    coefficient sums at most min(#terms f, #terms g) products of two
+    coefficients in [1, p), so int64 is exact while
+    min(#terms f, #terms g) * (p-1)^2 < 2^63.  Otherwise
+    (QQ, or F_p with a huge p) the same convolution runs on object arrays of
+    Python ints or Fractions, which is exact at any size.
+    """
     _same_field(f, g)
-    acc = {}
-    for (i1, j1, k1), c1 in f.terms:
-        for (i2, j2, k2), c2 in g.terms:
-            e = (i1 + i2, j1 + j2, k1 + k2)
-            acc[e] = acc.get(e, 0) + c1 * c2
-    return _make(f.degree + g.degree, acc, f.p)
+    degree = f.degree + g.degree
+    w = degree + 1
+    p = f.p
+    fits_int64 = p is not None and min(len(f.terms), len(g.terms)) * (p - 1) ** 2 < 2**63
+    dtype = np.int64 if fits_int64 else object
+    flat = np.convolve(_coeff_matrix(f, w, dtype).ravel(), _coeff_matrix(g, w, dtype).ravel())
+    prod = flat[: w * w].reshape(w, w)
+    js, ks = np.nonzero(prod)
+    values = prod[js, ks].tolist()
+    coeffs = {(degree - j - k, j, k): c for j, k, c in zip(js.tolist(), ks.tolist(), values)}
+    return _make(degree, coeffs, p)
 
 
 def poly_scale(c, f: HomogPoly) -> HomogPoly:
@@ -264,9 +292,7 @@ def _eval_plane(f: HomogPoly, tab: np.ndarray, p: int) -> np.ndarray:
     exceeds (d+1)*p^2: about 1.7e6 at d = 24, p = 257.
     """
     d = f.degree
-    coeffs = np.zeros((d + 1, d + 1), dtype=np.int64)
-    for (_, j, k), c in f.terms:
-        coeffs[j, k] = c
+    coeffs = _coeff_matrix(f, d + 1, np.int64)
     v = tab[:, : d + 1]
     chart = ((v @ coeffs) % p) @ v.T % p
     line = (v @ coeffs[::-1].diagonal()) % p

@@ -5,6 +5,8 @@ from math import lcm
 
 import numpy as np
 
+from abfib.weierstrass import poly
+
 
 def fixed_point_free_brute(f) -> bool:
     """Exhaustive grid search, independent of the SNF path.
@@ -28,3 +30,16 @@ def fixed_point_free_brute(f) -> bool:
         return bool(((K @ M.T + rhs) % G == 0).all(axis=1).any())
 
     return not (solvable(f.that[0::2]) and solvable(f.that[1::2]))
+
+
+def poly_mul_dict(f, g):
+    """Term-by-term product of two forms over the same field, with no dense
+    matrices: the reference for the convolution in `weierstrass.poly_mul`."""
+    if f.p != g.p:
+        raise ValueError("mixed coefficient fields")
+    acc = {}
+    for (i1, j1, k1), c1 in f.terms:
+        for (i2, j2, k2), c2 in g.terms:
+            e = (i1 + i2, j1 + j2, k1 + k2)
+            acc[e] = acc.get(e, 0) + c1 * c2
+    return poly(f.degree + g.degree, acc, f.p)

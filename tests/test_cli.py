@@ -61,6 +61,42 @@ def test_classify_inverted_window_exits_2(capsys):
     assert "--window" in err
 
 
+def _enumeration(record):
+    return [s["detail"] for s in record["payload"]["steps"] if s["rule"] == "split-enumeration"]
+
+
+def test_classify_window_without_forced_split_su4(capsys):
+    # [-2, 0] meets the inequality window [-4, -3] of (0,0,0) nowhere
+    code, out, err = run(["classify", "su4", "--window", "-2", "0", "--format", "json"], capsys)
+    assert code == 1 and not err
+    (record,) = json.loads(out)["records"]
+    assert record["status"] == "DERIVED-FAIL"
+    assert record["payload"]["outcome"] != "forced-split"
+    assert record["payload"]["expected_outcome"] == "forced-split"
+    assert _enumeration(record) == [
+        "split types with cohomology (0, 0, 0) and c1 in [-2, -3]: []"
+    ]
+
+
+def test_classify_window_without_forced_split_all(capsys):
+    code, out, err = run(["classify", "all", "--window", "-2", "0", "--format", "json"], capsys)
+    assert code == 1 and not err
+    failed = {
+        r["check"]: r for r in json.loads(out)["records"] if r["status"] == "DERIVED-FAIL"
+    }
+    assert sorted(failed) == [
+        "classify/admissible-set",
+        "classify/su2/(1,0,1)",
+        "classify/su3/(1,0,1)",
+        "classify/su4/(0,0,0)",
+        "classify/trivial/(1,0,1)",
+    ]
+    for check, record in failed.items():
+        if check != "classify/admissible-set":
+            assert _enumeration(record)[0].endswith(": []"), check
+    assert failed["classify/admissible-set"]["payload"]["got"] == ["sp2"]
+
+
 def test_torus_malformed_exits_2_with_line(tmp_path, capsys):
     f = tmp_path / "broken.scn"
     f.write_text("version 1\nname broken\nfactor torus e1\ngenerator z2\n")
@@ -76,6 +112,15 @@ def test_weierstrass_rejects_bad_primes(capsys):
         assert "abfib: error" in err
     code, _, _ = run(["weierstrass", "--trials", "0"], capsys)
     assert code == 2
+
+
+def test_weierstrass_twist_budget(capsys):
+    for flags in (["--l", "9"], ["--l2", "9"], ["--l", "0"], ["--l2", "9", "--fibre-product"]):
+        code, out, err = run(["weierstrass", "--trials", "1", *flags], capsys)
+        assert code == 2 and not out, flags
+        assert err.count("\n") == 1 and "twist budget 1..8" in err, flags
+    code, out, _ = run(["weierstrass", "--l", "8", "--p", "5", "--trials", "1"], capsys)
+    assert code == 0 and "weierstrass/smoothness" in out
 
 
 def test_weierstrass_small_run(capsys):

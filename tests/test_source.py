@@ -22,6 +22,26 @@ def test_no_assert_statements_in_src():
     assert found == []
 
 
+def test_src_imports_only_stdlib_numpy_and_abfib():
+    # numpy is the only runtime dependency declared in pyproject.toml
+    allowed = set(sys.stdlib_module_names) | {"numpy", "abfib"}
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in names
+                if name.split(".")[0] not in allowed
+            ]
+    assert found == []
+
+
 def test_exact_commands_never_import_numpy():
     script = (
         "import sys\n"

@@ -2,9 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abfib.weierstrass import (
     CERT_CAVEAT,
+    MAX_L,
     _eval_plane,
     _pow_table,
     HomogPoly,
@@ -28,6 +31,7 @@ from abfib.weierstrass import (
     zero_poly,
 )
 from abfib.sheafcalc import param_count
+from oracles import poly_mul_dict
 
 F = Fraction
 
@@ -146,6 +150,66 @@ def test_int64_edge_full_coefficients():
     for _ in range(300):
         s, t = rng.randrange(p), rng.randrange(p)
         assert values[1 + p + s * p + t] == oracle_eval(f.terms, (1, s, t), p)
+
+
+# ---------------------------------------------------------------------------
+# multiplication: the dense convolution against the term-by-term oracle
+
+# (p - 1)^2 >= 2^63 for the prime above 2^32, so even one-term factors take
+# the object-dtype path there; QQ (p = None) always does
+BIG_PRIME = 2**32 + 15
+MUL_FIELDS = (5, 257, BIG_PRIME, None)
+
+
+@st.composite
+def forms(draw, p):
+    d = draw(st.integers(0, 6))
+    monomials = [(i, j, d - i - j) for i in range(d + 1) for j in range(d - i + 1)]
+    if p is None:
+        coeff = st.fractions(max_denominator=60).filter(bool)
+    else:
+        coeff = st.integers(1, p - 1)
+    return poly(d, draw(st.dictionaries(st.sampled_from(monomials), coeff)), p)
+
+
+@pytest.mark.parametrize("p", MUL_FIELDS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_poly_mul_matches_dict_oracle(p, data):
+    f, g = data.draw(forms(p)), data.draw(forms(p))
+    assert poly_mul(f, g) == poly_mul_dict(f, g)
+
+
+@pytest.mark.parametrize("p", MUL_FIELDS)
+def test_poly_mul_zero_constant_and_unequal_degrees(p):
+    assert (BIG_PRIME - 1) ** 2 >= 2**63
+    top = F(-7, 3) if p is None else p - 1
+    zero = zero_poly(3, p)
+    const = poly(0, {(0, 0, 0): top}, p)
+    linear = poly(1, {(1, 0, 0): top, (0, 0, 1): top}, p)
+    quintic = poly(5, {(0, 5, 0): top, (2, 1, 2): top, (1, 0, 4): top}, p)
+    for f, g in ((zero, quintic), (quintic, zero), (const, const), (const, quintic),
+                 (linear, quintic), (quintic, linear), (zero, zero_poly(0, p))):
+        prod = poly_mul(f, g)
+        assert prod == poly_mul_dict(f, g)
+        assert prod.degree == f.degree + g.degree
+    assert poly_mul(zero, quintic) == zero_poly(8, p)
+
+
+def test_int64_edge_discriminant_full_coefficients():
+    # every coefficient of a and b is p - 1 at the largest scan prime and the
+    # largest accepted twist: the biggest int64 sums the convolution forms
+    p, l = 257, MAX_L
+
+    def full(d):
+        monomials = [(i, j, d - i - j) for i in range(d + 1) for j in range(d - i + 1)]
+        return poly(d, dict.fromkeys(monomials, p - 1), p=p)
+
+    w = WeierstrassFamily(l, full(4 * l), full(6 * l))
+    a3 = poly_mul_dict(poly_mul_dict(w.a, w.a), w.a)
+    expected = poly_add(poly_scale(4, a3), poly_scale(27, poly_mul_dict(w.b, w.b)))
+    assert discriminant(w) == expected
+    assert expected.degree == 12 * l
 
 
 # ---------------------------------------------------------------------------
