@@ -24,6 +24,11 @@ from . import report as rpt
 from .classifier import CLASSES_BY_ID, DEFAULT_C1_WINDOW
 from .scenario import ScenarioError
 
+# input budgets: `report all` samples 20 families per run; `classify` work
+# grows quadratically with the window width HI - LO
+MAX_TRIALS = 100
+MAX_WINDOW_WIDTH = 1000
+
 
 def _common_flags() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
@@ -62,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
         nargs=2,
         metavar=("LO", "HI"),
         default=list(DEFAULT_C1_WINDOW),
-        help="first-Chern enumeration window",
+        help=f"first-Chern enumeration window, HI - LO at most {MAX_WINDOW_WIDTH}",
     )
 
     t = sub.add_parser(
@@ -81,7 +86,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--l", type=int, default=1, help="twist parameter, 1 to 8 (a in O(4l), b in O(6l))"
     )
     w.add_argument("--p", type=int, default=101, help="scan prime, not 2 or 3, at most 257")
-    w.add_argument("--trials", type=int, default=20, help="number of sampled families")
+    w.add_argument(
+        "--trials", type=int, default=20, help=f"number of sampled families, 1 to {MAX_TRIALS}"
+    )
     w.add_argument(
         "--fibre-product",
         action="store_true",
@@ -125,12 +132,14 @@ def _dispatch(ns: argparse.Namespace, seed: int) -> rpt.Report:
         lo, hi = ns.window
         if lo > hi:
             raise ValueError(f"--window LO HI needs LO <= HI, got {lo} {hi}")
+        if hi - lo > MAX_WINDOW_WIDTH:
+            raise ValueError(f"--window width {hi - lo} exceeds the budget {MAX_WINDOW_WIDTH}")
         return rpt.build_classify(selector, tuple(ns.window), seed=seed)
     if ns.command == "torus":
         return rpt.build_torus(ns.scenario, seed=seed)
     if ns.command == "weierstrass":
-        if ns.trials < 1:
-            raise ValueError("--trials must be at least 1")
+        if not 1 <= ns.trials <= MAX_TRIALS:
+            raise ValueError(f"--trials {ns.trials} is outside the budget 1..{MAX_TRIALS}")
         return rpt.build_weierstrass(
             ns.l, ns.p, seed, ns.trials, fibre_product=ns.fibre_product, l2=ns.l2
         )

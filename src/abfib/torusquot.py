@@ -27,8 +27,8 @@ from fractions import Fraction
 CLOSURE_CAP = 1024
 
 
-class ClosureError(RuntimeError):
-    """Group closure exceeded the element cap."""
+class ClosureError(ValueError):
+    """Group closure exceeded the element cap; an input error, so the CLI exits 2."""
 
 
 class NonTrivialCanonical(ValueError):
@@ -244,7 +244,7 @@ def generate_group(
                     elements.append(h)
                     nxt.append(h)
                     if len(elements) > CLOSURE_CAP:
-                        raise ClosureError(f"closure exceeded {CLOSURE_CAP} elements")
+                        raise ClosureError(f"group closure exceeded CLOSURE_CAP = {CLOSURE_CAP} elements")
         frontier = nxt
     return FiniteGroup(model, elements, gens)
 

@@ -14,6 +14,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -38,52 +39,83 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+def _dtype(p: int | None):
+    """int64 while a product of two entries of [0, p) fits, (p-1)^2 < 2^63."""
+    return np.int64 if p is not None and (p - 1) ** 2 < 2**63 else object
+
+
+def _reduce(coeffs: np.ndarray, p: int | None) -> np.ndarray:
+    return coeffs if p is None else coeffs % p
+
+
 class HomogPoly:
     """Homogeneous polynomial in x0, x1, x2 with exact coefficients.
 
-    terms maps exponent triples to nonzero coefficients: ints in [1, p) over
-    F_p, Fractions over QQ (p is None).  The zero polynomial is terms = ()
-    with its declared degree.
+    coeffs[j, k] is the coefficient of x0^(d-j-k)*x1^j*x2^k (zero if j + k > d):
+    ints in [0, p) over F_p, Fractions over QQ (p is None), dtype _dtype(p).
+    terms lists the nonzero ((i, j, k), c) in reverse-lex order of the
+    exponents; HomogPoly(degree, terms, p) checks every term.
     """
 
-    degree: int
-    terms: tuple[tuple[tuple[int, int, int], object], ...]
-    p: int | None = None
-
-    def __post_init__(self):
-        for (i, j, k), c in self.terms:
-            if i + j + k != self.degree:
+    def __init__(self, degree: int, terms, p: int | None = None):
+        coeffs = np.zeros((degree + 1, degree + 1), dtype=_dtype(p))
+        for (i, j, k), c in terms:
+            if min(i, j, k) < 0 or i + j + k != degree:
                 raise ValueError(f"term x0^{i}*x1^{j}*x2^{k} breaks homogeneity")
-            if self.p is None:
-                if not isinstance(c, Fraction) or c == 0:
-                    raise ValueError("QQ coefficients must be nonzero Fractions")
-            elif not isinstance(c, int) or not 0 < c < self.p:
-                raise ValueError("F_p coefficients must be reduced nonzero ints")
+            if not isinstance(c, Fraction if p is None else int) or c == 0:
+                raise ValueError("coefficients must be nonzero: Fractions over QQ, ints over F_p")
+            coeffs[j, k] = c
+        self._set(degree, coeffs, p)
+
+    def _set(self, degree: int, coeffs: np.ndarray, p: int | None) -> HomogPoly:
+        """The invariant check every form passes, then the fields."""
+        if degree < 0 or coeffs.shape != (degree + 1, degree + 1) or coeffs.dtype != _dtype(p):
+            raise ValueError(f"{coeffs.dtype} matrix of shape {coeffs.shape} for degree {degree}")
+        r = np.arange(degree + 1)
+        if coeffs[np.add.outer(r, r) > degree].any():
+            raise ValueError(f"nonzero coefficient beyond degree {degree}")
+        if p is not None and ((coeffs < 0) | (coeffs >= p)).any():
+            raise ValueError(f"F_p coefficients must lie in [0, {p})")
+        coeffs.flags.writeable = False
+        for name, value in (("degree", degree), ("coeffs", coeffs), ("p", p)):
+            object.__setattr__(self, name, value)
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError("HomogPoly is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, HomogPoly):
+            return NotImplemented
+        same = (self.degree, self.p) == (other.degree, other.p)
+        return same and np.array_equal(self.coeffs, other.coeffs)
+
+    def __hash__(self):
+        return hash((self.degree, self.p, self.terms))
+
+    def __repr__(self):
+        return f"HomogPoly(degree={self.degree}, terms={self.terms!r}, p={self.p})"
+
+    @cached_property
+    def terms(self) -> tuple[tuple[tuple[int, int, int], object], ...]:
+        js, ks = np.nonzero(self.coeffs)
+        order = np.lexsort((-js, js + ks))  # x0 exponent descending, then x1
+        js, ks = js[order], ks[order]
+        d, values = self.degree, self.coeffs[js, ks].tolist()
+        return tuple(((d - j - k, j, k), c) for j, k, c in zip(js.tolist(), ks.tolist(), values))
 
     def is_zero(self) -> bool:
-        return not self.terms
-
-    def coeff(self, i: int, j: int, k: int):
-        for e, c in self.terms:
-            if e == (i, j, k):
-                return c
-        return Fraction(0) if self.p is None else 0
+        return not self.coeffs.any()
 
 
-def _make(degree: int, coeffs: dict, p: int | None) -> HomogPoly:
-    clean = {}
-    for e, c in coeffs.items():
-        c = c % p if p is not None else Fraction(c)
-        if c:
-            clean[e] = c
-    terms = tuple(sorted(clean.items(), reverse=True))
-    return HomogPoly(degree, terms, p)
+def _from_coeffs(degree: int, coeffs: np.ndarray, p: int | None) -> HomogPoly:
+    return object.__new__(HomogPoly)._set(degree, coeffs, p)
 
 
 def poly(degree: int, coeffs: dict, p: int | None = None) -> HomogPoly:
     """Build a polynomial from {(i,j,k): coefficient}; reduces and validates."""
-    return _make(degree, coeffs, p)
+    reduced = ((e, c % p if p is not None else Fraction(c)) for e, c in coeffs.items())
+    return HomogPoly(degree, tuple((e, c) for e, c in reduced if c), p)
 
 
 def zero_poly(degree: int, p: int | None = None) -> HomogPoly:
@@ -96,71 +128,59 @@ def _same_field(f: HomogPoly, g: HomogPoly):
 
 
 def poly_add(f: HomogPoly, g: HomogPoly) -> HomogPoly:
+    """Entrywise sum mod p; below 2p, so int64 holds it."""
     _same_field(f, g)
     if f.degree != g.degree:
         raise ValueError("cannot add forms of different degrees")
-    acc = dict(f.terms)
-    for e, c in g.terms:
-        acc[e] = acc.get(e, 0) + c
-    return _make(f.degree, acc, f.p)
-
-
-def _coeff_matrix(f: HomogPoly, width: int, dtype) -> np.ndarray:
-    """(deg f + 1) x width matrix C with C[j, k] the coefficient of x1^j*x2^k."""
-    coeffs = np.zeros((f.degree + 1, width), dtype=dtype)
-    for (_, j, k), c in f.terms:
-        coeffs[j, k] = c
-    return coeffs
+    return _from_coeffs(f.degree, _reduce(f.coeffs + g.coeffs, f.p), f.p)
 
 
 def poly_mul(f: HomogPoly, g: HomogPoly) -> HomogPoly:
     """Product by Kronecker substitution: one dense 1-D convolution.
 
     With rows padded to w = deg f + deg g + 1, the flattened index of
-    x1^j*x2^k is j*w + k, and the exponents of a product term add without
-    carrying from one row into the next; the first w^2 entries of the
-    convolution are the product's coefficient matrix.  Each product
-    coefficient sums at most min(#terms f, #terms g) products of two
-    coefficients in [1, p), so int64 is exact while
-    min(#terms f, #terms g) * (p-1)^2 < 2^63.  Otherwise
-    (QQ, or F_p with a huge p) the same convolution runs on object arrays of
-    Python ints or Fractions, which is exact at any size.
+    x1^j*x2^k is j*w + k and exponents add without carrying between rows;
+    the first w^2 entries of the convolution are the product's matrix.
+    Each entry sums at most min(#terms f, #terms g) products of two
+    coefficients in [1, p), so int64 is exact while min(#terms f, #terms g)
+    * (p-1)^2 < 2^63; otherwise (QQ, or a huge p) it runs on object arrays.
     """
     _same_field(f, g)
-    degree = f.degree + g.degree
-    w = degree + 1
-    p = f.p
-    fits_int64 = p is not None and min(len(f.terms), len(g.terms)) * (p - 1) ** 2 < 2**63
-    dtype = np.int64 if fits_int64 else object
-    flat = np.convolve(_coeff_matrix(f, w, dtype).ravel(), _coeff_matrix(g, w, dtype).ravel())
-    prod = flat[: w * w].reshape(w, w)
-    js, ks = np.nonzero(prod)
-    values = prod[js, ks].tolist()
-    coeffs = {(degree - j - k, j, k): c for j, k, c in zip(js.tolist(), ks.tolist(), values)}
-    return _make(degree, coeffs, p)
+    p, w = f.p, f.degree + g.degree + 1
+    terms = int(min(np.count_nonzero(f.coeffs), np.count_nonzero(g.coeffs)))
+    dtype = np.int64 if p is not None and terms * (p - 1) ** 2 < 2**63 else object
+    rows = [np.zeros((h.degree + 1, w), dtype=dtype) for h in (f, g)]
+    for row, h in zip(rows, (f, g)):
+        row[:, : h.degree + 1] = h.coeffs
+    prod = np.convolve(rows[0].ravel(), rows[1].ravel())[: w * w].reshape(w, w)
+    return _from_coeffs(w - 1, _reduce(prod, p).astype(_dtype(p), copy=False), p)
 
 
 def poly_scale(c, f: HomogPoly) -> HomogPoly:
-    return _make(f.degree, {e: c * v for e, v in f.terms}, f.p)
+    """c * f with c reduced first, so int64 holds each product."""
+    c = Fraction(c) if f.p is None else c % f.p
+    return _from_coeffs(f.degree, _reduce(f.coeffs * c, f.p), f.p)
 
 
 def poly_pow(f: HomogPoly, n: int) -> HomogPoly:
     if n < 1:
         raise ValueError("exponent must be positive")
-    out = f
-    for _ in range(n - 1):
-        out = poly_mul(out, f)
-    return out
+    return reduce(poly_mul, [f] * n)
 
 
 def derivative(f: HomogPoly, var: int) -> HomogPoly:
-    acc = {}
-    for e, c in f.terms:
-        if e[var]:
-            ne = list(e)
-            ne[var] -= 1
-            acc[tuple(ne)] = acc.get(tuple(ne), 0) + c * e[var]
-    return _make(max(f.degree - 1, 0), acc, f.p)
+    """d f / d x_var: scale each coefficient by its x_var exponent, reduced
+    mod p so int64 holds the product, then shift."""
+    d, c, p = f.degree, f.coeffs, f.p
+    if d == 0:
+        return zero_poly(0, p)
+    r = np.arange(d + 1)
+    exps, part = {
+        0: ((d - np.add.outer(r, r))[:d, :d], c[:d, :d]),  # c is 0 where d - j - k < 0
+        1: (r[1:, None], c[1:, :d]),
+        2: (r[None, 1:], c[:d, 1:]),
+    }[var]
+    return _from_coeffs(d - 1, _reduce(part * _reduce(exps.astype(c.dtype), p), p), p)
 
 
 # ---------------------------------------------------------------------------
@@ -198,19 +218,17 @@ def parse_poly(text: str, p: int | None = None, degree: int | None = None) -> Ho
                     raise ValueError(f"bad coefficient {part!r}") from None
             else:
                 raise ValueError(f"bad factor {part!r}")
-        if coef is None:
-            coef = 1 if p is not None else Fraction(1)
         e = tuple(exps)
         if deg is None:
             deg = sum(e)
         elif sum(e) != deg:
             raise ValueError("terms have mixed total degrees")
-        acc[e] = acc.get(e, 0) + sign * coef
+        acc[e] = acc.get(e, 0) + sign * (1 if coef is None else coef)
     if covered != len(s):
         raise ValueError(f"cannot parse polynomial near {s[covered:]!r}")
     if degree is not None and deg != degree:
         raise ValueError(f"expected degree {degree}, parsed {deg}")
-    return _make(deg, acc, p)
+    return poly(deg, acc, p)
 
 
 def format_poly(f: HomogPoly) -> str:
@@ -260,14 +278,9 @@ def weierstrass_bundle_degrees(l: int) -> tuple[tuple[int, int, int], tuple[int,
 
 def discriminant(w: WeierstrassFamily) -> HomogPoly:
     """4 a^3 + 27 b^2, degree 12l; needs characteristic outside {2, 3}."""
-    p = w.a.p
-    if p in (2, 3):
+    if w.a.p in (2, 3):
         raise ValueError("discriminant arithmetic needs characteristic outside {2, 3}")
-    four = 4 if p is not None else Fraction(4)
-    twenty_seven = 27 if p is not None else Fraction(27)
-    return poly_add(
-        poly_scale(four, poly_pow(w.a, 3)), poly_scale(twenty_seven, poly_pow(w.b, 2))
-    )
+    return poly_add(poly_scale(4, poly_pow(w.a, 3)), poly_scale(27, poly_pow(w.b, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +304,7 @@ def _eval_plane(f: HomogPoly, tab: np.ndarray, p: int) -> np.ndarray:
     entry is reduced mod p before the next product, so no int64 value
     exceeds (d+1)*p^2: about 1.7e6 at d = 24, p = 257.
     """
-    d = f.degree
-    coeffs = _coeff_matrix(f, d + 1, np.int64)
+    d, coeffs = f.degree, f.coeffs
     v = tab[:, : d + 1]
     chart = ((v @ coeffs) % p) @ v.T % p
     line = (v @ coeffs[::-1].diagonal()) % p
@@ -372,12 +384,12 @@ def transversal_intersection(f: HomogPoly, g: HomogPoly) -> ScanResult:
 
 
 def random_homog(degree: int, p: int, rng: random.Random) -> HomogPoly:
-    coeffs = {
-        (i, j, degree - i - j): rng.randrange(p)
-        for i in range(degree + 1)
-        for j in range(degree - i + 1)
-    }
-    return _make(degree, coeffs, p)
+    """Coefficients drawn in lex order of the exponents (x0, then x1)."""
+    r = np.arange(degree + 1)
+    i, j = np.nonzero(np.add.outer(r, r) <= degree)  # exponents of x0 and x1, in draw order
+    coeffs = np.zeros((degree + 1, degree + 1), dtype=_dtype(p))
+    coeffs[j, degree - i - j] = [rng.randrange(p) for _ in range(len(i))]
+    return _from_coeffs(degree, coeffs, p)
 
 
 def random_family(l: int, p: int, rng: random.Random) -> WeierstrassFamily:
@@ -409,46 +421,34 @@ class SamplingRecord:
         return f"{self.passes}/{self.trials}"
 
 
-def smoothness_trials(l: int, p: int, seed: int, trials: int) -> SamplingRecord:
-    """Sample families, test discriminant smoothness, record the pass rate."""
+def _trials(kind: str, ls: tuple[int, ...], p: int, seed: int, trials: int, scan):
+    """Per trial, sample one family per twist in ls and scan their discriminants."""
     rng = random.Random(seed)
-    outcomes = []
-    degree_ok = True
+    outcomes, degree_ok = [], True
     for t in range(trials):
-        delta = discriminant(random_family(l, p, rng))
-        degree_ok &= delta.degree == 12 * l
-        scan = is_smooth_curve(delta)
-        outcomes.append(TrialOutcome(t, scan.ok, scan.witness))
+        deltas = [discriminant(random_family(l, p, rng)) for l in ls]
+        degree_ok &= all(d.degree == 12 * l for d, l in zip(deltas, ls))
+        result = scan(*deltas)
+        outcomes.append(TrialOutcome(t, result.ok, result.witness))
     return SamplingRecord(
-        kind="discriminant-smoothness",
+        kind=kind,
         p=p,
         seed=seed,
         trials=trials,
         passes=sum(o.ok for o in outcomes),
-        degree=12 * l,
+        degree=12 * ls[0],
         degree_ok=degree_ok,
         outcomes=tuple(outcomes),
     )
 
 
+def smoothness_trials(l: int, p: int, seed: int, trials: int) -> SamplingRecord:
+    """Sample families, test discriminant smoothness, record the pass rate."""
+    return _trials("discriminant-smoothness", (l,), p, seed, trials, is_smooth_curve)
+
+
 def transversality_trials(l1: int, l2: int, p: int, seed: int, trials: int) -> SamplingRecord:
     """Sample two families and test that their discriminants meet transversally."""
-    rng = random.Random(seed)
-    outcomes = []
-    degree_ok = True
-    for t in range(trials):
-        d1 = discriminant(random_family(l1, p, rng))
-        d2 = discriminant(random_family(l2, p, rng))
-        degree_ok &= d1.degree == 12 * l1 and d2.degree == 12 * l2
-        scan = transversal_intersection(d1, d2)
-        outcomes.append(TrialOutcome(t, scan.ok, scan.witness))
-    return SamplingRecord(
-        kind="discriminant-transversality",
-        p=p,
-        seed=seed,
-        trials=trials,
-        passes=sum(o.ok for o in outcomes),
-        degree=12 * l1,
-        degree_ok=degree_ok,
-        outcomes=tuple(outcomes),
+    return _trials(
+        "discriminant-transversality", (l1, l2), p, seed, trials, transversal_intersection
     )

@@ -43,3 +43,29 @@ def poly_mul_dict(f, g):
             e = (i1 + i2, j1 + j2, k1 + k2)
             acc[e] = acc.get(e, 0) + c1 * c2
     return poly(f.degree + g.degree, acc, f.p)
+
+
+def poly_add_dict(f, g):
+    """Term-by-term sum: the reference for `weierstrass.poly_add`."""
+    if f.p != g.p or f.degree != g.degree:
+        raise ValueError("forms of different fields or degrees")
+    acc = dict(f.terms)
+    for e, c in g.terms:
+        acc[e] = acc.get(e, 0) + c
+    return poly(f.degree, acc, f.p)
+
+
+def poly_scale_dict(c, f):
+    """Term-by-term multiple: the reference for `weierstrass.poly_scale`."""
+    return poly(f.degree, {e: c * v for e, v in f.terms}, f.p)
+
+
+def derivative_dict(f, var):
+    """Term-by-term partial derivative in x_var: the reference for
+    `weierstrass.derivative`; a constant's derivative is the zero constant."""
+    acc = {}
+    for e, c in f.terms:
+        if e[var]:
+            lowered = tuple(x - (v == var) for v, x in enumerate(e))
+            acc[lowered] = acc.get(lowered, 0) + c * e[var]
+    return poly(max(f.degree - 1, 0), acc, f.p)

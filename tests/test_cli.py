@@ -123,6 +123,36 @@ def test_weierstrass_twist_budget(capsys):
     assert code == 0 and "weierstrass/smoothness" in out
 
 
+def test_weierstrass_trials_budget(capsys):
+    for trials in ("0", "101", "-1"):
+        code, out, err = run(["weierstrass", "--trials", trials], capsys)
+        assert code == 2 and not out, trials
+        assert err.count("\n") == 1 and "budget 1..100" in err, trials
+    code, out, _ = run(["weierstrass", "--p", "5", "--trials", "100", "--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out)["invocation"]["arguments"]["trials"] == 100
+
+
+def test_classify_window_budget(capsys):
+    code, out, err = run(["classify", "su4", "--window", "-1001", "0"], capsys)
+    assert code == 2 and not out
+    assert err.count("\n") == 1 and "--window width 1001 exceeds the budget 1000" in err
+    code, out, _ = run(["classify", "su4", "--window", "-1000", "0"], capsys)
+    assert code == 0 and "classify/su4/(0,0,0)" in out
+
+
+def test_torus_closure_cap_exits_2(tmp_path, capsys):
+    # the translations generate a cyclic group of order 37 * 41 = 1517 > CLOSURE_CAP
+    f = tmp_path / "big.scn"
+    f.write_text(
+        "version 1\nname big\nfactor torus e1\nfactor torus e2\nfactor k3 -1\n"
+        "generator z1+1/37, z2+1/41, -\n"
+    )
+    code, out, err = run(["torus", str(f)], capsys)
+    assert code == 2 and not out
+    assert err == "abfib: error: group closure exceeded CLOSURE_CAP = 1024 elements\n"
+
+
 def test_weierstrass_small_run(capsys):
     code, out, _ = run(
         ["weierstrass", "--l", "1", "--p", "101", "--trials", "3", "--seed", "0"],

@@ -1,14 +1,20 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import abfib
 from abfib.weierstrass import (
     CERT_CAVEAT,
     MAX_L,
     _eval_plane,
+    _from_coeffs,
     _pow_table,
     HomogPoly,
     WeierstrassFamily,
@@ -31,7 +37,7 @@ from abfib.weierstrass import (
     zero_poly,
 )
 from abfib.sheafcalc import param_count
-from oracles import poly_mul_dict
+from oracles import derivative_dict, poly_add_dict, poly_mul_dict, poly_scale_dict
 
 F = Fraction
 
@@ -162,8 +168,8 @@ MUL_FIELDS = (5, 257, BIG_PRIME, None)
 
 
 @st.composite
-def forms(draw, p):
-    d = draw(st.integers(0, 6))
+def forms(draw, p, degree=None):
+    d = draw(st.integers(0, 6)) if degree is None else degree
     monomials = [(i, j, d - i - j) for i in range(d + 1) for j in range(d - i + 1)]
     if p is None:
         coeff = st.fractions(max_denominator=60).filter(bool)
@@ -194,6 +200,126 @@ def test_poly_mul_zero_constant_and_unequal_degrees(p):
         assert prod == poly_mul_dict(f, g)
         assert prod.degree == f.degree + g.degree
     assert poly_mul(zero, quintic) == zero_poly(8, p)
+
+
+def assert_canonical_terms(f):
+    # strictly reverse-lex exponents of degree f.degree, nonzero Python
+    # coefficients: ints in [1, p) over F_p, Fractions over QQ
+    exps = [e for e, _ in f.terms]
+    assert all(a > b for a, b in zip(exps, exps[1:]))
+    assert all(min(e) >= 0 and sum(e) == f.degree for e in exps)
+    for _, c in f.terms:
+        if f.p is None:
+            assert type(c) is Fraction and c != 0
+        else:
+            assert type(c) is int and 0 < c < f.p
+
+
+@pytest.mark.parametrize("p", MUL_FIELDS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_array_ops_match_dict_oracles(p, data):
+    f = data.draw(forms(p))
+    g = data.draw(forms(p, f.degree))
+    scalar = data.draw(st.fractions(max_denominator=60) if p is None else st.integers(-2 * p, 2 * p))
+    results = [
+        (poly_add(f, g), poly_add_dict(f, g)),
+        (poly_scale(scalar, f), poly_scale_dict(scalar, f)),
+        (poly_mul(f, g), poly_mul_dict(f, g)),
+    ] + [(derivative(f, v), derivative_dict(f, v)) for v in range(3)]
+    for got, want in results:
+        assert got == want
+        assert got.terms == want.terms and hash(got) == hash(want)
+        assert_canonical_terms(got)
+    assert_canonical_terms(f)
+
+
+@pytest.mark.parametrize("p", MUL_FIELDS)
+def test_array_ops_on_zero_and_constant_forms(p):
+    top = F(-7, 3) if p is None else p - 1
+    const = poly(0, {(0, 0, 0): top}, p)
+    for f in (const, zero_poly(0, p), zero_poly(4, p)):
+        for v in range(3):
+            assert derivative(f, v) == derivative_dict(f, v)
+            assert derivative(f, v).degree == max(f.degree - 1, 0)
+            assert derivative(f, v).is_zero()
+        assert poly_add(f, f) == poly_add_dict(f, f)
+        assert poly_scale(0, f).is_zero() and poly_scale(0, f).degree == f.degree
+    assert poly_add(const, poly_scale(-1, const)) == zero_poly(0, p)
+    assert poly_scale(3, const) == poly_scale_dict(3, const)
+
+
+@pytest.mark.parametrize("p", MUL_FIELDS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_parse_format_round_trip_property(p, data):
+    f = data.draw(forms(p))
+    back = parse_poly(format_poly(f), p=p, degree=f.degree)
+    assert back == f and hash(back) == hash(f)
+
+
+def test_internal_matrix_invariant_raises():
+    p, d = 7, 2
+    good = np.zeros((d + 1, d + 1), dtype=np.int64)
+    good[0, 2] = good[2, 0] = 6  # x2^2 and x1^2, on the anti-diagonal
+    assert _from_coeffs(d, good.copy(), p) == poly(d, {(0, 0, 2): 6, (0, 2, 0): 6}, p)
+
+    def changed(j, k, value, base=good):
+        m = base.copy()
+        m[j, k] = value
+        return m
+
+    qq = np.zeros((d + 1, d + 1), dtype=object)
+    bad = [
+        (d, changed(1, 1, p), p),  # entry >= p
+        (d, changed(0, 0, -1), p),  # negative entry
+        (d, changed(2, 1, 1), p),  # j + k > d: below the anti-diagonal
+        (d, changed(1, 2, 1), p),
+        (d, changed(2, 2, F(1), qq), None),
+        (d, changed(0, 0, BIG_PRIME, qq), BIG_PRIME),
+        (d, np.zeros((d + 1, d + 2), dtype=np.int64), p),  # wrong shape
+        (d, np.zeros((d, d), dtype=np.int64), p),
+        (-1, np.zeros((0, 0), dtype=np.int64), p),
+        (d, good.astype(object), p),  # dtype fixed by p
+        (d, good.copy(), None),
+    ]
+    for degree, m, field in bad:
+        with pytest.raises(ValueError):
+            _from_coeffs(degree, m, field)
+    f = _from_coeffs(d, good.copy(), p)
+    with pytest.raises(AttributeError):
+        f.degree = 3
+    with pytest.raises(ValueError):
+        f.coeffs[1, 1] = 1  # read-only
+
+
+def test_internal_matrix_invariant_raises_under_optimize():
+    # python -O strips assert statements; the invariant check must still raise
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from abfib.weierstrass import _from_coeffs\n"
+        "raised = []\n"
+        "for value, j, k in ((7, 0, 0), (-1, 0, 0), (1, 2, 1)):\n"
+        "    m = np.zeros((3, 3), dtype=np.int64)\n"
+        "    m[j, k] = value\n"
+        "    try:\n"
+        "        _from_coeffs(2, m, 7)\n"
+        "    except ValueError:\n"
+        "        raised.append(value)\n"
+        "try:\n"
+        "    _from_coeffs(2, np.zeros((3, 4), dtype=np.int64), 7)\n"
+        "except ValueError:\n"
+        "    raised.append('shape')\n"
+        "print(sys.flags.optimize, raised)\n"
+    )
+    src = os.path.dirname(os.path.dirname(abfib.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1 [7, -1, 1, 'shape']\n"
 
 
 def test_int64_edge_discriminant_full_coefficients():
