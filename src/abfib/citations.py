@@ -32,6 +32,7 @@ CITATIONS = {
     "invariant-forms": "dim of invariant p-forms = average over the group of the trace on the p-th exterior power of the dual linear action",
     "hodge-quotient": "Hodge numbers of a free quotient are the invariant dimensions of the graded character on H^{p,0} of the cover",
     "canonical-triviality": "the quotient has trivial canonical bundle iff the invariant dimension in degree (4,0) is 1",
+    "four-fold-dimension": "the complex dimension is the number of torus coordinates plus 2 per K3 and 3 per Calabi-Yau three-fold factor; Hodge numbers are computed for four-folds only",
     "formal-factor-action": "actions on K3 and Calabi-Yau three-fold factors enter through their declared effect on the holomorphic forms; freeness on those factors is input data, not computed here",
     # Weierstrass families
     "weierstrass-model": "Weierstrass form y^2 z = x^3 + a x z^2 + b z^3 in P(L^-2 + L^-3 + O), a in O(4l), b in O(6l), Delta = 4 a^3 + 27 b^2 in O(12l)",

@@ -24,7 +24,6 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from math import comb
 
-from .citations import cite
 from .sheafcalc import (
     CohVector,
     Cotangent,
@@ -52,7 +51,6 @@ class RuleStep:
     """One applied rule: what was used, and whether it was checked here."""
 
     rule: str
-    citation: str
     detail: str
     checked: bool  # True: verified by computation here; False: documented assertion
 
@@ -191,13 +189,11 @@ def inequality_verdict(t: CohVector) -> Verdict | C1Window:
     premises = (
         RuleStep(
             "first-chern-bound",
-            cite("first-chern-bound"),
             "c1(V) <= -3",
             checked=False,
         ),
         RuleStep(
             "kollar-vanishing",
-            cite("kollar-vanishing"),
             "chi(V(1)) = h^0(V(1)) >= 0",
             checked=False,
         ),
@@ -206,7 +202,6 @@ def inequality_verdict(t: CohVector) -> Verdict | C1Window:
         best = chi + (-3) + 4  # largest chi(V(1)) over the admissible range
         witness = RuleStep(
             "inequality-engine",
-            cite("inequality-engine"),
             f"chi={chi} => chi(V(1)) = chi + c1 + 4 <= {best} < 0 for every c1 <= -3",
             checked=True,
         )
@@ -214,7 +209,6 @@ def inequality_verdict(t: CohVector) -> Verdict | C1Window:
     lo, hi = -chi - 4, -3
     step = RuleStep(
         "inequality-engine",
-        cite("inequality-engine"),
         f"chi={chi} => 0 <= chi(V(1)) = chi + c1 + 4, so {lo} <= c1 <= {hi}",
         checked=True,
     )
@@ -224,7 +218,6 @@ def inequality_verdict(t: CohVector) -> Verdict | C1Window:
 def _enumeration_step(t: CohVector, window: tuple[int, int], found) -> RuleStep:
     return RuleStep(
         "split-enumeration",
-        cite("split-enumeration"),
         f"split types with cohomology {tuple(t)} and c1 in [{window[0]}, {window[1]}]: {found}",
         checked=True,
     )
@@ -237,7 +230,6 @@ def _rr_step(a: int, b: int, t: CohVector) -> RuleStep:
         raise AssertionError(f"Riemann-Roch mismatch for O({a})+O({b})")
     return RuleStep(
         "riemann-roch",
-        cite("riemann-roch"),
         f"chi(O({a})+O({b})) = {value} matches h0-h1+h2 = {t.chi}",
         checked=True,
     )
@@ -275,7 +267,7 @@ def _no_split_type(row: Rule, window) -> Verdict:
     if found:
         raise AssertionError("split enumeration contradicts the documented rule")
     steps = (
-        RuleStep(row.rule_id, cite(row.rule_id), "no rank-2 V with cohomology ({},{},{})".format(*t), checked=False),
+        RuleStep(row.rule_id, "no rank-2 V with cohomology ({},{},{})".format(*t), checked=False),
         _enumeration_step(t, window, found),
     )
     return Verdict(IMPOSSIBLE, documented=True, steps=steps)
@@ -289,13 +281,11 @@ def _abelian_albanese(row: Rule, window) -> Verdict:
     steps = (
         RuleStep(
             row.rule_id,
-            cite(row.rule_id),
             "a four-fold with this Hodge vector is covered by its Albanese torus and cannot fibre in abelian surfaces over the plane",
             checked=False,
         ),
         RuleStep(
             "plane-line-bundles",
-            cite("plane-line-bundles"),
             f"(h1,h2,h3) = {triple} is the full exterior algebra {binom} of an abelian four-fold",
             checked=True,
         ),
@@ -310,14 +300,12 @@ def _enriques_picard(row: Rule, window) -> Verdict:
     steps = (
         RuleStep(
             row.rule_id,
-            cite(row.rule_id),
             "the invariant Picard class of the K3 x K3 cover obstructs every abelian-surface fibration over the plane",
             checked=False,
         ),
         _enumeration_step(t, eff, found),
         RuleStep(
             "split-enumeration",
-            cite("split-enumeration"),
             "bundle-level constraints alone do not refute (0,0,0); the obstruction is geometric",
             checked=True,
         ),
@@ -343,7 +331,6 @@ def _forced_split_101(row: Rule, window) -> Verdict:
         _enumeration_step(t, eff, found),
         RuleStep(
             row.rule_id,
-            cite(row.rule_id),
             "V with cohomology (1,0,1) splits; the unique split type is the enumerated one",
             checked=False,
         ),
@@ -364,7 +351,6 @@ def _forced_split_000(row: Rule, window) -> Verdict:
         _enumeration_step(t, eff, found),
         RuleStep(
             row.rule_id,
-            cite(row.rule_id),
             "V with cohomology (0,0,0) splits as one of the enumerated types",
             checked=False,
         ),
@@ -372,7 +358,6 @@ def _forced_split_000(row: Rule, window) -> Verdict:
         _rr_step(-2, -2, t),
         RuleStep(
             "nodal-c1",
-            cite("nodal-c1"),
             "the (-2,-2) branch survives only if neither equality hypothesis holds",
             checked=False,
         ),
@@ -397,13 +382,11 @@ def _forced_cotangent(row: Rule, window) -> Verdict:
     steps = (
         RuleStep(
             row.rule_id,
-            cite(row.rule_id),
             "the direct image of a Lagrangian fibration over the plane is the cotangent bundle",
             checked=False,
         ),
         RuleStep(
             "euler-sequence",
-            cite("euler-sequence"),
             f"coh(Omega^1) = {tuple(v)} matches the triple",
             checked=True,
         ),
@@ -438,13 +421,11 @@ def _nodal_c1() -> Verdict:
     steps = (
         RuleStep(
             "nodal-c1",
-            cite("nodal-c1"),
             "under either equality hypothesis c1(V) = -3 exactly",
             checked=False,
         ),
         RuleStep(
             "riemann-roch",
-            cite("riemann-roch"),
             f"c1(O(-2)+O(-2)) = {c.c1} != -3",
             checked=True,
         ),

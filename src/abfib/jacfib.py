@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .citations import cite
 from .leray import DirectImageData, total_coh
 from .sheafcalc import (
     BundleExpr,
@@ -41,32 +40,15 @@ BRANCH_TWIST = -6
 CANONICAL_R2_DEGREE = -3
 
 
-@dataclass(frozen=True)
-class MildDegenerationsSpec:
-    """Named hypotheses on the curve family, carried on verdicts.
-
-    Purely declarative: nothing here is computed from geometry.  The
-    compactified relative Jacobian of a family satisfying all three is a
-    smooth four-fold with canonical bundle trivial on the fibres.
-    """
-
-    smooth_total_space: bool = True
-    only_nodes_or_cusps: bool = True
-    distinct_tangent_cones: bool = True
-
-    def assumptions(self) -> tuple[str, ...]:
-        named = (
-            ("smooth total space", self.smooth_total_space),
-            ("singular fibres have only nodes or cusps", self.only_nodes_or_cusps),
-            (
-                "distinct reduced tangent cones at curves with two singular points",
-                self.distinct_tangent_cones,
-            ),
-        )
-        return tuple(f"mild degenerations: {text}" for text, active in named if active)
-
-
-MILD_DEGENERATIONS = MildDegenerationsSpec()
+# Named hypotheses on the curve family, carried on verdicts.  Purely
+# declarative: nothing here is computed from geometry.  The compactified
+# relative Jacobian of a family satisfying all three is a smooth four-fold
+# with canonical bundle trivial on the fibres.
+MILD_DEGENERATIONS = (
+    "mild degenerations: smooth total space",
+    "mild degenerations: singular fibres have only nodes or cusps",
+    "mild degenerations: distinct reduced tangent cones at curves with two singular points",
+)
 
 
 @dataclass(frozen=True)
@@ -180,7 +162,6 @@ def repeated_root_verdict(space: SectionSpace) -> Verdict:
     forced_pair = 0 in space.forced_zero and 1 in space.forced_zero
     step = RuleStep(
         rule="repeated-root",
-        citation=cite("repeated-root"),
         detail=(
             f"forced-zero coefficient indices {list(space.forced_zero)}; "
             f"s_0 and s_1 both vanish: {forced_pair}"
@@ -191,7 +172,7 @@ def repeated_root_verdict(space: SectionSpace) -> Verdict:
         outcome=IMPOSSIBLE if forced_pair else POSSIBLE,
         documented=False,
         steps=(step,),
-        assumptions=MILD_DEGENERATIONS.assumptions(),
+        assumptions=MILD_DEGENERATIONS,
     )
 
 
@@ -235,13 +216,11 @@ def classify_jacobian_fibrations() -> tuple[JacobianCase, ...]:
             # out by arithmetic once that documented input is granted
             step_doc = RuleStep(
                 rule="nodal-c1",
-                citation=cite("nodal-c1"),
                 detail="generic singular fibre irreducible with one node",
                 checked=False,
             )
             step_arith = RuleStep(
                 rule="first-chern-mismatch",
-                citation=cite("nodal-c1"),
                 detail=f"c1({case_id}) = {c.c1} != {CANONICAL_R2_DEGREE}",
                 checked=True,
             )
@@ -249,7 +228,7 @@ def classify_jacobian_fibrations() -> tuple[JacobianCase, ...]:
                 outcome=IMPOSSIBLE,
                 documented=True,
                 steps=(step_doc, step_arith),
-                assumptions=MILD_DEGENERATIONS.assumptions(),
+                assumptions=MILD_DEGENERATIONS,
             )
             space = branch_section_space(case_id)
             rows.append(
@@ -277,7 +256,6 @@ def classify_jacobian_fibrations() -> tuple[JacobianCase, ...]:
             + (
                 RuleStep(
                     rule=doc_rule,
-                    citation=cite(doc_rule),
                     detail=f"h^k(O_X) = {h} via the degenerate direct-image bookkeeping",
                     checked=False,
                 ),

@@ -271,6 +271,15 @@ def build_torus(path, seed: int = 0) -> Report:
                 {"h_q": list(res.hodge.h_q), "h_p0": list(res.hodge.h_q)},
             )
         )
+    elif res.dimension != 4:
+        records.append(
+            Record(
+                f"torus/{name}/dimension",
+                cite("four-fold-dimension"),
+                DERIVED_PASS,
+                {"dimension": res.dimension, "hodge": "not computed: not a four-fold"},
+            )
+        )
     for c in res.checks:
         records.append(
             _derived(

@@ -28,12 +28,10 @@ from importlib import resources
 from pathlib import Path
 
 from .torusquot import (
-    CY3Factor,
+    FormalFactor,
     GroupElement,
     HodgeData,
-    K3Factor,
     NonTrivialCanonical,
-    TorusFactor,
     TorusModel,
     action_free,
     affine_auto,
@@ -62,7 +60,7 @@ class Scenario:
     name: str
     version: int
     model: TorusModel
-    factors: tuple  # TorusFactor / K3Factor / CY3Factor in declaration order
+    formal: tuple[FormalFactor, ...]  # K3 / CY3 factors in declaration order
     generators: tuple[GroupElement, ...]
     expectations: tuple[tuple[str, object], ...]
 
@@ -83,6 +81,7 @@ class ScenarioResult:
     max_order: int
     free: bool
     delegated: int
+    dimension: int
     forms: tuple[int, ...]
     hodge: HodgeData | None
     canonical_failure: int | None
@@ -206,7 +205,7 @@ def parse_scenario(text: str) -> Scenario:
     version = None
     name = "unnamed"
     labels: list[str] = []
-    factors: list = []
+    formal: list[FormalFactor] = []
     torus_positions: set[int] = set()
     generator_lines: list[tuple[int, str]] = []
     expectations: list[tuple[str, object]] = []
@@ -233,14 +232,13 @@ def parse_scenario(text: str) -> Scenario:
             if kind == "torus":
                 if len(sub) != 2:
                     raise ScenarioError(line_no, "torus factor needs a curve label")
-                torus_positions.add(len(factors))
-                factors.append(TorusFactor())
+                torus_positions.add(len(labels) + len(formal))
                 labels.append(sub[1])
             elif kind in ("k3", "cy3"):
                 if len(sub) != 2 or sub[1] not in ("-1", "1", "+1"):
                     raise ScenarioError(line_no, f"{kind} factor needs a sign +1 or -1")
                 sign = -1 if sub[1] == "-1" else 1
-                factors.append(K3Factor(sign) if kind == "k3" else CY3Factor(sign))
+                formal.append(FormalFactor(2 if kind == "k3" else 3, sign))
             else:
                 raise ScenarioError(line_no, f"unknown factor kind {kind!r}")
         elif keyword == "generator":
@@ -254,26 +252,15 @@ def parse_scenario(text: str) -> Scenario:
             raise ScenarioError(line_no, f"unknown keyword {keyword!r}")
     if version is None:
         raise ScenarioError(1, "empty scenario: missing version line")
-    formal_count = len(factors) - len(torus_positions)
     gens = tuple(
-        _parse_generator(body, labels, formal_count, torus_positions, line_no)
+        _parse_generator(body, labels, len(formal), torus_positions, line_no)
         for line_no, body in generator_lines
     )
-    # a single torus block represents all torus coordinates in quotient_hodge
-    hodge_factors = []
-    torus_emitted = False
-    for i, f in enumerate(factors):
-        if i in torus_positions:
-            if not torus_emitted:
-                hodge_factors.append(TorusFactor())
-                torus_emitted = True
-        else:
-            hodge_factors.append(f)
     return Scenario(
         name=name,
         version=version,
         model=TorusModel(tuple(labels)),
-        factors=tuple(hodge_factors),
+        formal=tuple(formal),
         generators=gens,
         expectations=tuple(expectations),
     )
@@ -301,17 +288,14 @@ def resolve_scenario(name_or_path) -> Path:
 
 
 def run_scenario(sc: Scenario) -> ScenarioResult:
-    formal_count = sum(1 for f in sc.factors if not isinstance(f, TorusFactor))
-    group = generate_group(sc.generators, model=sc.model, parity_width=formal_count)
+    group = generate_group(sc.generators, model=sc.model, parity_width=len(sc.formal))
     forms = invariant_form_dims(group)
-    total_dim = sc.model.n + sum(
-        2 if isinstance(f, K3Factor) else 3 for f in sc.factors if not isinstance(f, TorusFactor)
-    )
+    dimension = sc.model.n + sum(f.dim for f in sc.formal)
     hodge = None
     canonical_failure = None
-    if total_dim == 4:
+    if dimension == 4:
         try:
-            hodge = quotient_hodge(sc.factors, group)
+            hodge = quotient_hodge(sc.formal, group)
         except NonTrivialCanonical as e:
             canonical_failure = e.h40
     computed = {
@@ -333,6 +317,7 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
         max_order=computed["max-order"],
         free=computed["free"],
         delegated=len(delegated_elements(group)),
+        dimension=dimension,
         forms=forms,
         hodge=hodge,
         canonical_failure=canonical_failure,

@@ -13,14 +13,14 @@ over a torsion grid (solutions, when they exist, have denominator dividing
 twice the translation denominator, because the nonzero elementary divisors
 of L - I are 1 or 2 for signed permutations).
 
-Hodge bookkeeping for quotients multiplies graded characters of the torus
-block with formal K3 / Calabi-Yau three-fold factors that are nothing but a
-sign on their top holomorphic form.
+Hodge bookkeeping for quotients multiplies the graded character
+det(I + tL) of the torus block, read off the cycles of L, with one factor
+1 + s t^dim per formal K3 / Calabi-Yau three-fold factor, which is nothing
+but a sign s on its top holomorphic form.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -381,116 +381,35 @@ def fixed_point_free(f: AffineAuto) -> FreeCertificate:
 
 
 def delegated_elements(G: FiniteGroup) -> tuple[GroupElement, ...]:
-    """Non-identity elements acting trivially on the torus block.
+    """Non-identity elements that move a formal factor and fix a torus point.
 
-    Their freeness lives on the formal factors and cannot be computed here.
+    A fixed point of such an element also needs one on the formal factors,
+    whose freeness is input data and cannot be computed here.
     """
-    return tuple(e for e in G.elements if not e.is_identity() and e.auto.is_identity())
+    return tuple(
+        e
+        for e in G.elements
+        if any(e.parities) and (e.auto.is_identity() or not fixed_point_free(e.auto).free)
+    )
 
 
 def action_free(G: FiniteGroup) -> bool:
-    """TRUE iff every element with a non-identity torus part is fixed-point free.
+    """TRUE iff every non-identity element fixing the formal factors is
+    fixed-point free on the torus block.
 
-    Elements listed by delegated_elements are outside the torus test's reach
-    and are not counted against freeness; callers report them separately.
+    An element that moves a formal factor is free when its torus part is;
+    otherwise it is listed by delegated_elements, reported separately and
+    not counted against freeness.
     """
     return all(
         fixed_point_free(e.auto).free
         for e in G.elements
-        if not e.is_identity() and not e.auto.is_identity()
+        if not e.is_identity() and not any(e.parities)
     )
 
 
 # ---------------------------------------------------------------------------
 # invariant forms and quotient Hodge numbers
-
-
-def _int_det(M) -> int:
-    n = len(M)
-    if n == 0:
-        return 1
-    if n == 1:
-        return M[0][0]
-    total = 0
-    for j in range(n):
-        if M[0][j]:
-            minor = [row[:j] + row[j + 1 :] for row in M[1:]]
-            total += (-1) ** j * M[0][j] * _int_det(minor)
-    return total
-
-
-def exterior_trace(L, p: int) -> int:
-    """Trace of the p-th exterior power: sum of p x p principal minors."""
-    n = len(L)
-    if p == 0:
-        return 1
-    if p > n:
-        return 0
-    total = 0
-    for rows in itertools.combinations(range(n), p):
-        total += _int_det([[L[i][j] for j in rows] for i in rows])
-    return total
-
-
-def invariant_forms(G: FiniteGroup, p: int) -> int:
-    """dim of the G-invariant subspace of holomorphic p-forms on the torus."""
-    n = G.model.n
-    if not 0 <= p <= n:
-        raise ValueError(f"p must lie in [0, {n}]")
-    total = sum(exterior_trace(e.auto.L, p) for e in G.elements)
-    avg = Fraction(total, G.order)
-    if avg.denominator != 1:
-        raise AssertionError(f"non-integral invariant dimension {avg} in degree {p}")
-    return int(avg)
-
-
-def invariant_form_dims(G: FiniteGroup) -> tuple[int, ...]:
-    return tuple(invariant_forms(G, p) for p in range(G.model.n + 1))
-
-
-@dataclass(frozen=True)
-class TorusFactor:
-    """The torus block; its graded character comes from each element's L."""
-
-
-@dataclass(frozen=True)
-class K3Factor:
-    """Formal K3 surface: H^{0,0} and H^{2,0} are lines, H^{1,0} = 0.
-
-    An element with parity 1 scales the top form by `sign`.
-    """
-
-    sign: int = -1
-
-    def __post_init__(self):
-        if self.sign not in (-1, 1):
-            raise ValueError("sign must be +1 or -1")
-
-
-@dataclass(frozen=True)
-class CY3Factor:
-    """Formal Calabi-Yau three-fold: lines in degrees 0 and 3 only."""
-
-    sign: int = -1
-
-    def __post_init__(self):
-        if self.sign not in (-1, 1):
-            raise ValueError("sign must be +1 or -1")
-
-
-def _factor_dim(factor, model: TorusModel) -> int:
-    if isinstance(factor, TorusFactor):
-        return model.n
-    return 2 if isinstance(factor, K3Factor) else 3
-
-
-def _factor_character(factor, element: GroupElement, slot: int, model: TorusModel):
-    if isinstance(factor, TorusFactor):
-        return [exterior_trace(element.auto.L, p) for p in range(model.n + 1)]
-    s = factor.sign if element.parities[slot] else 1
-    if isinstance(factor, K3Factor):
-        return [1, 0, s]
-    return [1, 0, 0, s]
 
 
 def _poly_mult(a, b):
@@ -501,43 +420,87 @@ def _poly_mult(a, b):
     return out
 
 
+def graded_character(L) -> list[int]:
+    """Coefficients of det(I + tL); entry p is the trace on the p-th exterior power.
+
+    L is a signed permutation, so the determinant factors over its cycles: a
+    cycle of length k whose signs multiply to e contributes 1 - e (-t)^k.
+    """
+    char = [1]
+    seen = set()
+    for start in range(len(L)):
+        if start in seen:
+            continue
+        k, e, i = 0, 1, start
+        while i not in seen:
+            seen.add(i)
+            j = next(j for j, x in enumerate(L[i]) if x)
+            k, e, i = k + 1, e * L[i][j], j
+        char = _poly_mult(char, [1] + [0] * (k - 1) + [-e * (-1) ** k])
+    return char
+
+
+def _average(G: FiniteGroup, character) -> tuple[int, ...]:
+    """Invariant dimension per degree: the group average of `character(e)`."""
+    totals = [sum(col) for col in zip(*(character(e) for e in G.elements))]
+    for p, total in enumerate(totals):
+        if total % G.order:
+            raise AssertionError(
+                f"non-integral invariant dimension {Fraction(total, G.order)} in degree {p}"
+            )
+    return tuple(total // G.order for total in totals)
+
+
+def invariant_form_dims(G: FiniteGroup) -> tuple[int, ...]:
+    """dim of the G-invariant holomorphic p-forms on the torus, p = 0..n."""
+    return _average(G, lambda e: graded_character(e.auto.L))
+
+
+@dataclass(frozen=True)
+class FormalFactor:
+    """Formal K3 surface (dim 2) or Calabi-Yau three-fold (dim 3).
+
+    H^{p,0} is a line for p = 0 and p = dim and zero otherwise; an element
+    with parity 1 scales the top form by `sign`.
+    """
+
+    dim: int
+    sign: int = -1
+
+    def __post_init__(self):
+        if self.dim not in (2, 3):
+            raise ValueError("formal factor dimension must be 2 (K3) or 3 (CY3)")
+        if self.sign not in (-1, 1):
+            raise ValueError("sign must be +1 or -1")
+
+
 @dataclass(frozen=True)
 class HodgeData:
     h_q: tuple[int, ...]  # h^q(X, O_X) = h^{q,0}(X), q = 0..4
 
 
-def quotient_hodge(factors, G: FiniteGroup) -> HodgeData:
-    """Hodge numbers of (product of factors) / G; requires total dimension 4.
+def quotient_hodge(formal, G: FiniteGroup) -> HodgeData:
+    """Hodge numbers of (torus block x formal factors) / G; total dimension 4.
 
-    h^{p,0} is the invariant dimension of the degree-p part of the product
-    of factor characters.  All characters here are real (signed permutations
-    and literal signs), so h^q(O_X) = conj h^{q,0} = h^{q,0}.
+    h^{p,0} is the invariant dimension in degree p of the product of the
+    torus character det(I + tL) with 1 + sign^parity t^dim per formal factor.
+    All characters here are real (signed permutations and literal signs), so
+    h^q(O_X) = conj h^{q,0} = h^{q,0}.
     """
-    factors = tuple(factors)
-    total = sum(_factor_dim(f, G.model) for f in factors)
+    formal = tuple(formal)
+    total = G.model.n + sum(f.dim for f in formal)
     if total != 4:
         raise ValueError(f"total complex dimension is {total}, need 4")
-    formal = [f for f in factors if not isinstance(f, TorusFactor)]
     if any(len(e.parities) != len(formal) for e in G.elements):
         raise ValueError("group parities do not match the formal factor count")
-    if sum(isinstance(f, TorusFactor) for f in factors) > 1:
-        raise ValueError("at most one torus block")
-    acc = [0] * 5
-    for e in G.elements:
-        char = [1]
-        slot = 0
-        for f in factors:
-            char = _poly_mult(char, _factor_character(f, e, slot, G.model))
-            if not isinstance(f, TorusFactor):
-                slot += 1
-        for p in range(5):
-            acc[p] += char[p]
-    dims = []
-    for p in range(5):
-        v = Fraction(acc[p], G.order)
-        if v.denominator != 1:
-            raise AssertionError(f"non-integral h^({p},0) = {v}")
-        dims.append(int(v))
+
+    def character(e: GroupElement):
+        char = graded_character(e.auto.L)
+        for f, parity in zip(formal, e.parities):
+            char = _poly_mult(char, [1] + [0] * (f.dim - 1) + [f.sign**parity])
+        return char
+
+    dims = _average(G, character)
     if dims[4] != 1:
         raise NonTrivialCanonical(dims[4])
-    return HodgeData(tuple(dims))
+    return HodgeData(dims)

@@ -32,6 +32,31 @@ def fixed_point_free_brute(f) -> bool:
     return not (solvable(f.that[0::2]) and solvable(f.that[1::2]))
 
 
+def _int_det(M) -> int:
+    """Cofactor expansion along the first row."""
+    if not M:
+        return 1
+    return sum(
+        (-1) ** j * x * _int_det([row[:j] + row[j + 1 :] for row in M[1:]])
+        for j, x in enumerate(M[0])
+        if x
+    )
+
+
+def graded_character_minors(L) -> list[int]:
+    """Coefficients of det(I + tL) as sums of principal minors, independent of
+    the cycle factorisation in `torusquot.graded_character`: the trace on the
+    p-th exterior power is the sum of the p x p principal minors of L."""
+    n = len(L)
+    return [
+        sum(
+            _int_det([[L[i][j] for j in rows] for i in rows])
+            for rows in itertools.combinations(range(n), p)
+        )
+        for p in range(n + 1)
+    ]
+
+
 def poly_mul_dict(f, g):
     """Term-by-term product of two forms over the same field, with no dense
     matrices: the reference for the convolution in `weierstrass.poly_mul`."""

@@ -205,12 +205,12 @@ def test_verdict_rejects_unknown_outcome():
 
 
 def test_impossibility_needs_witness_or_documentation():
-    bare = RuleStep("x", "y", "z", checked=False)
+    bare = RuleStep("x", "z", checked=False)
     with pytest.raises(ValueError):
         Verdict(IMPOSSIBLE, documented=False, steps=(bare,))
     # either a checked step or the documented flag suffices
     Verdict(IMPOSSIBLE, documented=True, steps=(bare,))
-    Verdict(IMPOSSIBLE, documented=False, steps=(RuleStep("x", "y", "z", checked=True),))
+    Verdict(IMPOSSIBLE, documented=False, steps=(RuleStep("x", "z", checked=True),))
 
 
 # ---------------------------------------------------------------------------

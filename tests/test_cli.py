@@ -153,6 +153,31 @@ def test_torus_closure_cap_exits_2(tmp_path, capsys):
     assert err == "abfib: error: group closure exceeded CLOSURE_CAP = 1024 elements\n"
 
 
+def test_torus_element_moving_a_formal_factor_is_delegated(tmp_path, capsys):
+    # -z1+1/2 fixes z1 = 1/4, but the element also acts on the CY3 factor,
+    # whose freeness is input data: delegated, not counted against freeness
+    f = tmp_path / "ecy.scn"
+    f.write_text("version 1\nname ecy\nfactor torus e1\nfactor cy3 -1\ngenerator -z1+1/2, -\n")
+    code, out, _ = run(["torus", str(f), "--format", "json"], capsys)
+    assert code == 0
+    by_check = {r["check"]: r for r in json.loads(out)["records"]}
+    assert by_check["torus/ecy/free"]["status"] == "DERIVED-PASS"
+    assert by_check["torus/ecy/delegated"]["payload"]["elements"] == 1
+    assert by_check["torus/ecy/hodge"]["payload"]["h_q"] == [1, 0, 0, 0, 1]
+
+
+def test_torus_non_four_fold_says_why_no_hodge(tmp_path, capsys):
+    f = tmp_path / "ek3.scn"
+    f.write_text("version 1\nname ek3\nfactor torus e1\nfactor k3 -1\ngenerator z1+1/2, -\n")
+    code, out, _ = run(["torus", str(f), "--format", "json"], capsys)
+    assert code == 0
+    by_check = {r["check"]: r for r in json.loads(out)["records"]}
+    assert "torus/ek3/hodge" not in by_check
+    record = by_check["torus/ek3/dimension"]
+    assert record["status"] == "DERIVED-PASS"
+    assert record["payload"] == {"dimension": 3, "hodge": "not computed: not a four-fold"}
+
+
 def test_weierstrass_small_run(capsys):
     code, out, _ = run(
         ["weierstrass", "--l", "1", "--p", "101", "--trials", "3", "--seed", "0"],

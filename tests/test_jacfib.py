@@ -1,9 +1,7 @@
 import pytest
 
 from abfib.jacfib import (
-    MILD_DEGENERATIONS,
     GL3Weight,
-    MildDegenerationsSpec,
     SectionSpace,
     W_CANDIDATES,
     admissible_cases,
@@ -121,12 +119,6 @@ def test_verdicts_carry_mild_degeneration_assumptions():
     assert len(v.assumptions) == 3
     assert all(a.startswith("mild degenerations:") for a in v.assumptions)
     assert v.machine_steps  # the forced-vanishing witness is checked here
-
-
-def test_mild_degenerations_spec_is_declarative():
-    assert MILD_DEGENERATIONS == MildDegenerationsSpec()
-    partial = MildDegenerationsSpec(distinct_tangent_cones=False)
-    assert len(partial.assumptions()) == 2
 
 
 def test_classification_table():

@@ -8,7 +8,7 @@ from abfib.scenario import (
     resolve_scenario,
     run_scenario,
 )
-from abfib.torusquot import K3Factor, TorusFactor
+from abfib.torusquot import FormalFactor
 
 BUNDLED = ["d8.scn", "bielliptic.scn", "enriques.scn", "empty.scn"]
 
@@ -41,7 +41,7 @@ def test_bielliptic_scenario_details():
     assert r.order == 2
     assert r.free
     assert r.hodge.h_q == (1, 1, 0, 1, 1)
-    assert r.scenario.factors == (TorusFactor(), K3Factor(-1))
+    assert r.scenario.formal == (FormalFactor(2, -1),)
 
 
 def test_enriques_scenario_details():

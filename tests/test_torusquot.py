@@ -6,30 +6,27 @@ import pytest
 
 from abfib.torusquot import (
     AffineAuto,
-    CY3Factor,
     ClosureError,
     FiniteGroup,
+    FormalFactor,
     GroupElement,
-    K3Factor,
     NonTrivialCanonical,
-    TorusFactor,
     TorusModel,
     action_free,
     affine_auto,
     compose,
     compose_elements,
     delegated_elements,
-    exterior_trace,
     fixed_point_free,
     generate_group,
+    graded_character,
     identity_auto,
     invariant_form_dims,
-    invariant_forms,
     quotient_hodge,
     smith_normal_form,
 )
 
-from oracles import fixed_point_free_brute
+from oracles import fixed_point_free_brute, graded_character_minors
 
 F = Fraction
 
@@ -338,9 +335,22 @@ def test_brute_force_matches_grid_oracle_on_curves():
 
 def test_exterior_trace_small():
     L = [[0, -1], [1, 0]]
-    assert [exterior_trace(L, p) for p in range(3)] == [1, 0, 1]
+    assert graded_character(L) == [1, 0, 1]
     I3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    assert [exterior_trace(I3, p) for p in range(4)] == [1, 3, 3, 1]
+    assert graded_character(I3) == [1, 3, 3, 1]
+
+
+def signed_permutations(n):
+    for perm in itertools.permutations(range(n)):
+        for signs in itertools.product((1, -1), repeat=n):
+            yield [[signs[i] * (perm[i] == j) for j in range(n)] for i in range(n)]
+
+
+def test_graded_character_matches_principal_minors():
+    mats = [L for n in range(5) for L in signed_permutations(n)]
+    assert len(mats) == 1 + 2 + 8 + 48 + 384  # n = 0..4; 442 with n >= 1
+    for L in mats:
+        assert graded_character(L) == graded_character_minors(L), L
 
 
 def test_invariant_forms_d8():
@@ -371,13 +381,6 @@ def test_invariant_forms_ignore_translations():
     assert invariant_form_dims(G) == (1, 1, 0, 1, 1)
 
 
-def test_invariant_forms_range_check():
-    m = one_curve()
-    G = generate_group([], model=m)
-    with pytest.raises(ValueError):
-        invariant_forms(G, 2)
-
-
 # ---------------------------------------------------------------------------
 # quotient Hodge numbers
 
@@ -393,7 +396,7 @@ def bielliptic_group():
 def test_hodge_d8():
     m, g1, g2, g3 = d8_setup()
     G = generate_group([g1, g2, g3])
-    h = quotient_hodge((TorusFactor(),), G)
+    h = quotient_hodge((), G)
     assert h.h_q == (1, 1, 0, 1, 1)
     assert h.h_q[1:4] == (1, 0, 1)
 
@@ -401,7 +404,7 @@ def test_hodge_d8():
 def test_hodge_bielliptic():
     G = bielliptic_group()
     assert action_free(G)
-    h = quotient_hodge((TorusFactor(), K3Factor(-1)), G)
+    h = quotient_hodge((FormalFactor(2, -1),), G)
     assert h.h_q == (1, 1, 0, 1, 1)
     assert h.h_q[1:4] == (1, 0, 1)
 
@@ -413,32 +416,32 @@ def test_hodge_enriques_pair():
     assert G.order == 2
     assert len(delegated_elements(G)) == 1
     assert action_free(G)  # vacuous on the torus block; freeness is delegated
-    h = quotient_hodge((K3Factor(-1), K3Factor(-1)), G)
+    h = quotient_hodge((FormalFactor(2, -1), FormalFactor(2, -1)), G)
     assert h.h_q == (1, 0, 0, 0, 1)
 
 
 def test_hodge_trivial_four_torus():
     m = TorusModel(("a", "b", "c", "d"))
     G = generate_group([], model=m)
-    h = quotient_hodge((TorusFactor(),), G)
+    h = quotient_hodge((), G)
     assert h.h_q == (1, 4, 6, 4, 1)
 
 
 def test_hodge_elliptic_times_cy3():
     m = one_curve()
     G = generate_group([], model=m, parity_width=1)
-    h = quotient_hodge((TorusFactor(), CY3Factor(-1)), G)
+    h = quotient_hodge((FormalFactor(3, -1),), G)
     assert h.h_q == (1, 1, 0, 1, 1)
 
 
 def test_hodge_rejects_wrong_dimension():
     G = bielliptic_group()
     with pytest.raises(ValueError):
-        quotient_hodge((TorusFactor(),), G)
+        quotient_hodge((), G)
 
 
 def test_hodge_nontrivial_canonical():
     G = bielliptic_group()
     with pytest.raises(NonTrivialCanonical) as exc:
-        quotient_hodge((TorusFactor(), K3Factor(1)), G)
+        quotient_hodge((FormalFactor(2, 1),), G)
     assert exc.value.h40 == 0
