@@ -14,6 +14,7 @@ CITATIONS = {
     # constraint-engine premises (classical statements the inequalities build on)
     "kollar-vanishing": "Kollar: R^p pi_* O_X is torsion-free and H^q(P^2, R^p pi_* O_X (k)) = 0 for q > 0, k > 0; hence chi(V(1)) = h^0(V(1)) >= 0",
     "first-chern-bound": "degeneration of the relative Hodge filtration forces c1(R^1 pi_* O_X) <= c1(R^2 pi_* O_X) = -3",
+    "first-chern-mismatch": "a candidate whose first Chern class differs from c1(R^1 pi_* O_X) = -3 is excluded by arithmetic once nodal-c1 is granted",
     "nodal-c1": "if the singular fibres over a generic discriminant point are reduced normal crossings, or the local monodromies are unipotent, then c1(R^1 pi_* O_X) = -3 exactly",
     # machine layers
     "split-enumeration": "exhaustive enumeration of split rank-2 bundles O(a)+O(b) by exact cohomology match over a finite c1 window",

@@ -155,6 +155,8 @@ def split_candidates(t: CohVector, c1_window: tuple[int, int]) -> list[tuple[int
 
     Ordered ascending in (-(a+b), -a): largest c1 first, then largest top
     summand.  Split bundles have h^1 = 0, so any t with h1 > 0 yields [].
+    Both summands satisfy b_min <= b <= a <= a_max, which bounds the loops
+    independently of the window width.
     """
     lo, hi = c1_window
     t = CohVector(*t)
@@ -167,10 +169,14 @@ def split_candidates(t: CohVector, c1_window: tuple[int, int]) -> list[tuple[int
         a_max = 0
         while coh_line(a_max + 1).h0 <= t.h0:
             a_max += 1
+    # smallest b with h^2(O(b)) <= t.h2; h^2 grows without bound below it
+    b_min = -2
+    while coh_line(b_min - 1).h2 <= t.h2:
+        b_min -= 1
     out = []
-    for s in range(hi, lo - 1, -1):
+    for s in range(min(hi, 2 * a_max), max(lo, 2 * b_min) - 1, -1):
         a_min = -(-s // 2)  # ceil(s/2), keeps a >= b
-        for a in range(a_max, a_min - 1, -1):
+        for a in range(min(a_max, s - b_min), a_min - 1, -1):
             b = s - a
             va, vb = coh_line(a), coh_line(b)
             if (va.h0 + vb.h0, 0, va.h2 + vb.h2) == t:

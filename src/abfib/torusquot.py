@@ -11,7 +11,9 @@ Fixed-point analysis is exact: (L - I) z = -t over the torus is solved by
 Smith normal form; the tests back it with an independent exhaustive search
 over a torsion grid (solutions, when they exist, have denominator dividing
 twice the translation denominator, because the nonzero elementary divisors
-of L - I are 1 or 2 for signed permutations).
+of L - I are 1 or 2 for signed permutations).  Everything that depends on
+the linear part alone (its order, sum_{k<m} Lhat^k, the SNF of Lhat - I) is
+computed once per distinct L in the group's `linear_parts` table.
 
 Hodge bookkeeping for quotients multiplies the graded character
 det(I + tL) of the torus block, read off the cycles of L, with one factor
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 CLOSURE_CAP = 1024
 
@@ -89,14 +92,7 @@ class AffineAuto:
 
     @property
     def Lhat(self) -> tuple[tuple[int, ...], ...]:
-        """Induced 2n x 2n lattice map: each L entry becomes a scalar 2-block."""
-        n = self.model.n
-        out = [[0] * (2 * n) for _ in range(2 * n)]
-        for i in range(n):
-            for j in range(n):
-                out[2 * i][2 * j] = self.L[i][j]
-                out[2 * i + 1][2 * j + 1] = self.L[i][j]
-        return tuple(tuple(r) for r in out)
+        return _lhat(self.L)
 
     @property
     def shifts(self) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -108,6 +104,39 @@ class AffineAuto:
         return all(self.L[i][j] == (i == j) for i in range(n) for j in range(n)) and not any(
             self.that
         )
+
+
+def _lhat(L) -> tuple[tuple[int, ...], ...]:
+    """Induced 2n x 2n lattice map: each L entry becomes a scalar 2-block."""
+    n = len(L)
+    out = [[0] * (2 * n) for _ in range(2 * n)]
+    for i in range(n):
+        for j in range(n):
+            out[2 * i][2 * j] = L[i][j]
+            out[2 * i + 1][2 * j + 1] = L[i][j]
+    return tuple(tuple(r) for r in out)
+
+
+def _entry(row) -> tuple[int, int]:
+    """(column, sign) of the first nonzero entry of a row."""
+    for j, x in enumerate(row):
+        if x:
+            return j, x
+    raise ValueError("zero row in a signed permutation")
+
+
+def _cycles(L):
+    """(length, product of signs) for each cycle of the signed permutation L."""
+    seen = set()
+    for start in range(len(L)):
+        if start in seen:
+            continue
+        k, e, i = 0, 1, start
+        while i not in seen:
+            seen.add(i)
+            j, x = _entry(L[i])
+            k, e, i = k + 1, e * x, j
+        yield k, e
 
 
 def affine_auto(model: TorusModel, L, shifts) -> AffineAuto:
@@ -130,16 +159,19 @@ def compose(f: AffineAuto, g: AffineAuto) -> AffineAuto:
     if f.model != g.model:
         raise ValueError("automorphisms live on different models")
     n = f.model.n
-    L = tuple(
-        tuple(sum(f.L[i][k] * g.L[k][j] for k in range(n)) for j in range(n)) for i in range(n)
-    )
-    that = list(f.that)
+    L, that = [], []
     for i in range(n):
-        for j in range(n):
-            if f.L[i][j]:
-                that[2 * i] += f.L[i][j] * g.that[2 * j]
-                that[2 * i + 1] += f.L[i][j] * g.that[2 * j + 1]
-    return AffineAuto(f.model, L, tuple(_mod1(x) for x in that))
+        j, sign = _entry(f.L[i])  # (L_f z)_i = sign * z_j
+        k, sign_g = _entry(g.L[j])
+        row = [0] * n
+        row[k] = sign * sign_g
+        L.append(tuple(row))
+        for x, y in zip(f.that[2 * i : 2 * i + 2], g.that[2 * j : 2 * j + 2]):
+            # (x + sign * y) mod 1 with a single Fraction normalisation
+            d = x.denominator * y.denominator
+            num = x.numerator * y.denominator + sign * y.numerator * x.denominator
+            that.append(Fraction(num % d, d))
+    return AffineAuto(f.model, tuple(L), tuple(that))
 
 
 @dataclass(frozen=True)
@@ -166,12 +198,17 @@ def compose_elements(f: GroupElement, g: GroupElement) -> GroupElement:
 
 
 class FiniteGroup:
-    """Closure of a generating set, identity first, canonical translations."""
+    """Closure of a generating set, identity first, canonical translations.
+
+    `linear_parts` maps each linear part L met so far to its `LinearPart`;
+    a group has few distinct linear parts however many elements it has.
+    """
 
     def __init__(self, model: TorusModel, elements, generators):
         self.model = model
         self.elements = tuple(elements)
         self.generators = tuple(generators)
+        self.linear_parts: dict[tuple, LinearPart] = {}
 
     @staticmethod
     def _key(e: GroupElement):
@@ -195,12 +232,17 @@ class FiniteGroup:
         return True
 
     def element_order(self, e: GroupElement) -> int:
-        k, acc = 1, e
-        while not acc.is_identity():
-            acc = compose_elements(acc, e)
-            k += 1
-            if k > self.order:
-                raise AssertionError("element order exceeds group order")
+        """m * ord(S t mod 1), doubled when a parity is set and that is odd.
+
+        e^k has linear part L^k, translation sum_{j<k} Lhat^j t and parities
+        k * p mod 2; L^k = I needs m | k, and e^{m j} translates by j S t.
+        """
+        lp = linear_part(e.auto.L, self.linear_parts)
+        k = lp.order * lcm(1, *(x.denominator for x in _mat_vec(lp.S, e.auto.that)))
+        if k % 2 and any(e.parities):
+            k *= 2
+        if k > self.order:
+            raise AssertionError("element order exceeds group order")
         return k
 
     @property
@@ -352,28 +394,70 @@ class FreeCertificate:
         return self.free
 
 
-def _mat_vec(M, v):
-    return [sum(M[i][j] * v[j] for j in range(len(v))) for i in range(len(M))]
+@dataclass(frozen=True)
+class LinearPart:
+    """What every element with linear part L shares.
+
+    order: the order m of L.  S: sum_{k<m} Lhat^k.  M: Lhat - I, with
+    U M V = D its Smith normal form and diag the diagonal of D.
+    """
+
+    order: int
+    S: tuple[tuple[int, ...], ...]
+    M: tuple[tuple[int, ...], ...]
+    U: tuple[tuple[int, ...], ...]
+    V: tuple[tuple[int, ...], ...]
+    diag: tuple[int, ...]
 
 
-def fixed_point_free(f: AffineAuto) -> FreeCertificate:
-    """Exact fixed-point test for (Lhat - I) z = -that on the torus."""
+def linear_part(L, table: dict) -> LinearPart:
+    """The `LinearPart` of L from `table`, computed and stored on first use."""
+    lp = table.get(L)
+    if lp is None:
+        # a cycle of length k with sign product e has order k (e = 1) or 2k
+        m = lcm(1, *(k if e == 1 else 2 * k for k, e in _cycles(L)))
+        Lhat = _lhat(L)
+        size = len(Lhat)
+        power = [[int(i == j) for j in range(size)] for i in range(size)]
+        S = [row[:] for row in power]
+        for _ in range(m - 1):
+            power = [[sum(x * y for x, y in zip(r, col)) for col in zip(*Lhat)] for r in power]
+            S = [[a + b for a, b in zip(rs, rp)] for rs, rp in zip(S, power)]
+        M = tuple(tuple(Lhat[i][j] - (i == j) for j in range(size)) for i in range(size))
+        U, D, V = smith_normal_form(M)
+        lp = table[L] = LinearPart(
+            m, tuple(map(tuple, S)), M, U, V, tuple(D[i][i] for i in range(size))
+        )
+    return lp
+
+
+def _mat_vec(M, v) -> list[Fraction]:
+    """M v for an integer matrix M, over the common denominator of v."""
+    d = lcm(1, *(x.denominator for x in v))
+    w = [x.numerator * (d // x.denominator) for x in v]
+    return [Fraction(sum(a * b for a, b in zip(row, w)), d) for row in M]
+
+
+def fixed_point_free(f: AffineAuto, table: dict | None = None) -> FreeCertificate:
+    """Exact fixed-point test for (Lhat - I) z = -that on the torus.
+
+    `table` (a group's `linear_parts`) shares the SNF of Lhat - I between
+    elements with the same linear part.
+    """
     if f.is_identity():
         raise ValueError("identity fixes everything; test non-identity elements")
     m = 2 * f.model.n
-    Lhat = f.Lhat
-    M = [[Lhat[i][j] - (i == j) for j in range(m)] for i in range(m)]
-    U, D, V = smith_normal_form(M)
+    lp = linear_part(f.L, {} if table is None else table)
+    M, diag = lp.M, lp.diag
     c = [-x for x in f.that]
-    Uc = _mat_vec(U, c)
-    diag = tuple(D[i][i] for i in range(m))
+    Uc = _mat_vec(lp.U, c)
     zero_rows = [i for i in range(m) if diag[i] == 0]
     residues = tuple(Uc[i] for i in zero_rows)
     obstructed = tuple(i for i in zero_rows if Uc[i].denominator != 1)
     if obstructed:
         return FreeCertificate(True, diag, residues, obstructed, None)
     w = [Uc[i] / diag[i] if diag[i] else Fraction(0) for i in range(m)]
-    z = [_mod1(x) for x in _mat_vec(V, w)]
+    z = [_mod1(x) for x in _mat_vec(lp.V, w)]
     check = _mat_vec(M, z)
     if any((check[i] - c[i]).denominator != 1 for i in range(m)):
         raise AssertionError(f"SNF solution {z} does not solve (Lhat - I) z = -t")
@@ -389,7 +473,8 @@ def delegated_elements(G: FiniteGroup) -> tuple[GroupElement, ...]:
     return tuple(
         e
         for e in G.elements
-        if any(e.parities) and (e.auto.is_identity() or not fixed_point_free(e.auto).free)
+        if any(e.parities)
+        and (e.auto.is_identity() or not fixed_point_free(e.auto, G.linear_parts).free)
     )
 
 
@@ -402,7 +487,7 @@ def action_free(G: FiniteGroup) -> bool:
     not counted against freeness.
     """
     return all(
-        fixed_point_free(e.auto).free
+        fixed_point_free(e.auto, G.linear_parts).free
         for e in G.elements
         if not e.is_identity() and not any(e.parities)
     )
@@ -427,15 +512,7 @@ def graded_character(L) -> list[int]:
     cycle of length k whose signs multiply to e contributes 1 - e (-t)^k.
     """
     char = [1]
-    seen = set()
-    for start in range(len(L)):
-        if start in seen:
-            continue
-        k, e, i = 0, 1, start
-        while i not in seen:
-            seen.add(i)
-            j = next(j for j, x in enumerate(L[i]) if x)
-            k, e, i = k + 1, e * L[i][j], j
+    for k, e in _cycles(L):
         char = _poly_mult(char, [1] + [0] * (k - 1) + [-e * (-1) ** k])
     return char
 

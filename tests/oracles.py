@@ -5,6 +5,7 @@ from math import lcm
 
 import numpy as np
 
+from abfib.torusquot import compose_elements
 from abfib.weierstrass import poly
 
 
@@ -30,6 +31,18 @@ def fixed_point_free_brute(f) -> bool:
         return bool(((K @ M.T + rhs) % G == 0).all(axis=1).any())
 
     return not (solvable(f.that[0::2]) and solvable(f.that[1::2]))
+
+
+def element_order_by_powers(G, e) -> int:
+    """Order of e in G by composing powers until the identity: the reference
+    for the closed form in `FiniteGroup.element_order`."""
+    k, acc = 1, e
+    while not acc.is_identity():
+        acc = compose_elements(acc, e)
+        k += 1
+        if k > G.order:
+            raise AssertionError("element order exceeds group order")
+    return k
 
 
 def _int_det(M) -> int:

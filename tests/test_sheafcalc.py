@@ -10,6 +10,8 @@ oracle takes on faith is h^1(O(j)) = 0 on the plane.
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abfib.sheafcalc import (
     BundleParseError,
@@ -354,6 +356,27 @@ ROUND_TRIP_TREES = [
 
 @pytest.mark.parametrize("tree", ROUND_TRIP_TREES, ids=format_bundle)
 def test_parse_after_format_is_identity(tree):
+    assert parse_bundle(format_bundle(tree)) == tree
+
+
+_degrees = st.integers(-50, 50)
+bundle_trees = st.recursive(
+    st.one_of(st.builds(Line, _degrees), st.just(Cotangent()), st.just(Tangent())),
+    lambda inner: st.one_of(
+        st.builds(DirectSum, st.tuples(inner, inner)),
+        st.builds(DirectSum, st.tuples(inner, inner, inner)),
+        st.builds(TwistBy, inner, _degrees),
+        st.builds(Dual, inner),
+        st.builds(Det, inner),
+        st.builds(Sym, inner, st.integers(1, 12)),
+    ),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tree=bundle_trees)
+def test_parse_after_format_is_identity_generated(tree):
     assert parse_bundle(format_bundle(tree)) == tree
 
 

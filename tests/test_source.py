@@ -42,6 +42,27 @@ def test_src_imports_only_stdlib_numpy_and_abfib():
     assert found == []
 
 
+def test_no_process_wide_memo_caches_in_src():
+    # a module-level cache outlives the command that filled it; memo tables
+    # belong to one object (e.g. `FiniteGroup.linear_parts`) instead
+    banned = {"lru_cache", "cache"}
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                names = [alias.name for alias in node.names]
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "functools"
+            ):
+                names = [node.attr]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names if name in banned]
+    assert found == []
+
+
 def test_exact_commands_never_import_numpy():
     script = (
         "import sys\n"

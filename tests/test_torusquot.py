@@ -3,7 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from sympy import Matrix, ZZ
+from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
+from abfib.scenario import bundled_scenario_path, load_scenario
 from abfib.torusquot import (
     AffineAuto,
     ClosureError,
@@ -26,7 +29,7 @@ from abfib.torusquot import (
     smith_normal_form,
 )
 
-from oracles import fixed_point_free_brute, graded_character_minors
+from oracles import element_order_by_powers, fixed_point_free_brute, graded_character_minors
 
 F = Fraction
 
@@ -168,6 +171,71 @@ def test_group_trivial_and_involution():
     assert G.element_orders == (1, 2)
 
 
+def bundled_groups():
+    for name in ("d8.scn", "bielliptic.scn", "enriques.scn", "empty.scn"):
+        sc = load_scenario(bundled_scenario_path(name))
+        yield generate_group(sc.generators, model=sc.model, parity_width=len(sc.formal))
+
+
+def random_groups(seed, count):
+    """Seeded groups of one to three random signed-permutation generators on a
+    labelled model, with random shifts and parity bits; capped closures skipped."""
+    rng = random.Random(seed)
+    groups = []
+    while len(groups) < count:
+        n = rng.randint(1, 3)
+        model = TorusModel(tuple(rng.choice(("e", "e", "f")) for _ in range(n)))
+        width = rng.randint(0, 2)
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            perm = list(range(n))
+            for lab in set(model.labels):
+                idx = [i for i in range(n) if model.labels[i] == lab]
+                tgt = idx[:]
+                rng.shuffle(tgt)
+                for i, j in zip(idx, tgt):
+                    perm[i] = j
+            L = [[0] * n for _ in range(n)]
+            for i in range(n):
+                L[i][perm[i]] = rng.choice([-1, 1])
+            denom = rng.choice([1, 2, 3, 4])
+            shifts = [
+                (F(rng.randrange(denom), denom), F(rng.randrange(denom), denom)) for _ in range(n)
+            ]
+            parities = tuple(rng.randint(0, 1) for _ in range(width))
+            gens.append(GroupElement(affine_auto(model, L, shifts), parities))
+        try:
+            groups.append(generate_group(gens))
+        except ClosureError:
+            continue
+    return groups
+
+
+@pytest.fixture(scope="module")
+def oracle_groups():
+    _, g1, g2, g3 = d8_setup()
+    return [generate_group([g1, g2, g3]), *bundled_groups(), *random_groups(31, 24)]
+
+
+def test_element_order_matches_powers(oracle_groups):
+    orders = set()
+    for G in oracle_groups:
+        for e in G.elements:
+            orders.add(G.element_order(e))
+            assert G.element_order(e) == element_order_by_powers(G, e)
+    # odd translation orders, sign flips and parity doubling all occur
+    assert {3, 4, 6} <= orders
+
+
+def test_group_table_certificates_match_fresh_ones(oracle_groups):
+    for G in oracle_groups:
+        for e in G.elements:
+            if not e.auto.is_identity():
+                assert fixed_point_free(e.auto, G.linear_parts) == fixed_point_free(e.auto)
+        # one table entry per distinct linear part
+        assert set(G.linear_parts) <= {e.auto.L for e in G.elements}
+
+
 def test_closure_cap():
     m = TorusModel(("e",))
     shift = affine_auto(m, [[1]], [(F(1, 2048), 0)])
@@ -208,6 +276,32 @@ def test_snf_properties_random():
                 assert b % a == 0
             else:
                 assert b == 0
+
+
+def sympy_diagonal(M):
+    """SNF diagonal by sympy, an independent second implementation."""
+    D = sympy_snf(Matrix(M), domain=ZZ)
+    return [abs(int(D[i, i])) for i in range(min(D.shape))]
+
+
+def test_snf_diagonal_matches_sympy():
+    rng = random.Random(5)  # the matrices of test_snf_properties_random
+    mats = []
+    for _ in range(60):
+        m = rng.randint(1, 5)
+        n = rng.randint(1, 5)
+        mats.append([[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)])
+    # Lhat - I for every signed permutation L with n <= 3
+    for n in range(1, 4):
+        for perm in itertools.permutations(range(n)):
+            for signs in itertools.product((-1, 1), repeat=n):
+                L = [[signs[i] * (perm[i] == j) for j in range(n)] for i in range(n)]
+                Lhat = affine_auto(TorusModel(("e",) * n), L, [(0, 0)] * n).Lhat
+                mats.append([[x - (i == j) for j, x in enumerate(r)] for i, r in enumerate(Lhat)])
+    assert len(mats) == 60 + 2 + 8 + 48
+    for M in mats:
+        _, D, _ = smith_normal_form(M)
+        assert [D[i][i] for i in range(min(len(D), len(D[0])))] == sympy_diagonal(M)
 
 
 # ---------------------------------------------------------------------------
