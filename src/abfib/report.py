@@ -234,7 +234,17 @@ def build_torus(path, seed: int = 0) -> Report:
         )
     ]
     if sc.model.n > 0:
-        records.append(_derived(f"torus/{name}/free", "snf-fixed-point", res.free, {"free": res.free}))
+        payload = {"free": res.free}
+        if res.fixed is not None:
+            e, cert = res.fixed
+            payload["element"] = {
+                "linear_part": [list(row) for row in e.auto.L],
+                "shifts": [[str(a), str(b)] for a, b in e.auto.shifts],
+            }
+            payload["snf_diag"] = list(cert.diag)
+            z = [str(x) for x in cert.witness]
+            payload["fixed_point"] = [z[i : i + 2] for i in range(0, len(z), 2)]
+        records.append(_derived(f"torus/{name}/free", "snf-fixed-point", res.free, payload))
     if res.delegated:
         records.append(
             Record(

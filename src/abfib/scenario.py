@@ -29,6 +29,7 @@ from pathlib import Path
 
 from .torusquot import (
     FormalFactor,
+    FreeCertificate,
     GroupElement,
     HodgeData,
     NonTrivialCanonical,
@@ -36,6 +37,7 @@ from .torusquot import (
     action_free,
     affine_auto,
     delegated_elements,
+    first_fixed,
     generate_group,
     invariant_form_dims,
     quotient_hodge,
@@ -80,6 +82,7 @@ class ScenarioResult:
     abelian: bool
     max_order: int
     free: bool
+    fixed: tuple[GroupElement, FreeCertificate] | None  # first_fixed when not free
     delegated: int
     dimension: int
     forms: tuple[int, ...]
@@ -96,6 +99,13 @@ _Z_HEAD = re.compile(r"^(-?)z(\d+)")
 _RATIONAL = re.compile(r"^(\d+)(?:/(\d+))?$")
 _TAU = re.compile(r"^t(\d+)(?:/(\d+))?$")
 _RATIONAL_TAU = re.compile(r"^(\d+)(?:/(\d+))?\*t(\d+)$")
+
+
+def _ratio(num, den: str | None, term: str, coord: int, line: int) -> Fraction:
+    """num/den from a shift term; den None means 1, a zero den is an input error."""
+    if den is not None and int(den) == 0:
+        raise ScenarioError(line, f"field {coord + 1}: zero denominator in shift term {term!r}")
+    return Fraction(int(num), int(den or 1))
 
 
 def _parse_coord_field(field: str, coord: int, n: int, line: int):
@@ -124,21 +134,21 @@ def _parse_coord_field(field: str, coord: int, n: int, line: int):
         pos = nxt
         factor = -1 if tsign == "-" else 1
         if (m2 := _RATIONAL.match(term)) is not None:
-            re_shift += factor * Fraction(int(m2.group(1)), int(m2.group(2) or 1))
+            re_shift += factor * _ratio(m2.group(1), m2.group(2), term, coord, line)
         elif (m2 := _TAU.match(term)) is not None:
             idx = int(m2.group(1))
             if idx != coord + 1:
                 raise ScenarioError(
                     line, f"field {coord + 1}: period symbol t{idx} belongs to coordinate {idx}"
                 )
-            tau_shift += factor * Fraction(1, int(m2.group(2) or 1))
+            tau_shift += factor * _ratio(1, m2.group(2), term, coord, line)
         elif (m2 := _RATIONAL_TAU.match(term)) is not None:
             idx = int(m2.group(3))
             if idx != coord + 1:
                 raise ScenarioError(
                     line, f"field {coord + 1}: period symbol t{idx} belongs to coordinate {idx}"
                 )
-            tau_shift += factor * Fraction(int(m2.group(1)), int(m2.group(2) or 1))
+            tau_shift += factor * _ratio(m2.group(1), m2.group(2), term, coord, line)
         else:
             raise ScenarioError(line, f"field {coord + 1}: cannot parse shift term {term!r}")
     return sign, src - 1, re_shift, tau_shift
@@ -298,11 +308,12 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
             hodge = quotient_hodge(sc.formal, group)
         except NonTrivialCanonical as e:
             canonical_failure = e.h40
+    free = action_free(group)
     computed = {
         "order": group.order,
         "abelian": group.is_abelian,
         "max-order": group.max_element_order,
-        "free": action_free(group),
+        "free": free,
         "forms": forms,
         "hodge": hodge.h_q if hodge else None,
     }
@@ -315,7 +326,8 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
         order=group.order,
         abelian=computed["abelian"],
         max_order=computed["max-order"],
-        free=computed["free"],
+        free=free,
+        fixed=None if free else first_fixed(group),
         delegated=len(delegated_elements(group)),
         dimension=dimension,
         forms=forms,

@@ -7,6 +7,8 @@ labels agree, and translations are exact rational combinations of 1 and the
 factor's own period.  Every linear part is a signed permutation, which keeps
 the induced lattice map integral no matter what the periods are.
 
+Group closure runs on integers over D, the lcm of the generators'
+translation denominators: signed permutations keep (1/D)Z mod 1 stable.
 Fixed-point analysis is exact: (L - I) z = -t over the torus is solved by
 Smith normal form; the tests back it with an independent exhaustive search
 over a torsion grid (solutions, when they exist, have denominator dividing
@@ -23,9 +25,11 @@ but a sign s on its top holomorphic form.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 
 CLOSURE_CAP = 1024
 
@@ -53,8 +57,10 @@ class TorusModel:
         return len(self.labels)
 
 
-def _mod1(x: Fraction) -> Fraction:
-    return x - (x.numerator // x.denominator)
+def _numerators(v) -> tuple[list[int], int]:
+    """(D v, D) for rationals v, D the lcm of their denominators."""
+    D = lcm(1, *(x.denominator for x in v))
+    return [x.numerator * (D // x.denominator) for x in v], D
 
 
 @dataclass(frozen=True)
@@ -71,13 +77,13 @@ class AffineAuto:
     that: tuple[Fraction, ...]
 
     def __post_init__(self):
-        n = self.model.n
-        if len(self.L) != n or any(len(r) != n for r in self.L):
+        n, L = self.model.n, self.L
+        if len(L) != n or any(len(r) != n for r in L):
             raise ValueError("linear part has wrong shape")
-        for i in range(n):
-            row = [j for j in range(n) if self.L[i][j]]
-            col = [j for j in range(n) if self.L[j][i]]
-            if len(row) != 1 or len(col) != 1 or self.L[i][row[0]] not in (-1, 1):
+        rows = [[j for j, x in enumerate(r) if x] for r in L]
+        cols = [j for row in rows for j in row]  # column i is hit cols.count(i) times
+        for i, row in enumerate(rows):
+            if len(row) != 1 or cols.count(i) != 1 or L[i][row[0]] not in (-1, 1):
                 raise ValueError("linear part is not a signed permutation")
             j = row[0]
             if self.model.labels[i] != self.model.labels[j]:
@@ -87,7 +93,7 @@ class AffineAuto:
         if len(self.that) != 2 * n:
             raise ValueError("translation has wrong shape")
         for x in self.that:
-            if not (0 <= x < 1):
+            if not 0 <= x.numerator < x.denominator:
                 raise ValueError("translation not reduced to [0,1)")
 
     @property
@@ -100,21 +106,14 @@ class AffineAuto:
         return tuple((self.that[2 * i], self.that[2 * i + 1]) for i in range(self.model.n))
 
     def is_identity(self) -> bool:
-        n = self.model.n
-        return all(self.L[i][j] == (i == j) for i in range(n) for j in range(n)) and not any(
-            self.that
-        )
+        # a signed permutation with all diagonal entries 1 is I
+        return not any(self.that) and all(row[i] == 1 for i, row in enumerate(self.L))
 
 
 def _lhat(L) -> tuple[tuple[int, ...], ...]:
     """Induced 2n x 2n lattice map: each L entry becomes a scalar 2-block."""
-    n = len(L)
-    out = [[0] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        for j in range(n):
-            out[2 * i][2 * j] = L[i][j]
-            out[2 * i + 1][2 * j + 1] = L[i][j]
-    return tuple(tuple(r) for r in out)
+    m = range(2 * len(L))
+    return tuple(tuple(L[i // 2][j // 2] if i % 2 == j % 2 else 0 for j in m) for i in m)
 
 
 def _entry(row) -> tuple[int, int]:
@@ -143,35 +142,19 @@ def affine_auto(model: TorusModel, L, shifts) -> AffineAuto:
     """Build an automorphism from per-coordinate (real, period) shifts."""
     that = []
     for re, tau in shifts:
-        that.append(_mod1(Fraction(re)))
-        that.append(_mod1(Fraction(tau)))
+        that.append(Fraction(re) % 1)
+        that.append(Fraction(tau) % 1)
     return AffineAuto(model, tuple(tuple(int(x) for x in row) for row in L), tuple(that))
 
 
 def identity_auto(model: TorusModel) -> AffineAuto:
-    n = model.n
-    L = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    return AffineAuto(model, L, (Fraction(0),) * (2 * n))
+    n = range(model.n)
+    return affine_auto(model, [[int(i == j) for j in n] for i in n], [(0, 0) for _ in n])
 
 
 def compose(f: AffineAuto, g: AffineAuto) -> AffineAuto:
     """f after g: z -> L_f L_g z + L_f t_g + t_f, translation reduced mod 1."""
-    if f.model != g.model:
-        raise ValueError("automorphisms live on different models")
-    n = f.model.n
-    L, that = [], []
-    for i in range(n):
-        j, sign = _entry(f.L[i])  # (L_f z)_i = sign * z_j
-        k, sign_g = _entry(g.L[j])
-        row = [0] * n
-        row[k] = sign * sign_g
-        L.append(tuple(row))
-        for x, y in zip(f.that[2 * i : 2 * i + 2], g.that[2 * j : 2 * j + 2]):
-            # (x + sign * y) mod 1 with a single Fraction normalisation
-            d = x.denominator * y.denominator
-            num = x.numerator * y.denominator + sign * y.numerator * x.denominator
-            that.append(Fraction(num % d, d))
-    return AffineAuto(f.model, tuple(L), tuple(that))
+    return compose_elements(GroupElement(f), GroupElement(g)).auto
 
 
 @dataclass(frozen=True)
@@ -192,9 +175,47 @@ class GroupElement:
 def compose_elements(f: GroupElement, g: GroupElement) -> GroupElement:
     if len(f.parities) != len(g.parities):
         raise ValueError("elements carry different formal-factor counts")
-    return GroupElement(
-        compose(f.auto, g.auto), tuple(a ^ b for a, b in zip(f.parities, g.parities))
+    if f.auto.model != g.auto.model:
+        raise ValueError("automorphisms live on different models")
+    (fc, gc), D = _encode((f, g))
+    return _decode(f.auto.model, _compose_codes(fc, gc, D), D, {})
+
+
+def _encode(elements) -> tuple[list, int]:
+    """(codes, D), D the lcm of the translation denominators; a code (perm, signs, t, parities)
+    has row k of Lhat = signs[k] at column perm[k], and t = D * that."""
+    D = lcm(1, *(x.denominator for e in elements for x in e.auto.that))
+    codes = []
+    for e in elements:
+        rows = [_entry(row) for row in _lhat(e.auto.L)]
+        t = tuple(x.numerator * (D // x.denominator) for x in e.auto.that)
+        codes.append((tuple(j for j, _ in rows), tuple(s for _, s in rows), t, e.parities))
+    return codes, D
+
+
+def _compose_codes(f, g, D: int):
+    """f after g on codes over D: Lhat_f Lhat_g and t_f + Lhat_f t_g mod D."""
+    fp, fs, ft, fpar = f
+    gp, gs, gt, gpar = g
+    return (
+        tuple([gp[j] for j in fp]),
+        tuple([s * gs[j] for j, s in zip(fp, fs)]),
+        tuple([(x + s * gt[j]) % D for x, j, s in zip(ft, fp, fs)]),
+        tuple([a ^ b for a, b in zip(fpar, gpar)]),
     )
+
+
+def _decode(model: TorusModel, code, D: int, memo: dict) -> GroupElement:
+    """The element of a code over D; `memo` shares each L and each k/D."""
+    perm, signs, t, parities = code
+    L = memo.get((perm, signs))
+    if L is None:
+        n = range(model.n)
+        L = memo[perm, signs] = tuple(
+            tuple(signs[2 * i] if 2 * j == perm[2 * i] else 0 for j in n) for i in n
+        )
+    that = tuple(memo[k] if k in memo else memo.setdefault(k, Fraction(k, D)) for k in t)
+    return GroupElement(AffineAuto(model, L, that), parities)
 
 
 class FiniteGroup:
@@ -224,21 +245,18 @@ class FiniteGroup:
 
     @property
     def is_abelian(self) -> bool:
-        gens = self.generators or self.elements
-        for a in gens:
-            for b in gens:
-                if self._key(compose_elements(a, b)) != self._key(compose_elements(b, a)):
-                    return False
-        return True
+        codes, D = _encode(self.generators or self.elements)
+        return all(
+            _compose_codes(a, b, D) == _compose_codes(b, a, D) for a in codes for b in codes
+        )
 
     def element_order(self, e: GroupElement) -> int:
-        """m * ord(S t mod 1), doubled when a parity is set and that is odd.
-
-        e^k has linear part L^k, translation sum_{j<k} Lhat^j t and parities
-        k * p mod 2; L^k = I needs m | k, and e^{m j} translates by j S t.
-        """
+        """m * D / gcd(D, S D t) for t over D, doubled when a parity is set and
+        that is odd: e^k has linear part L^k, translation sum_{j<k} Lhat^j t,
+        parities k p mod 2; L^k = I needs m | k; e^{m j} translates by j S t."""
         lp = linear_part(e.auto.L, self.linear_parts)
-        k = lp.order * lcm(1, *(x.denominator for x in _mat_vec(lp.S, e.auto.that)))
+        t, D = _numerators(e.auto.that)
+        k = lp.order * (D // gcd(D, *_mat_vec(lp.S, t)))
         if k % 2 and any(e.parities):
             k *= 2
         if k > self.order:
@@ -257,7 +275,8 @@ class FiniteGroup:
 def generate_group(
     gens, model: TorusModel | None = None, parity_width: int | None = None
 ) -> FiniteGroup:
-    """BFS closure under composition mod lattice; capped at CLOSURE_CAP."""
+    """BFS closure under composition mod lattice, capped at CLOSURE_CAP, on
+    codes over the generators' common denominator; built and validated last."""
     gens = [g if isinstance(g, GroupElement) else GroupElement(g) for g in gens]
     if model is None:
         if not gens:
@@ -265,30 +284,27 @@ def generate_group(
         model = gens[0].auto.model
     if parity_width is None:
         parity_width = len(gens[0].parities) if gens else 0
-    width = parity_width
     for g in gens:
         if g.auto.model != model:
             raise ValueError("generators live on different models")
-        if len(g.parities) != width:
+        if len(g.parities) != parity_width:
             raise ValueError("generators carry different formal-factor counts")
-    ident = GroupElement(identity_auto(model), (0,) * width)
-    elements = [ident]
-    seen = {FiniteGroup._key(ident)}
-    frontier = [ident]
+    unit = GroupElement(identity_auto(model), (0,) * parity_width)
+    (ident, *codes), D = _encode([unit, *gens])
+    seen, frontier = {ident: None}, [ident]  # a dict keeps the BFS order
     while frontier:
         nxt = []
         for e in frontier:
-            for g in gens:
-                h = compose_elements(g, e)
-                k = FiniteGroup._key(h)
-                if k not in seen:
-                    seen.add(k)
-                    elements.append(h)
+            for g in codes:
+                h = _compose_codes(g, e, D)
+                if h not in seen:
+                    seen[h] = None
                     nxt.append(h)
-                    if len(elements) > CLOSURE_CAP:
+                    if len(seen) > CLOSURE_CAP:
                         raise ClosureError(f"group closure exceeded CLOSURE_CAP = {CLOSURE_CAP} elements")
         frontier = nxt
-    return FiniteGroup(model, elements, gens)
+    memo: dict = {}
+    return FiniteGroup(model, [_decode(model, c, D, memo) for c in seen], gens)
 
 
 # ---------------------------------------------------------------------------
@@ -310,10 +326,8 @@ def smith_normal_form(mat):
         A[i] = [a - q * b for a, b in zip(A[i], A[j])]
         U[i] = [a - q * b for a, b in zip(U[i], U[j])]
 
-    def col_sub(i, j, q):  # col_i -= q * col_j
-        for r in A:
-            r[i] -= q * r[j]
-        for r in V:
+    def col_sub(i, j, q):  # col_i -= q * col_j, in A and V alike
+        for r in A + V:
             r[i] -= q * r[j]
 
     def row_swap(i, j):
@@ -321,22 +335,17 @@ def smith_normal_form(mat):
         U[i], U[j] = U[j], U[i]
 
     def col_swap(i, j):
-        for r in A:
-            r[i], r[j] = r[j], r[i]
-        for r in V:
+        for r in A + V:
             r[i], r[j] = r[j], r[i]
 
-    t = 0
-    while t < min(m, n):
-        pivot = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if A[i][j] and (pivot is None or abs(A[i][j]) < abs(A[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
+    for t in range(min(m, n)):
+        # pivot: the first entry of least nonzero absolute value in row-major order
+        nonzero = [(abs(A[i][j]), i, j) for i in range(t, m) for j in range(t, n) if A[i][j]]
+        if not nonzero:
             break
-        row_swap(t, pivot[0])
-        col_swap(t, pivot[1])
+        _, pi, pj = min(nonzero)
+        row_swap(t, pi)
+        col_swap(t, pj)
         while True:
             for i in range(t + 1, m):
                 while A[i][t]:
@@ -353,19 +362,10 @@ def smith_normal_form(mat):
             if any(A[i][t] for i in range(t + 1, m)):
                 continue
             # enforce divisibility: pivot must divide the remaining block
-            bad = next(
-                (
-                    (i, j)
-                    for i in range(t + 1, m)
-                    for j in range(t + 1, n)
-                    if A[i][j] % A[t][t]
-                ),
-                None,
-            )
-            if bad is None:
+            bad = [i for i in range(t + 1, m) for j in range(t + 1, n) if A[i][j] % A[t][t]]
+            if not bad:
                 break
             row_sub(t, bad[0], -1)
-        t += 1
     for i in range(min(m, n)):
         if A[i][i] < 0:
             A[i] = [-x for x in A[i]]
@@ -431,37 +431,34 @@ def linear_part(L, table: dict) -> LinearPart:
     return lp
 
 
-def _mat_vec(M, v) -> list[Fraction]:
-    """M v for an integer matrix M, over the common denominator of v."""
-    d = lcm(1, *(x.denominator for x in v))
-    w = [x.numerator * (d // x.denominator) for x in v]
-    return [Fraction(sum(a * b for a, b in zip(row, w)), d) for row in M]
+def _mat_vec(M, v) -> list[int]:
+    """M v for an integer matrix M and an integer vector v."""
+    return [sum(map(mul, row, v)) for row in M]
 
 
 def fixed_point_free(f: AffineAuto, table: dict | None = None) -> FreeCertificate:
     """Exact fixed-point test for (Lhat - I) z = -that on the torus.
 
     `table` (a group's `linear_parts`) shares the SNF of Lhat - I between
-    elements with the same linear part.
+    elements with the same linear part.  Integers over D, the denominator of
+    t, and E = D * lcm(nonzero diag); Fractions only for the certificate.
     """
     if f.is_identity():
         raise ValueError("identity fixes everything; test non-identity elements")
-    m = 2 * f.model.n
     lp = linear_part(f.L, {} if table is None else table)
-    M, diag = lp.M, lp.diag
-    c = [-x for x in f.that]
-    Uc = _mat_vec(lp.U, c)
-    zero_rows = [i for i in range(m) if diag[i] == 0]
-    residues = tuple(Uc[i] for i in zero_rows)
-    obstructed = tuple(i for i in zero_rows if Uc[i].denominator != 1)
+    diag, (t, D) = lp.diag, _numerators(f.that)
+    Uc = _mat_vec(lp.U, [-x for x in t])  # U (-t), over D
+    zero_rows = [i for i, d in enumerate(diag) if d == 0]
+    residues = tuple(Fraction(Uc[i], D) for i in zero_rows)
+    obstructed = tuple(i for i in zero_rows if Uc[i] % D)
     if obstructed:
         return FreeCertificate(True, diag, residues, obstructed, None)
-    w = [Uc[i] / diag[i] if diag[i] else Fraction(0) for i in range(m)]
-    z = [_mod1(x) for x in _mat_vec(lp.V, w)]
-    check = _mat_vec(M, z)
-    if any((check[i] - c[i]).denominator != 1 for i in range(m)):
-        raise AssertionError(f"SNF solution {z} does not solve (Lhat - I) z = -t")
-    return FreeCertificate(False, diag, residues, (), tuple(z))
+    E = D * lcm(1, *(d for d in diag if d))
+    w = [x * (E // (D * d)) if d else 0 for x, d in zip(Uc, diag)]
+    z = [x % E for x in _mat_vec(lp.V, w)]
+    if any((x + y * (E // D)) % E for x, y in zip(_mat_vec(lp.M, z), t)):
+        raise AssertionError(f"SNF solution {z} / {E} does not solve (Lhat - I) z = -t")
+    return FreeCertificate(False, diag, residues, (), tuple(Fraction(x, E) for x in z))
 
 
 def delegated_elements(G: FiniteGroup) -> tuple[GroupElement, ...]:
@@ -478,19 +475,19 @@ def delegated_elements(G: FiniteGroup) -> tuple[GroupElement, ...]:
     )
 
 
-def action_free(G: FiniteGroup) -> bool:
-    """TRUE iff every non-identity element fixing the formal factors is
-    fixed-point free on the torus block.
+def first_fixed(G: FiniteGroup) -> tuple[GroupElement, FreeCertificate] | None:
+    """The first non-identity element fixing the formal factors that has a
+    fixed point on the torus block, with its certificate; None if none has."""
+    counted = (e for e in G.elements if not e.is_identity() and not any(e.parities))
+    certs = ((e, fixed_point_free(e.auto, G.linear_parts)) for e in counted)
+    return next(((e, cert) for e, cert in certs if not cert.free), None)
 
+
+def action_free(G: FiniteGroup) -> bool:
+    """TRUE iff no element that first_fixed examines has a torus fixed point.
     An element that moves a formal factor is free when its torus part is;
-    otherwise it is listed by delegated_elements, reported separately and
-    not counted against freeness.
-    """
-    return all(
-        fixed_point_free(e.auto, G.linear_parts).free
-        for e in G.elements
-        if not e.is_identity() and not any(e.parities)
-    )
+    otherwise delegated_elements lists it, and it is not counted here."""
+    return first_fixed(G) is None
 
 
 # ---------------------------------------------------------------------------
@@ -518,8 +515,11 @@ def graded_character(L) -> list[int]:
 
 
 def _average(G: FiniteGroup, character) -> tuple[int, ...]:
-    """Invariant dimension per degree: the group average of `character(e)`."""
-    totals = [sum(col) for col in zip(*(character(e) for e in G.elements))]
+    """Invariant dimension per degree: the group average of `character(L,
+    parities)`, taken once per distinct (L, parities), weighted by its count."""
+    counts = Counter((e.auto.L, e.parities) for e in G.elements)
+    chars = [[n * x for x in character(*key)] for key, n in counts.items()]
+    totals = [sum(col) for col in zip(*chars)]
     for p, total in enumerate(totals):
         if total % G.order:
             raise AssertionError(
@@ -530,7 +530,7 @@ def _average(G: FiniteGroup, character) -> tuple[int, ...]:
 
 def invariant_form_dims(G: FiniteGroup) -> tuple[int, ...]:
     """dim of the G-invariant holomorphic p-forms on the torus, p = 0..n."""
-    return _average(G, lambda e: graded_character(e.auto.L))
+    return _average(G, lambda L, parities: graded_character(L))
 
 
 @dataclass(frozen=True)
@@ -571,9 +571,9 @@ def quotient_hodge(formal, G: FiniteGroup) -> HodgeData:
     if any(len(e.parities) != len(formal) for e in G.elements):
         raise ValueError("group parities do not match the formal factor count")
 
-    def character(e: GroupElement):
-        char = graded_character(e.auto.L)
-        for f, parity in zip(formal, e.parities):
+    def character(L, parities):
+        char = graded_character(L)
+        for f, parity in zip(formal, parities):
             char = _poly_mult(char, [1] + [0] * (f.dim - 1) + [f.sign**parity])
         return char
 

@@ -5,8 +5,56 @@ from math import lcm
 
 import numpy as np
 
-from abfib.torusquot import compose_elements
+from abfib.torusquot import (
+    CLOSURE_CAP,
+    AffineAuto,
+    ClosureError,
+    FiniteGroup,
+    GroupElement,
+    identity_auto,
+)
 from abfib.weierstrass import poly
+
+
+def compose_by_fractions(f: GroupElement, g: GroupElement) -> GroupElement:
+    """f after g on Fraction translations, row by row: the reference for the
+    integer-coded composition in `torusquot`."""
+    if len(f.parities) != len(g.parities):
+        raise ValueError("elements carry different formal-factor counts")
+    if f.auto.model != g.auto.model:
+        raise ValueError("automorphisms live on different models")
+    n = f.auto.model.n
+    L, that = [], []
+    for i in range(n):
+        j = next(c for c in range(n) if f.auto.L[i][c])  # (L_f z)_i = sign * z_j
+        sign = f.auto.L[i][j]
+        L.append(tuple(sign * x for x in g.auto.L[j]))
+        for x, y in zip(f.auto.that[2 * i : 2 * i + 2], g.auto.that[2 * j : 2 * j + 2]):
+            that.append((x + sign * y) % 1)
+    parities = tuple(a ^ b for a, b in zip(f.parities, g.parities))
+    return GroupElement(AffineAuto(f.auto.model, tuple(L), tuple(that)), parities)
+
+
+def generate_group_by_compose(gens, model, parity_width) -> tuple[GroupElement, ...]:
+    """BFS closure composing Fraction-valued elements and hashing their
+    `FiniteGroup._key`: the reference for `torusquot.generate_group`."""
+    ident = GroupElement(identity_auto(model), (0,) * parity_width)
+    elements = [ident]
+    seen = {FiniteGroup._key(ident)}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for e in frontier:
+            for g in gens:
+                h = compose_by_fractions(g, e)
+                if FiniteGroup._key(h) not in seen:
+                    seen.add(FiniteGroup._key(h))
+                    elements.append(h)
+                    nxt.append(h)
+                    if len(elements) > CLOSURE_CAP:
+                        raise ClosureError(f"closure exceeded {CLOSURE_CAP} elements")
+        frontier = nxt
+    return tuple(elements)
 
 
 def fixed_point_free_brute(f) -> bool:
@@ -38,7 +86,7 @@ def element_order_by_powers(G, e) -> int:
     for the closed form in `FiniteGroup.element_order`."""
     k, acc = 1, e
     while not acc.is_identity():
-        acc = compose_elements(acc, e)
+        acc = compose_by_fractions(acc, e)
         k += 1
         if k > G.order:
             raise AssertionError("element order exceeds group order")

@@ -105,6 +105,33 @@ def test_torus_malformed_exits_2_with_line(tmp_path, capsys):
     assert "line 4" in err
 
 
+@pytest.mark.parametrize("field", ["z1+1/0", "z1+t1/0", "z1+1/0*t1"])
+def test_torus_zero_shift_denominator_exits_2(tmp_path, capsys, field):
+    f = tmp_path / "zero.scn"
+    f.write_text(f"version 1\nname zero\nfactor torus e1\ngenerator {field}\n")
+    code, out, err = run(["torus", str(f)], capsys)
+    assert code == 2 and not out
+    term = field[3:]
+    assert err == f"abfib: scenario error: line 4: field 1: zero denominator in shift term {term!r}\n"
+
+
+def test_torus_not_free_record_carries_witness(tmp_path, capsys):
+    # -z1 fixes the 2-torsion points; the record names the element, the SNF
+    # diagonal of Lhat - I = -2 I and the fixed point 0
+    f = tmp_path / "neg.scn"
+    f.write_text("version 1\nname neg\nfactor torus e1\ngenerator -z1\n")
+    code, out, _ = run(["torus", str(f), "--format", "json"], capsys)
+    assert code == 1
+    record = {r["check"]: r for r in json.loads(out)["records"]}["torus/neg/free"]
+    assert record["status"] == "DERIVED-FAIL"
+    assert record["payload"] == {
+        "free": False,
+        "element": {"linear_part": [[-1]], "shifts": [["0", "0"]]},
+        "snf_diag": [2, 2],
+        "fixed_point": [["0", "0"]],
+    }
+
+
 def test_weierstrass_rejects_bad_primes(capsys):
     for p in ("2", "3", "263", "91"):
         code, _, err = run(["weierstrass", "--p", p, "--trials", "1"], capsys)

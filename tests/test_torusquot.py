@@ -29,7 +29,12 @@ from abfib.torusquot import (
     smith_normal_form,
 )
 
-from oracles import element_order_by_powers, fixed_point_free_brute, graded_character_minors
+from oracles import (
+    element_order_by_powers,
+    fixed_point_free_brute,
+    generate_group_by_compose,
+    graded_character_minors,
+)
 
 F = Fraction
 
@@ -236,11 +241,21 @@ def test_group_table_certificates_match_fresh_ones(oracle_groups):
         assert set(G.linear_parts) <= {e.auto.L for e in G.elements}
 
 
+def test_closure_matches_fraction_oracle(oracle_groups):
+    # same elements in the same BFS order as composing Fractions
+    for G in oracle_groups:
+        ref = generate_group_by_compose(G.generators, G.model, len(G.identity.parities))
+        assert [FiniteGroup._key(e) for e in G.elements] == [FiniteGroup._key(e) for e in ref]
+        assert G.elements == ref
+
+
 def test_closure_cap():
     m = TorusModel(("e",))
     shift = affine_auto(m, [[1]], [(F(1, 2048), 0)])
     with pytest.raises(ClosureError):
         generate_group([shift])
+    with pytest.raises(ClosureError):
+        generate_group_by_compose([GroupElement(shift)], m, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +419,19 @@ def test_snf_agrees_with_brute_force_sample():
             continue
         assert fixed_point_free(auto).free == fixed_point_free_brute(auto)
         checked += 1
+
+
+def test_group_certificates_match_brute_force():
+    # every non-identity torus part of seeded random groups (shift
+    # denominators 1-4), against the grid search rather than a second SNF
+    outcomes = []
+    for G in random_groups(47, 12):
+        for e in G.elements:
+            if not e.auto.is_identity():
+                free = fixed_point_free(e.auto, G.linear_parts).free
+                assert free == fixed_point_free_brute(e.auto), e
+                outcomes.append(free)
+    assert True in outcomes and False in outcomes
 
 
 def test_brute_force_matches_grid_oracle_on_curves():
