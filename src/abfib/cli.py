@@ -24,8 +24,9 @@ from . import report as rpt
 from .classifier import CLASSES_BY_ID, DEFAULT_C1_WINDOW
 from .scenario import ScenarioError
 
-# input budgets: `report all` samples 20 families per run; `classify` work
-# grows quadratically with the window width HI - LO
+# input budgets: `report all` samples 20 families per run; MAX_WINDOW_WIDTH
+# caps the width HI - LO of an input window (the split enumeration stops at
+# b_min whatever the width)
 MAX_TRIALS = 100
 MAX_WINDOW_WIDTH = 1000
 

@@ -231,10 +231,6 @@ class FiniteGroup:
         self.generators = tuple(generators)
         self.linear_parts: dict[tuple, LinearPart] = {}
 
-    @staticmethod
-    def _key(e: GroupElement):
-        return (e.auto.L, e.auto.that, e.parities)
-
     @property
     def order(self) -> int:
         return len(self.elements)

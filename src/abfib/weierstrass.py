@@ -311,6 +311,22 @@ def _eval_plane(f: HomogPoly, tab: np.ndarray, p: int) -> np.ndarray:
     return np.concatenate(([coeffs[0, d]], line, chart.ravel()))
 
 
+def _eval_at(f: HomogPoly, tab: np.ndarray, p: int, idx: np.ndarray) -> np.ndarray:
+    """Values of f at the points with sorted lex indices idx, as _eval_plane
+    gives them: (0,0,1) is C[0,d], a line point (0,1,t) is V[t] applied to
+    the anti-diagonal of C, a chart point (1,s,t) is ((V[s] C) mod p) . V[t].
+    Every entry is reduced mod p before the next product, so no int64 value
+    exceeds (d+1)*p^2, the bound of _eval_plane.
+    """
+    d, coeffs = f.degree, f.coeffs
+    v = tab[:, : d + 1]
+    n0, n1 = np.searchsorted(idx, (1, p + 1))
+    s, t = np.divmod(idx[n1:] - (p + 1), p)
+    line = v[idx[n0:n1] - 1] @ coeffs[::-1].diagonal() % p
+    chart = ((v[s] @ coeffs) % p * v[t]).sum(axis=1) % p
+    return np.concatenate((np.full(n0, coeffs[0, d]), line, chart))
+
+
 def _plane_point(index: int, p: int) -> tuple[int, int, int]:
     """The normalized point at position index of the lex order above."""
     if index == 0:
@@ -350,33 +366,48 @@ class ScanResult:
         return self.ok
 
 
-def _scan_result(bad: np.ndarray, p: int) -> ScanResult:
-    if bad.any():
-        return ScanResult(False, _plane_point(int(np.argmax(bad)), p), len(bad))
-    return ScanResult(True, None, len(bad))
+def _scan_result(bad: np.ndarray, points: int, p: int) -> ScanResult:
+    """bad holds the sorted lex indices of the failing points."""
+    if bad.size:
+        return ScanResult(False, _plane_point(int(bad[0]), p), points)
+    return ScanResult(True, None, points)
 
 
 def is_smooth_curve(f: HomogPoly) -> ScanResult:
-    """TRUE iff no F_p-point annihilates f and all three partials."""
+    """TRUE iff no F_p-point annihilates f and all three partials.
+
+    f is evaluated on the whole plane, each partial only at the points where
+    f and the partials before it vanish.
+    """
     p = _check_scan_args(f)
     tab = _pow_table(p, f.degree)
-    mask = _eval_plane(f, tab, p) == 0
+    values = _eval_plane(f, tab, p)
+    bad = np.flatnonzero(values == 0)
     for var in range(3):
-        mask &= _eval_plane(derivative(f, var), tab, p) == 0
-    return _scan_result(mask, p)
+        if not bad.size:
+            break
+        bad = bad[_eval_at(derivative(f, var), tab, p, bad) == 0]
+    return _scan_result(bad, len(values), p)
 
 
 def transversal_intersection(f: HomogPoly, g: HomogPoly) -> ScanResult:
-    """TRUE iff the gradients are independent at every common F_p-zero."""
+    """TRUE iff the gradients are independent at every common F_p-zero.
+
+    f and g are evaluated on the whole plane, the six partials only at
+    their common zeros.
+    """
     p = _check_scan_args(f, g)
     tab = _pow_table(p, max(f.degree, g.degree))
-    common = (_eval_plane(f, tab, p) == 0) & (_eval_plane(g, tab, p) == 0)
-    df = [_eval_plane(derivative(f, v), tab, p) for v in range(3)]
-    dg = [_eval_plane(derivative(g, v), tab, p) for v in range(3)]
-    dependent = np.ones(len(common), dtype=bool)
-    for u, v in ((0, 1), (0, 2), (1, 2)):
-        dependent &= (df[u] * dg[v] - df[v] * dg[u]) % p == 0
-    return _scan_result(common & dependent, p)
+    fv, gv = _eval_plane(f, tab, p), _eval_plane(g, tab, p)
+    bad = np.flatnonzero((fv == 0) & (gv == 0))
+    if bad.size:
+        df = [_eval_at(derivative(f, v), tab, p, bad) for v in range(3)]
+        dg = [_eval_at(derivative(g, v), tab, p, bad) for v in range(3)]
+        dependent = np.ones(bad.size, dtype=bool)
+        for u, v in ((0, 1), (0, 2), (1, 2)):
+            dependent &= (df[u] * dg[v] - df[v] * dg[u]) % p == 0
+        bad = bad[dependent]
+    return _scan_result(bad, len(fv), p)
 
 
 # ---------------------------------------------------------------------------

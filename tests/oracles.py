@@ -9,11 +9,24 @@ from abfib.torusquot import (
     CLOSURE_CAP,
     AffineAuto,
     ClosureError,
-    FiniteGroup,
     GroupElement,
     identity_auto,
 )
-from abfib.weierstrass import poly
+from abfib.weierstrass import (
+    ScanResult,
+    _check_scan_args,
+    _eval_plane,
+    _plane_point,
+    _pow_table,
+    derivative,
+    poly,
+)
+
+
+def element_key(e: GroupElement):
+    """A hashable identity of e: its linear part, Fraction translation and
+    parities."""
+    return (e.auto.L, e.auto.that, e.parities)
 
 
 def compose_by_fractions(f: GroupElement, g: GroupElement) -> GroupElement:
@@ -37,18 +50,18 @@ def compose_by_fractions(f: GroupElement, g: GroupElement) -> GroupElement:
 
 def generate_group_by_compose(gens, model, parity_width) -> tuple[GroupElement, ...]:
     """BFS closure composing Fraction-valued elements and hashing their
-    `FiniteGroup._key`: the reference for `torusquot.generate_group`."""
+    `element_key`: the reference for `torusquot.generate_group`."""
     ident = GroupElement(identity_auto(model), (0,) * parity_width)
     elements = [ident]
-    seen = {FiniteGroup._key(ident)}
+    seen = {element_key(ident)}
     frontier = [ident]
     while frontier:
         nxt = []
         for e in frontier:
             for g in gens:
                 h = compose_by_fractions(g, e)
-                if FiniteGroup._key(h) not in seen:
-                    seen.add(FiniteGroup._key(h))
+                if element_key(h) not in seen:
+                    seen.add(element_key(h))
                     elements.append(h)
                     nxt.append(h)
                     if len(elements) > CLOSURE_CAP:
@@ -155,3 +168,35 @@ def derivative_dict(f, var):
             lowered = tuple(x - (v == var) for v, x in enumerate(e))
             acc[lowered] = acc.get(lowered, 0) + c * e[var]
     return poly(max(f.degree - 1, 0), acc, f.p)
+
+
+def _full_plane_result(bad, p) -> ScanResult:
+    if bad.any():
+        return ScanResult(False, _plane_point(int(np.argmax(bad)), p), len(bad))
+    return ScanResult(True, None, len(bad))
+
+
+def smooth_full_plane(f) -> ScanResult:
+    """f and its three partials evaluated on all p^2 + p + 1 points: the
+    reference for `weierstrass.is_smooth_curve`, which evaluates the
+    partials only at the zeros of f."""
+    p = _check_scan_args(f)
+    tab = _pow_table(p, f.degree)
+    mask = _eval_plane(f, tab, p) == 0
+    for var in range(3):
+        mask &= _eval_plane(derivative(f, var), tab, p) == 0
+    return _full_plane_result(mask, p)
+
+
+def transversal_full_plane(f, g) -> ScanResult:
+    """Both forms and their six partials evaluated on all p^2 + p + 1
+    points: the reference for `weierstrass.transversal_intersection`."""
+    p = _check_scan_args(f, g)
+    tab = _pow_table(p, max(f.degree, g.degree))
+    common = (_eval_plane(f, tab, p) == 0) & (_eval_plane(g, tab, p) == 0)
+    df = [_eval_plane(derivative(f, v), tab, p) for v in range(3)]
+    dg = [_eval_plane(derivative(g, v), tab, p) for v in range(3)]
+    dependent = np.ones(len(common), dtype=bool)
+    for u, v in ((0, 1), (0, 2), (1, 2)):
+        dependent &= (df[u] * dg[v] - df[v] * dg[u]) % p == 0
+    return _full_plane_result(common & dependent, p)

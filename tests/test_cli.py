@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -148,6 +149,22 @@ def test_weierstrass_twist_budget(capsys):
         assert err.count("\n") == 1 and "twist budget 1..8" in err, flags
     code, out, _ = run(["weierstrass", "--l", "8", "--p", "5", "--trials", "1"], capsys)
     assert code == 0 and "weierstrass/smoothness" in out
+
+
+@pytest.mark.parametrize(
+    "argv, md5",
+    [
+        # 20 trials at the largest scan prime, with real failure witnesses
+        ("weierstrass --l 2 --p 257 --trials 20 --fibre-product --l2 2", "873e9e55c8fe5ed5aefb8f2dffda1086"),
+        ("weierstrass --l 8 --p 101 --trials 2", "813ada74058679cad1234aa4da1b9667"),
+    ],
+)
+def test_scan_gate_commands_pinned(argv, md5, monkeypatch, capsys):
+    # the byte-identical gate for F_p scan changes
+    monkeypatch.delenv("ABFIB_SEED", raising=False)
+    code, out, err = run([*argv.split(), "--format", "json"], capsys)
+    assert code == 0 and not err
+    assert hashlib.md5(out.encode()).hexdigest() == md5
 
 
 def test_weierstrass_trials_budget(capsys):

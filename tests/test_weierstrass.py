@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import abfib
+from abfib import weierstrass
 from abfib.weierstrass import (
     CERT_CAVEAT,
     MAX_L,
@@ -17,6 +18,7 @@ from abfib.weierstrass import (
     _from_coeffs,
     _pow_table,
     HomogPoly,
+    ScanResult,
     WeierstrassFamily,
     derivative,
     discriminant,
@@ -37,7 +39,14 @@ from abfib.weierstrass import (
     zero_poly,
 )
 from abfib.sheafcalc import param_count
-from oracles import derivative_dict, poly_add_dict, poly_mul_dict, poly_scale_dict
+from oracles import (
+    derivative_dict,
+    poly_add_dict,
+    poly_mul_dict,
+    poly_scale_dict,
+    smooth_full_plane,
+    transversal_full_plane,
+)
 
 F = Fraction
 
@@ -127,6 +136,10 @@ def test_frobenius_fermat_has_vanishing_partials():
     scan = is_smooth_curve(f)
     assert oracle_smooth(f) == (False, (0, 1, 6))
     assert (scan.ok, scan.witness, scan.points) == (False, (0, 1, 6), 57)
+    assert scan == smooth_full_plane(f)
+    line = poly(1, {(0, 1, 0): 1, (0, 0, 1): 1}, p=7)
+    for g, h in ((f, line), (line, f), (f, f)):
+        assert transversal_intersection(g, h) == transversal_full_plane(g, h)
 
 
 def test_discriminant_values_on_every_point():
@@ -256,6 +269,137 @@ def test_parse_format_round_trip_property(p, data):
     f = data.draw(forms(p))
     back = parse_poly(format_poly(f), p=p, degree=f.degree)
     assert back == f and hash(back) == hash(f)
+
+
+# ---------------------------------------------------------------------------
+# zero-set scans: the partials are evaluated only where the forms vanish;
+# the full-plane scans they replaced are the oracles
+
+
+def nonzero_forms(p):
+    return forms(p).filter(lambda f: not f.is_zero())
+
+
+@pytest.mark.parametrize("l, p", [(1, 101), (1, 257), (2, 101), (2, 257)])
+def test_scans_match_full_plane_on_discriminants(l, p):
+    rng = random.Random(1000 * l + p)
+    smooth, transversal = set(), set()
+    for _ in range(6):
+        d1, d2 = (discriminant(random_family(l, p, rng)) for _ in range(2))
+        scan = is_smooth_curve(d1)
+        assert scan == smooth_full_plane(d1)
+        smooth.add(scan.ok)
+        # a curve meets itself with dependent gradients at each of its points
+        for f, g in ((d1, d2), (d1, d1)):
+            scan = transversal_intersection(f, g)
+            assert scan == transversal_full_plane(f, g)
+            transversal.add(scan.ok)
+    assert smooth == transversal == {True, False}
+
+
+@pytest.mark.parametrize("p", (5, 7, 31))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_scans_match_full_plane_on_sparse_forms(p, data):
+    f, g = data.draw(nonzero_forms(p)), data.draw(nonzero_forms(p))
+    assert is_smooth_curve(f) == smooth_full_plane(f)
+    assert transversal_intersection(f, g) == transversal_full_plane(f, g)
+
+
+@pytest.mark.parametrize("p", (5, 7, 31))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_scans_match_full_plane_through_the_line_x0_0(p, data):
+    # x0 * h vanishes on the whole line x0 = 0, (0:0:1) included
+    f = poly_mul(poly(1, {(1, 0, 0): 1}, p), data.draw(nonzero_forms(p)))
+    g = data.draw(nonzero_forms(p))
+    assert is_smooth_curve(f) == smooth_full_plane(f)
+    assert transversal_intersection(f, g) == transversal_full_plane(f, g)
+    assert transversal_intersection(g, f) == transversal_full_plane(g, f)
+
+
+def test_scans_at_zeros_on_the_line_x0_0():
+    p = 7
+    x0, x1 = poly(1, {(1, 0, 0): 1}, p), poly(1, {(0, 1, 0): 1}, p)
+    conic = parse_poly("x0*x2 - x1^2", p=p)  # smooth, through (0:0:1)
+    smooth_cases = [
+        (x0, True, None),
+        (conic, True, None),
+        (parse_poly("x0^2*x2 - x1^3", p=p), False, (0, 0, 1)),  # cusp
+        (parse_poly("x0*x1", p=p), False, (0, 0, 1)),  # two lines
+        (parse_poly("x0*x1 - x0*x2", p=p), False, (0, 1, 1)),  # two lines
+    ]
+    for f, ok, witness in smooth_cases:
+        scan = is_smooth_curve(f)
+        assert (scan.ok, scan.witness, scan.points) == (ok, witness, 57)
+        assert scan == smooth_full_plane(f)
+        assert (scan.ok, scan.witness) == oracle_smooth(f)
+    # x0 meets x1 transversally at (0:0:1) and is tangent to the conic there
+    for f, g, ok, witness in ((x0, x1, True, None), (x0, conic, False, (0, 0, 1))):
+        scan = transversal_intersection(f, g)
+        assert (scan.ok, scan.witness, scan.points) == (ok, witness, 57)
+        assert scan == transversal_full_plane(f, g)
+        assert (scan.ok, scan.witness) == oracle_transversal(f, g)
+
+
+def test_scans_with_empty_zero_set_build_no_partial(monkeypatch):
+    p = 7
+    # x^(p-1) is 1 for x != 0, so the sum counts the nonzero coordinates: 1-3
+    no_zeros = poly(p - 1, {(p - 1, 0, 0): 1, (0, p - 1, 0): 1, (0, 0, p - 1): 1}, p)
+    const = poly(0, {(0, 0, 0): 3}, p)
+    x0 = poly(1, {(1, 0, 0): 1}, p)
+    off_line = poly(p - 1, {(0, p - 1, 0): 1, (0, 0, p - 1): 1}, p)  # zero only at (1:0:0)
+    partials = []
+    monkeypatch.setattr(weierstrass, "derivative", lambda *args: partials.append(args))
+    for f in (no_zeros, const):
+        assert is_smooth_curve(f) == ScanResult(True, None, 57)
+    for f, g in ((x0, off_line), (no_zeros, x0), (const, off_line)):
+        assert transversal_intersection(f, g) == ScanResult(True, None, 57)
+    assert partials == []
+    monkeypatch.undo()
+    for f in (no_zeros, const):
+        assert is_smooth_curve(f) == smooth_full_plane(f)
+    assert transversal_intersection(x0, off_line) == transversal_full_plane(x0, off_line)
+
+
+def test_scans_match_full_plane_when_p_divides_the_degree():
+    # at p = 5 and l = 5 the degrees 20, 30 and 60 are all 0 mod p, so the
+    # Euler relation no longer ties the partials' zeros to the curve
+    p, rng = 5, random.Random(11)
+    for _ in range(4):
+        d1, d2 = (discriminant(random_family(5, p, rng)) for _ in range(2))
+        assert d1.degree == 60 and not d1.is_zero() and not d2.is_zero()
+        assert is_smooth_curve(d1) == smooth_full_plane(d1)
+        assert transversal_intersection(d1, d2) == transversal_full_plane(d1, d2)
+
+
+def test_scans_evaluate_each_form_once_on_the_whole_plane(monkeypatch):
+    # only the forms themselves go through _eval_plane; a full-plane
+    # gradient would show here as extra calls
+    plane = weierstrass._eval_plane
+    calls = []
+
+    def counting(f, tab, p):
+        calls.append(f)
+        return plane(f, tab, p)
+
+    monkeypatch.setattr(weierstrass, "_eval_plane", counting)
+    rng = random.Random(2)
+    fermat = poly(7, {(7, 0, 0): 1, (0, 7, 0): 1, (0, 0, 7): 1}, p=7)
+    pairs = [(fermat, fermat)]
+    for l, p in ((1, 101), (2, 31)):
+        for _ in range(3):
+            pairs.append(tuple(discriminant(random_family(l, p, rng)) for _ in range(2)))
+    verdicts = set()
+    for f, g in pairs:
+        calls.clear()
+        verdicts.add(is_smooth_curve(f).ok)
+        assert calls == [f]
+        for h in (g, f):
+            calls.clear()
+            verdicts.add(transversal_intersection(f, h).ok)
+            assert calls == [f, h]
+    assert verdicts == {True, False}
 
 
 def test_internal_matrix_invariant_raises():
