@@ -6,12 +6,19 @@ by exhaustive scans over the F_p-rational points of the plane, exact but
 explicitly NOT a statement about the algebraic closure.  Scans run in
 lexicographic order over normalized representatives, so a reported witness
 is always the lexicographically smallest one.
+
+The sampling runs scan the pair (a, b), not the product: a and b are
+evaluated on the whole plane, the discriminant's values follow from theirs
+with one reduction mod p, and at its zeros its gradient is
+12a^2 grad a + 54b grad b.  `discriminant` builds the degree-12l form only
+where the form itself is wanted (tests, and telling a zero discriminant
+from one that vanishes on every F_p-point).  `is_smooth_curve` and
+`transversal_intersection` scan any given forms.
 """
 
 from __future__ import annotations
 
 import random
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
@@ -184,74 +191,6 @@ def derivative(f: HomogPoly, var: int) -> HomogPoly:
 
 
 # ---------------------------------------------------------------------------
-# text format: sum of monomials c*x0^i*x1^j*x2^k
-
-
-_TERM = re.compile(r"([+-])([^+-]+)")
-_FACTOR = re.compile(r"^x([012])(?:\^(\d+))?$")
-
-
-def parse_poly(text: str, p: int | None = None, degree: int | None = None) -> HomogPoly:
-    s = text.replace(" ", "")
-    if s in ("", "0"):
-        return zero_poly(degree or 0, p)
-    if s[0] not in "+-":
-        s = "+" + s
-    acc: dict = {}
-    deg = None
-    covered = 0
-    for m in _TERM.finditer(s):
-        if m.start() != covered:
-            raise ValueError(f"cannot parse polynomial near {s[covered:m.start()]!r}")
-        covered = m.end()
-        sign = -1 if m.group(1) == "-" else 1
-        exps = [0, 0, 0]
-        coef = None
-        for part in m.group(2).split("*"):
-            fm = _FACTOR.match(part)
-            if fm:
-                exps[int(fm.group(1))] += int(fm.group(2) or 1)
-            elif coef is None:
-                try:
-                    coef = int(part) if p is not None else Fraction(part)
-                except ValueError:
-                    raise ValueError(f"bad coefficient {part!r}") from None
-            else:
-                raise ValueError(f"bad factor {part!r}")
-        e = tuple(exps)
-        if deg is None:
-            deg = sum(e)
-        elif sum(e) != deg:
-            raise ValueError("terms have mixed total degrees")
-        acc[e] = acc.get(e, 0) + sign * (1 if coef is None else coef)
-    if covered != len(s):
-        raise ValueError(f"cannot parse polynomial near {s[covered:]!r}")
-    if degree is not None and deg != degree:
-        raise ValueError(f"expected degree {degree}, parsed {deg}")
-    return poly(deg, acc, p)
-
-
-def format_poly(f: HomogPoly) -> str:
-    if f.is_zero():
-        return "0"
-    parts = []
-    for (i, j, k), c in f.terms:
-        factors = []
-        for idx, e in enumerate((i, j, k)):
-            if e == 1:
-                factors.append(f"x{idx}")
-            elif e > 1:
-                factors.append(f"x{idx}^{e}")
-        mag = abs(c) if f.p is None else c
-        body = "*".join([str(mag)] + factors) if (mag != 1 or not factors) else "*".join(factors)
-        if f.p is None and c < 0:
-            parts.append(("- " if parts else "-") + body)
-        else:
-            parts.append(("+ " if parts else "") + body)
-    return " ".join(parts)
-
-
-# ---------------------------------------------------------------------------
 # Weierstrass families
 
 
@@ -276,10 +215,13 @@ def weierstrass_bundle_degrees(l: int) -> tuple[tuple[int, int, int], tuple[int,
     return (2 * l, 3 * l, 0), (4 * l, 6 * l)
 
 
+_CHAR_ERROR = "discriminant arithmetic needs characteristic outside {2, 3}"
+
+
 def discriminant(w: WeierstrassFamily) -> HomogPoly:
     """4 a^3 + 27 b^2, degree 12l; needs characteristic outside {2, 3}."""
     if w.a.p in (2, 3):
-        raise ValueError("discriminant arithmetic needs characteristic outside {2, 3}")
+        raise ValueError(_CHAR_ERROR)
     return poly_add(poly_scale(4, poly_pow(w.a, 3)), poly_scale(27, poly_pow(w.b, 2)))
 
 
@@ -299,32 +241,44 @@ def _eval_plane(f: HomogPoly, tab: np.ndarray, p: int) -> np.ndarray:
 
     The points are (0,0,1), then (0,1,t), then (1,s,t); the first nonzero
     coordinate is 1.  With C[j,k] the coefficient of x1^j*x2^k and V the
-    p x (d+1) power table, the chart x0 = 1 is V C V^T, the line x0 = 0 is
-    V applied to the anti-diagonal of C, and (0,0,1) is C[0,d].  Every
-    entry is reduced mod p before the next product, so no int64 value
-    exceeds (d+1)*p^2: about 1.7e6 at d = 24, p = 257.
+    p x (d+1) power table, the chart x0 = 1 is ((V C) mod p) V^T mod p, the
+    line x0 = 0 is V applied to the anti-diagonal of C, and (0,0,1) is
+    C[0,d].  The two chart products run in float64 BLAS.  Every partial sum
+    there is an integer of at most (d+1)(p-1)^2, which float64 holds
+    exactly below 2^53 (about 6.4e6 at d = 96, p = 257); larger sizes raise
+    ValueError.
     """
     d, coeffs = f.degree, f.coeffs
+    if (d + 1) * (p - 1) ** 2 >= 2**53:
+        raise ValueError(f"degree {d} at p = {p} is beyond exact float64 plane products")
     v = tab[:, : d + 1]
-    chart = ((v @ coeffs) % p) @ v.T % p
-    line = (v @ coeffs[::-1].diagonal()) % p
-    return np.concatenate(([coeffs[0, d]], line, chart.ravel()))
+    vf = v.astype(np.float64)
+    first = (vf @ coeffs.astype(np.float64)).astype(np.int64) % p
+    values = np.empty(p * p + p + 1, dtype=np.int64)
+    values[0] = coeffs[0, d]
+    values[1 : p + 1] = v @ coeffs[::-1].diagonal()
+    values[p + 1 :] = (first.astype(np.float64) @ vf.T).ravel()
+    values %= p
+    return values
 
 
-def _eval_at(f: HomogPoly, tab: np.ndarray, p: int, idx: np.ndarray) -> np.ndarray:
-    """Values of f at the points with sorted lex indices idx, as _eval_plane
-    gives them: (0,0,1) is C[0,d], a line point (0,1,t) is V[t] applied to
-    the anti-diagonal of C, a chart point (1,s,t) is ((V[s] C) mod p) . V[t].
-    Every entry is reduced mod p before the next product, so no int64 value
-    exceeds (d+1)*p^2, the bound of _eval_plane.
+def _eval_at(forms, tab: np.ndarray, p: int, idx: np.ndarray) -> list[np.ndarray]:
+    """Values of each form at the points with sorted lex indices idx, as
+    _eval_plane gives them: (0,0,1) is C[0,d], a line point (0,1,t) is V[t]
+    applied to the anti-diagonal of C, a chart point (1,s,t) is
+    ((V[s] C) mod p) . V[t].  Every entry is reduced mod p before the next
+    product, so no int64 value exceeds (d+1)*p^2.
     """
-    d, coeffs = f.degree, f.coeffs
-    v = tab[:, : d + 1]
     n0, n1 = np.searchsorted(idx, (1, p + 1))
     s, t = np.divmod(idx[n1:] - (p + 1), p)
-    line = v[idx[n0:n1] - 1] @ coeffs[::-1].diagonal() % p
-    chart = ((v[s] @ coeffs) % p * v[t]).sum(axis=1) % p
-    return np.concatenate((np.full(n0, coeffs[0, d]), line, chart))
+    vl, vs, vt = tab[idx[n0:n1] - 1], tab[s], tab[t]
+    values = []
+    for f in forms:
+        d, coeffs = f.degree, f.coeffs
+        line = vl[:, : d + 1] @ coeffs[::-1].diagonal() % p
+        chart = ((vs[:, : d + 1] @ coeffs) % p * vt[:, : d + 1]).sum(axis=1) % p
+        values.append(np.concatenate((np.full(n0, coeffs[0, d]), line, chart)))
+    return values
 
 
 def _plane_point(index: int, p: int) -> tuple[int, int, int]:
@@ -337,19 +291,36 @@ def _plane_point(index: int, p: int) -> tuple[int, int, int]:
     return (1, s, t)
 
 
-def _check_scan_args(*polys):
-    p = polys[0].p
+def _check_field(p: int | None) -> int:
     if p is None:
         raise ValueError("scans run over a finite field; coefficients are in QQ")
     if not _is_prime(p) or p in (2, 3):
         raise ValueError(f"p = {p} must be a prime outside {{2, 3}}")
     if p > MAX_SCAN_PRIME:
         raise ValueError(f"p = {p} exceeds the scan budget {MAX_SCAN_PRIME}")
+    return p
+
+
+def _check_scan_args(*polys):
+    p = _check_field(polys[0].p)
     for f in polys:
         if f.p != p:
             raise ValueError("mixed coefficient fields")
         if f.is_zero():
             raise ValueError("zero polynomial")
+    return p
+
+
+def _check_pair_args(*families: WeierstrassFamily) -> int:
+    """The checks, in the order and with the messages, that building each
+    discriminant and scanning it would raise; a zero discriminant is caught
+    by _discriminant_zeros."""
+    p = families[0].a.p
+    if p in (2, 3):
+        raise ValueError(_CHAR_ERROR)
+    _check_field(p)
+    if any(w.a.p != p for w in families):
+        raise ValueError("mixed coefficient fields")
     return p
 
 
@@ -373,6 +344,15 @@ def _scan_result(bad: np.ndarray, points: int, p: int) -> ScanResult:
     return ScanResult(True, None, points)
 
 
+def _dependent(df, dg, p: int) -> np.ndarray:
+    """Where the gradients df and dg (three value arrays each) are
+    proportional: all three 2 x 2 minors vanish mod p."""
+    dependent = np.ones(len(df[0]), dtype=bool)
+    for u, v in ((0, 1), (0, 2), (1, 2)):
+        dependent &= (df[u] * dg[v] - df[v] * dg[u]) % p == 0
+    return dependent
+
+
 def is_smooth_curve(f: HomogPoly) -> ScanResult:
     """TRUE iff no F_p-point annihilates f and all three partials.
 
@@ -386,7 +366,7 @@ def is_smooth_curve(f: HomogPoly) -> ScanResult:
     for var in range(3):
         if not bad.size:
             break
-        bad = bad[_eval_at(derivative(f, var), tab, p, bad) == 0]
+        bad = bad[_eval_at([derivative(f, var)], tab, p, bad)[0] == 0]
     return _scan_result(bad, len(values), p)
 
 
@@ -401,13 +381,79 @@ def transversal_intersection(f: HomogPoly, g: HomogPoly) -> ScanResult:
     fv, gv = _eval_plane(f, tab, p), _eval_plane(g, tab, p)
     bad = np.flatnonzero((fv == 0) & (gv == 0))
     if bad.size:
-        df = [_eval_at(derivative(f, v), tab, p, bad) for v in range(3)]
-        dg = [_eval_at(derivative(g, v), tab, p, bad) for v in range(3)]
-        dependent = np.ones(bad.size, dtype=bool)
-        for u, v in ((0, 1), (0, 2), (1, 2)):
-            dependent &= (df[u] * dg[v] - df[v] * dg[u]) % p == 0
-        bad = bad[dependent]
+        grads = _eval_at([derivative(h, v) for h in (f, g) for v in range(3)], tab, p, bad)
+        bad = bad[_dependent(grads[:3], grads[3:], p)]
     return _scan_result(bad, len(fv), p)
+
+
+# ---------------------------------------------------------------------------
+# discriminant scans from the pair (a, b)
+
+
+def _discriminant_zeros(w: WeierstrassFamily, tab: np.ndarray, p: int):
+    """Sorted lex indices of the F_p-zeros of 4a^3 + 27b^2, from the plane
+    values of a and b, and the weights 12a^2 and 54b mod p there of grad a
+    and grad b in grad(4a^3 + 27b^2) = 12a^2 grad a + 54b grad b.
+
+    a and b are reduced, so 4a^3 + 27b^2 < 31p^3 and one reduction of it
+    is exact in int64.  If the discriminant vanishes on the whole plane,
+    it is built once to tell the zero polynomial, which raises, from a
+    form that only vanishes on F_p-points.
+    """
+    av, bv = _eval_plane(w.a, tab, p), _eval_plane(w.b, tab, p)
+    delta = av * av
+    delta *= av
+    delta *= 4
+    square = bv * bv
+    square *= 27
+    delta += square
+    zeros = np.flatnonzero(np.remainder(delta, p, out=delta) == 0)
+    if zeros.size == delta.size and discriminant(w).is_zero():
+        raise ValueError("zero polynomial")
+    a, b = av[zeros], bv[zeros]
+    return zeros, (12 * (a * a % p) % p, 54 * b % p)
+
+
+def _discriminant_partials(w: WeierstrassFamily, weights, tab, p: int, idx, variables):
+    """d(4a^3 + 27b^2)/dx_v mod p at idx for each v in variables, from the
+    partials of a and b and their weights at idx."""
+    values = _eval_at([derivative(f, v) for v in variables for f in (w.a, w.b)], tab, p, idx)
+    return [(weights[0] * da + weights[1] * db) % p for da, db in zip(values[::2], values[1::2])]
+
+
+def is_smooth_discriminant(w: WeierstrassFamily) -> ScanResult:
+    """is_smooth_curve(discriminant(w)), without the degree-12l product.
+
+    The discriminant's values come from the plane values of a and b; at
+    its zeros each partial comes from those of a and b, evaluated only
+    where the discriminant and the partials before it vanish.
+    """
+    p = _check_pair_args(w)
+    tab = _pow_table(p, w.b.degree)
+    bad, weights = _discriminant_zeros(w, tab, p)
+    for var in range(3):
+        if not bad.size:
+            break
+        keep = _discriminant_partials(w, weights, tab, p, bad, [var])[0] == 0
+        bad, weights = bad[keep], (weights[0][keep], weights[1][keep])
+    return _scan_result(bad, p * p + p + 1, p)
+
+
+def transversal_discriminants(w1: WeierstrassFamily, w2: WeierstrassFamily) -> ScanResult:
+    """transversal_intersection(discriminant(w1), discriminant(w2)), without
+    the degree-12l products: both gradients come from the pairs (a, b) at
+    the common zeros."""
+    p = _check_pair_args(w1, w2)
+    tab = _pow_table(p, max(w1.b.degree, w2.b.degree))
+    (z1, weights1), (z2, weights2) = (_discriminant_zeros(w, tab, p) for w in (w1, w2))
+    bad, at1, at2 = np.intersect1d(z1, z2, assume_unique=True, return_indices=True)
+    if bad.size:
+        df, dg = (
+            _discriminant_partials(w, (weights[0][at], weights[1][at]), tab, p, bad, range(3))
+            for w, weights, at in ((w1, weights1, at1), (w2, weights2, at2))
+        )
+        bad = bad[_dependent(df, dg, p)]
+    return _scan_result(bad, p * p + p + 1, p)
 
 
 # ---------------------------------------------------------------------------
@@ -457,9 +503,10 @@ def _trials(kind: str, ls: tuple[int, ...], p: int, seed: int, trials: int, scan
     rng = random.Random(seed)
     outcomes, degree_ok = [], True
     for t in range(trials):
-        deltas = [discriminant(random_family(l, p, rng)) for l in ls]
-        degree_ok &= all(d.degree == 12 * l for d, l in zip(deltas, ls))
-        result = scan(*deltas)
+        families = [random_family(l, p, rng) for l in ls]
+        # deg(4a^3 + 27b^2) = 3 deg a = 2 deg b
+        degree_ok &= all(3 * w.a.degree == 2 * w.b.degree == 12 * l for w, l in zip(families, ls))
+        result = scan(*families)
         outcomes.append(TrialOutcome(t, result.ok, result.witness))
     return SamplingRecord(
         kind=kind,
@@ -475,11 +522,11 @@ def _trials(kind: str, ls: tuple[int, ...], p: int, seed: int, trials: int, scan
 
 def smoothness_trials(l: int, p: int, seed: int, trials: int) -> SamplingRecord:
     """Sample families, test discriminant smoothness, record the pass rate."""
-    return _trials("discriminant-smoothness", (l,), p, seed, trials, is_smooth_curve)
+    return _trials("discriminant-smoothness", (l,), p, seed, trials, is_smooth_discriminant)
 
 
 def transversality_trials(l1: int, l2: int, p: int, seed: int, trials: int) -> SamplingRecord:
     """Sample two families and test that their discriminants meet transversally."""
     return _trials(
-        "discriminant-transversality", (l1, l2), p, seed, trials, transversal_intersection
+        "discriminant-transversality", (l1, l2), p, seed, trials, transversal_discriminants
     )

@@ -1,6 +1,8 @@
 """Reference implementations that tests compare the engines against."""
 
 import itertools
+import re
+from fractions import Fraction
 from math import lcm
 
 import numpy as np
@@ -13,6 +15,7 @@ from abfib.torusquot import (
     identity_auto,
 )
 from abfib.weierstrass import (
+    HomogPoly,
     ScanResult,
     _check_scan_args,
     _eval_plane,
@@ -20,6 +23,7 @@ from abfib.weierstrass import (
     _pow_table,
     derivative,
     poly,
+    zero_poly,
 )
 
 
@@ -200,3 +204,71 @@ def transversal_full_plane(f, g) -> ScanResult:
     for u, v in ((0, 1), (0, 2), (1, 2)):
         dependent &= (df[u] * dg[v] - df[v] * dg[u]) % p == 0
     return _full_plane_result(common & dependent, p)
+
+
+# ---------------------------------------------------------------------------
+# text format for tests: sum of monomials c*x0^i*x1^j*x2^k
+
+
+_TERM = re.compile(r"([+-])([^+-]+)")
+_FACTOR = re.compile(r"^x([012])(?:\^(\d+))?$")
+
+
+def parse_poly(text: str, p: int | None = None, degree: int | None = None) -> HomogPoly:
+    s = text.replace(" ", "")
+    if s in ("", "0"):
+        return zero_poly(degree or 0, p)
+    if s[0] not in "+-":
+        s = "+" + s
+    acc: dict = {}
+    deg = None
+    covered = 0
+    for m in _TERM.finditer(s):
+        if m.start() != covered:
+            raise ValueError(f"cannot parse polynomial near {s[covered:m.start()]!r}")
+        covered = m.end()
+        sign = -1 if m.group(1) == "-" else 1
+        exps = [0, 0, 0]
+        coef = None
+        for part in m.group(2).split("*"):
+            fm = _FACTOR.match(part)
+            if fm:
+                exps[int(fm.group(1))] += int(fm.group(2) or 1)
+            elif coef is None:
+                try:
+                    coef = int(part) if p is not None else Fraction(part)
+                except ValueError:
+                    raise ValueError(f"bad coefficient {part!r}") from None
+            else:
+                raise ValueError(f"bad factor {part!r}")
+        e = tuple(exps)
+        if deg is None:
+            deg = sum(e)
+        elif sum(e) != deg:
+            raise ValueError("terms have mixed total degrees")
+        acc[e] = acc.get(e, 0) + sign * (1 if coef is None else coef)
+    if covered != len(s):
+        raise ValueError(f"cannot parse polynomial near {s[covered:]!r}")
+    if degree is not None and deg != degree:
+        raise ValueError(f"expected degree {degree}, parsed {deg}")
+    return poly(deg, acc, p)
+
+
+def format_poly(f: HomogPoly) -> str:
+    if f.is_zero():
+        return "0"
+    parts = []
+    for (i, j, k), c in f.terms:
+        factors = []
+        for idx, e in enumerate((i, j, k)):
+            if e == 1:
+                factors.append(f"x{idx}")
+            elif e > 1:
+                factors.append(f"x{idx}^{e}")
+        mag = abs(c) if f.p is None else c
+        body = "*".join([str(mag)] + factors) if (mag != 1 or not factors) else "*".join(factors)
+        if f.p is None and c < 0:
+            parts.append(("- " if parts else "-") + body)
+        else:
+            parts.append(("+ " if parts else "") + body)
+    return " ".join(parts)

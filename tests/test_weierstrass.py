@@ -22,9 +22,8 @@ from abfib.weierstrass import (
     WeierstrassFamily,
     derivative,
     discriminant,
-    format_poly,
     is_smooth_curve,
-    parse_poly,
+    is_smooth_discriminant,
     poly,
     poly_add,
     poly_mul,
@@ -33,6 +32,7 @@ from abfib.weierstrass import (
     random_family,
     random_homog,
     smoothness_trials,
+    transversal_discriminants,
     transversal_intersection,
     transversality_trials,
     weierstrass_bundle_degrees,
@@ -41,6 +41,8 @@ from abfib.weierstrass import (
 from abfib.sheafcalc import param_count
 from oracles import (
     derivative_dict,
+    format_poly,
+    parse_poly,
     poly_add_dict,
     poly_mul_dict,
     poly_scale_dict,
@@ -480,6 +482,277 @@ def test_int64_edge_discriminant_full_coefficients():
     expected = poly_add(poly_scale(4, a3), poly_scale(27, poly_mul_dict(w.b, w.b)))
     assert discriminant(w) == expected
     assert expected.degree == 12 * l
+
+
+# ---------------------------------------------------------------------------
+# discriminant scans from the pair (a, b): the scans of the built
+# discriminant are the reference
+
+
+def scan_or_error(scan):
+    try:
+        return scan()
+    except ValueError as e:
+        return f"ValueError: {e}"
+
+
+def reference_smooth(w):
+    return scan_or_error(lambda: is_smooth_curve(discriminant(w)))
+
+
+def reference_transversal(w1, w2):
+    return scan_or_error(lambda: transversal_intersection(discriminant(w1), discriminant(w2)))
+
+
+def monomials(d):
+    return [(i, j, d - i - j) for i in range(d + 1) for j in range(d - i + 1)]
+
+
+@pytest.mark.parametrize("p", (5, 7, 31, 101, 257))
+def test_pair_scans_match_discriminant_scans(p):
+    rng = random.Random(7 * p)
+    smooth, transversal = set(), set()
+    for l in range(1, MAX_L + 1):
+        families = [random_family(l, p, rng) for _ in range(2 if l < 5 else 1)]
+        families.append(random_family(1 + l % 3, p, rng))  # a second twist
+        for w in families[:-1]:
+            scan = is_smooth_discriminant(w)
+            assert scan == reference_smooth(w), (l, p)
+            smooth.add(scan.ok)
+            for other in (families[-1], w):
+                scan = transversal_discriminants(w, other)
+                assert scan == reference_transversal(w, other), (l, p)
+                transversal.add(scan.ok)
+    assert False in smooth and False in transversal
+    if p > 5:
+        assert True in smooth and True in transversal
+
+
+def test_pair_scans_at_the_largest_size():
+    # l = MAX_L at the largest scan prime
+    p = 257
+    rng = random.Random(8)
+    w1, w2 = random_family(8, p, rng), random_family(8, p, rng)
+    # every coefficient is p - 1, except that of x0^48 in b, which puts a
+    # zero of the discriminant at (1:1:235)
+    b = dict.fromkeys(monomials(48), p - 1)
+    b[(48, 0, 0)] = 109
+    full = WeierstrassFamily(8, poly(32, dict.fromkeys(monomials(32), p - 1), p), poly(48, b, p))
+    tab = _pow_table(p, 96)
+    at = (p + 1) + 1 * p + 235  # lex index of (1:1:235)
+    for w in (w1, full):
+        assert is_smooth_discriminant(w) == reference_smooth(w)
+        # the zero set itself, not only the scan's verdict
+        zeros, _ = weierstrass._discriminant_zeros(w, tab, p)
+        assert zeros.tolist() == np.flatnonzero(_eval_plane(discriminant(w), tab, p) == 0).tolist()
+    assert at in zeros
+    assert transversal_discriminants(w1, w2) == reference_transversal(w1, w2)
+    assert transversal_discriminants(full, w1) == reference_transversal(full, w1)
+
+
+def cusp_family(q, r):
+    """a = -3q^2, b = 2q^3 + r: 4a^3 + 27b^2 = 27r(4q^3 + r)."""
+    return WeierstrassFamily(
+        1, poly_scale(-3, poly_mul(q, q)), poly_add(poly_scale(2, poly_pow(q, 3)), r)
+    )
+
+
+def hand_built_families(p):
+    """cusp_family of random q and r; a = 0 gives 27b^2 and b = 0 gives
+    4a^3, both singular along a curve."""
+    rng = random.Random(p)
+    q, r = random_homog(2, p, rng), random_homog(6, p, rng)
+    a_rand, b_rand = random_homog(4, p, rng), random_homog(6, p, rng)
+    return [
+        cusp_family(q, r),
+        WeierstrassFamily(1, zero_poly(4, p), b_rand),
+        WeierstrassFamily(1, a_rand, zero_poly(6, p)),
+    ]
+
+
+@pytest.mark.parametrize("p", (5, 7, 31, 101, 257))
+def test_pair_scans_on_hand_built_families(p):
+    cusp, pure_b, pure_a = hand_built_families(p)
+    assert not discriminant(cusp).is_zero()
+    tab = _pow_table(p, 6)
+    for w in (cusp, pure_b, pure_a):
+        scan = is_smooth_discriminant(w)
+        assert scan == reference_smooth(w)
+        for other in (cusp, pure_b, pure_a):
+            assert transversal_discriminants(w, other) == reference_transversal(w, other)
+    # 27b^2 and 4a^3 are singular exactly at the F_p-zeros of b and of a
+    for w, f in ((pure_b, pure_b.b), (pure_a, pure_a.a)):
+        zeros = np.flatnonzero(_eval_plane(f, tab, p) == 0)
+        scan = is_smooth_discriminant(w)
+        assert scan.ok == (zeros.size == 0)
+        if zeros.size:
+            assert scan.witness == weierstrass._plane_point(int(zeros[0]), p)
+
+
+@pytest.mark.parametrize("p", (31, 101, 257))
+def test_pair_scans_find_a_node_away_from_a_and_b(p):
+    # r = x0^4 x1 x2 vanishes to order 5 at (0:0:1), so 27r(4q^3 + r) is
+    # singular there, while a = -3 and b = 2; the weights 12a^2 and 54b are
+    # both nonzero, unlike at the cusps a = b = 0
+    q = poly(2, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1}, p)
+    node = cusp_family(q, poly(6, {(4, 1, 1): 1}, p))
+    tab = _pow_table(p, 6)
+    assert [int(_eval_plane(f, tab, p)[0]) for f in (node.a, node.b)] == [p - 3, 2]
+    scan = is_smooth_discriminant(node)
+    assert (scan.ok, scan.witness) == (False, (0, 0, 1))
+    assert scan == reference_smooth(node)
+    assert transversal_discriminants(node, node) == reference_transversal(node, node)
+
+
+@pytest.mark.parametrize("p", (7, 31, 101))
+def test_discriminant_partials_from_the_pair(p):
+    # at every F_p-zero, 12a^2 grad a + 54b grad b equals the gradient of
+    # the built discriminant
+    rng = random.Random(5 * p)
+    for l in (1, 2, 3):
+        w = random_family(l, p, rng)
+        tab = _pow_table(p, 12 * l)
+        zeros, weights = weierstrass._discriminant_zeros(w, tab, p)
+        assert zeros.size
+        delta = discriminant(w)
+        expected = weierstrass._eval_at([derivative(delta, v) for v in range(3)], tab, p, zeros)
+        got = weierstrass._discriminant_partials(w, weights, tab, p, zeros, range(3))
+        assert [g.tolist() for g in got] == [e.tolist() for e in expected]
+
+
+def test_pair_scans_reject_the_zero_discriminant():
+    # a = -3q^2, b = 2q^3: 4a^3 + 27b^2 = -108q^6 + 108q^6 = 0
+    p, rng = 101, random.Random(4)
+    q = random_homog(2, p, rng)
+    zero = WeierstrassFamily(1, poly_scale(-3, poly_mul(q, q)), poly_scale(2, poly_pow(q, 3)))
+    assert discriminant(zero).is_zero()
+    smooth = random_family(1, p, rng)
+    for scan, args in (
+        (is_smooth_discriminant, (zero,)),
+        (transversal_discriminants, (zero, smooth)),
+        (transversal_discriminants, (smooth, zero)),
+    ):
+        with pytest.raises(ValueError, match="^zero polynomial$"):
+            scan(*args)
+    assert reference_smooth(zero) == "ValueError: zero polynomial"
+    assert reference_transversal(smooth, zero) == "ValueError: zero polynomial"
+
+
+def test_pair_scan_of_a_nonzero_discriminant_vanishing_on_every_point(monkeypatch):
+    # x0 x1 (x0^4 - x1^4) vanishes on every F_5-point, so with b = 0 the
+    # discriminant 4a^3 does too, but it is not the zero polynomial
+    p = 5
+    a = poly(8, {(5, 1, 2): 1, (1, 5, 2): -1}, p)
+    w = WeierstrassFamily(2, a, zero_poly(12, p))
+    built = []
+    build = weierstrass.discriminant
+    monkeypatch.setattr(weierstrass, "discriminant", lambda f: built.append(f) or build(f))
+    scan = is_smooth_discriminant(w)
+    assert built == [w]
+    assert (scan.ok, scan.points) == (False, 31)
+    assert scan == reference_smooth(w)
+
+
+def test_pair_scans_with_no_zero_build_no_partial(monkeypatch):
+    # x^4 is 1 for x != 0 in F_5, so a counts the nonzero coordinates (1-3)
+    # and 4a^3 never vanishes
+    p = 5
+    a = poly(4, {(4, 0, 0): 1, (0, 4, 0): 1, (0, 0, 4): 1}, p)
+    w = WeierstrassFamily(1, a, zero_poly(6, p))
+    partials = []
+    monkeypatch.setattr(weierstrass, "derivative", lambda *args: partials.append(args))
+    assert is_smooth_discriminant(w) == ScanResult(True, None, 31)
+    assert transversal_discriminants(w, random_family(1, p, random.Random(0))).ok
+    assert partials == []
+
+
+def test_pair_scans_evaluate_a_and_b_once_on_the_whole_plane(monkeypatch):
+    plane = weierstrass._eval_plane
+    calls = []
+
+    def counting(f, tab, p):
+        calls.append(f)
+        return plane(f, tab, p)
+
+    monkeypatch.setattr(weierstrass, "_eval_plane", counting)
+    rng = random.Random(12)
+    for l, p in ((1, 101), (3, 31)):
+        w1, w2 = random_family(l, p, rng), random_family(l, p, rng)
+        calls.clear()
+        is_smooth_discriminant(w1)
+        assert calls == [w1.a, w1.b]
+        calls.clear()
+        transversal_discriminants(w1, w2)
+        assert calls == [w1.a, w1.b, w2.a, w2.b]
+
+
+def test_trials_never_build_the_discriminant(monkeypatch):
+    expected = [
+        (smoothness_trials, (1, 101, 0, 5)),
+        (smoothness_trials, (3, 31, 2, 3)),
+        (transversality_trials, (1, 2, 101, 0, 4)),
+    ]
+    records = [trials(*args) for trials, args in expected]
+    for name in ("discriminant", "poly_pow", "poly_mul"):
+        monkeypatch.setattr(weierstrass, name, lambda *args, name=name: pytest.fail(name))
+    assert [trials(*args) for trials, args in expected] == records
+    assert all(rec.degree_ok for rec in records)
+
+
+def test_pair_scan_argument_validation():
+    rng = random.Random(6)
+    for p, message in (
+        (2, "discriminant arithmetic needs characteristic outside {2, 3}"),
+        (3, "discriminant arithmetic needs characteristic outside {2, 3}"),
+        (4, "p = 4 must be a prime outside {2, 3}"),
+        (263, "p = 263 exceeds the scan budget 257"),
+    ):
+        w = random_family(1, p, rng)
+        for scan, args in ((is_smooth_discriminant, (w,)), (transversal_discriminants, (w, w))):
+            with pytest.raises(ValueError) as e:
+                scan(*args)
+            assert str(e.value) == message
+            assert reference_smooth(w) == f"ValueError: {message}"
+    q = WeierstrassFamily(1, poly(4, {(4, 0, 0): F(1)}), poly(6, {(6, 0, 0): F(1)}))
+    with pytest.raises(ValueError, match="finite field"):
+        is_smooth_discriminant(q)
+    with pytest.raises(ValueError, match="mixed coefficient fields"):
+        transversal_discriminants(random_family(1, 7, rng), random_family(1, 11, rng))
+
+
+def test_float64_plane_products_exact_at_the_largest_size():
+    # every coefficient p - 1 at d = 12 * MAX_L and the largest scan prime:
+    # the float64 partial sums reach the size of (d + 1)(p - 1)^2 ~ 6.4e6
+    p, d = 257, 12 * MAX_L
+    f = poly(d, {(i, j, d - i - j): p - 1 for i in range(d + 1) for j in range(d - i + 1)}, p=p)
+    tab = _pow_table(p, d)
+    values = _eval_plane(f, tab, p)
+    # the same products on Python ints
+    v, c = tab.astype(object), f.coeffs.astype(object)
+    chart = ((v @ c) % p) @ v.T
+    exact = [c[0, d], *(v @ c[::-1].diagonal()), *chart.ravel()]
+    assert values.tolist() == [x % p for x in exact]
+    assert max(exact) > (d + 1) * (p - 1) ** 2 // 2
+    assert max(exact) <= (d + 1) * (p - 1) ** 2 < 2**53
+    # and against term-by-term evaluation at points of each kind
+    rng = random.Random(96)
+    points = [0, 1, p, p + 1, p * p + p] + [rng.randrange(p * p + p + 1) for _ in range(20)]
+    for i in points:
+        pt = weierstrass._plane_point(i, p)
+        assert values[i] == oracle_eval(f.terms, pt, p), pt
+
+
+def test_float64_plane_products_guard_raises():
+    # (d + 1)(p - 1)^2 >= 2^53: float64 would no longer hold every partial
+    # sum; the check runs before the power table is read
+    p = 2**31 - 1
+    for d in (0, 1):
+        f = poly(d, {(d, 0, 0): 1}, p)
+        with pytest.raises(ValueError, match="exact float64"):
+            _eval_plane(f, np.zeros((0, d + 1), dtype=np.int64), p)
+    big = 94906267  # the smallest p with (p - 1)^2 >= 2^53, at d = 0
+    with pytest.raises(ValueError, match="exact float64"):
+        _eval_plane(poly(0, {(0, 0, 0): 1}, big), np.zeros((0, 1), dtype=np.int64), big)
 
 
 # ---------------------------------------------------------------------------
