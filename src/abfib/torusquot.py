@@ -9,6 +9,13 @@ the induced lattice map integral no matter what the periods are.
 
 Group closure runs on integers over D, the lcm of the generators'
 translation denominators: signed permutations keep (1/D)Z mod 1 stable.
+The group keeps its elements as integer codes, each checked once at the
+end of the closure (a signed permutation of the lattice rows in (real,
+period) pairs, label-preserving, translation in [0, D)); element orders,
+the fixed-point obstruction and the character averages run on the codes.
+An element becomes an `AffineAuto` with Fraction translations only where it
+is reported: the fixed-point witness, delegated elements, and
+`FiniteGroup.elements` / `identity` on first access.
 Fixed-point analysis is exact: (L - I) z = -t over the torus is solved by
 Smith normal form; the tests back it with an independent exhaustive search
 over a torsion grid (solutions, when they exist, have denominator dividing
@@ -97,10 +104,6 @@ class AffineAuto:
                 raise ValueError("translation not reduced to [0,1)")
 
     @property
-    def Lhat(self) -> tuple[tuple[int, ...], ...]:
-        return _lhat(self.L)
-
-    @property
     def shifts(self) -> tuple[tuple[Fraction, Fraction], ...]:
         """Per-coordinate translation as (real, period-coefficient) pairs."""
         return tuple((self.that[2 * i], self.that[2 * i + 1]) for i in range(self.model.n))
@@ -152,11 +155,6 @@ def identity_auto(model: TorusModel) -> AffineAuto:
     return affine_auto(model, [[int(i == j) for j in n] for i in n], [(0, 0) for _ in n])
 
 
-def compose(f: AffineAuto, g: AffineAuto) -> AffineAuto:
-    """f after g: z -> L_f L_g z + L_f t_g + t_f, translation reduced mod 1."""
-    return compose_elements(GroupElement(f), GroupElement(g)).auto
-
-
 @dataclass(frozen=True)
 class GroupElement:
     """Torus automorphism plus a parity bit per formal (K3/CY3) factor."""
@@ -170,15 +168,6 @@ class GroupElement:
 
     def is_identity(self) -> bool:
         return self.auto.is_identity() and not any(self.parities)
-
-
-def compose_elements(f: GroupElement, g: GroupElement) -> GroupElement:
-    if len(f.parities) != len(g.parities):
-        raise ValueError("elements carry different formal-factor counts")
-    if f.auto.model != g.auto.model:
-        raise ValueError("automorphisms live on different models")
-    (fc, gc), D = _encode((f, g))
-    return _decode(f.auto.model, _compose_codes(fc, gc, D), D, {})
 
 
 def _encode(elements) -> tuple[list, int]:
@@ -205,55 +194,122 @@ def _compose_codes(f, g, D: int):
     )
 
 
-def _decode(model: TorusModel, code, D: int, memo: dict) -> GroupElement:
-    """The element of a code over D; `memo` shares each L and each k/D."""
-    perm, signs, t, parities = code
-    L = memo.get((perm, signs))
-    if L is None:
-        n = range(model.n)
-        L = memo[perm, signs] = tuple(
-            tuple(signs[2 * i] if 2 * j == perm[2 * i] else 0 for j in n) for i in n
-        )
-    that = tuple(memo[k] if k in memo else memo.setdefault(k, Fraction(k, D)) for k in t)
-    return GroupElement(AffineAuto(model, L, that), parities)
+def _linear_of(perm, signs, n: int) -> tuple[tuple[int, ...], ...]:
+    """The n x n linear part L whose lattice map Lhat has the rows (perm, signs)."""
+    return tuple(
+        tuple(signs[2 * i] if 2 * j == perm[2 * i] else 0 for j in range(n)) for i in range(n)
+    )
+
+
+def _check_codes(codes, labels, D: int, width: int) -> None:
+    """Raise ValueError unless every code over D is a valid element: a signed
+    permutation of the 2n lattice rows in (real, period) pairs with equal
+    signs, mapping each coordinate from one with the same curve label, a
+    translation in [0, D) and `width` parity bits of 0 or 1.  The linear
+    rows and parities are checked once per distinct value."""
+    m = 2 * len(labels)
+    distinct = set()
+    for perm, signs, t, parities in codes:
+        if len(t) != m:
+            raise ValueError("translation has wrong shape")
+        if not all(0 <= x < D for x in t):
+            raise ValueError("translation not reduced to [0,1)")
+        distinct.add((perm, signs, parities))
+    for perm, signs, parities in distinct:
+        if len(parities) != width or any(p not in (0, 1) for p in parities):
+            raise ValueError(f"parities must be {width} bits of 0 or 1")
+        if len(signs) != m or sorted(perm) != list(range(m)):
+            raise ValueError("linear part is not a signed permutation")
+        for i in range(0, m, 2):
+            j = perm[i]
+            if j % 2 or perm[i + 1] != j + 1 or signs[i] != signs[i + 1] or signs[i] not in (-1, 1):
+                raise ValueError("lattice map does not act on (real, period) pairs alike")
+            if labels[i // 2] != labels[j // 2]:
+                raise ValueError(
+                    f"coordinate {j // 2} maps onto coordinate {i // 2} but the curves differ"
+                )
 
 
 class FiniteGroup:
     """Closure of a generating set, identity first, canonical translations.
 
+    `codes` holds the elements in BFS order as integer codes (perm, signs, t,
+    parities) over the common denominator D; orders, freeness and the
+    character averages are read off them.  `elements` and `identity` decode
+    them into `GroupElement`s on first access and keep them on the group.
     `linear_parts` maps each linear part L met so far to its `LinearPart`;
     a group has few distinct linear parts however many elements it has.
     """
 
-    def __init__(self, model: TorusModel, elements, generators):
+    def __init__(self, model: TorusModel, codes, D: int, generators, generator_codes):
         self.model = model
-        self.elements = tuple(elements)
+        self.codes = tuple(codes)
+        self.D = D
         self.generators = tuple(generators)
+        self.generator_codes = tuple(generator_codes)
         self.linear_parts: dict[tuple, LinearPart] = {}
+        self._linear: dict[tuple, tuple] = {}  # (perm, signs) -> L
+        self._parts: dict[tuple, LinearPart] = {}  # (perm, signs) -> LinearPart of L
+        self._fractions: dict[int, Fraction] = {}  # k -> k / D
+        self._elements: tuple[GroupElement, ...] | None = None
+        self._identity: GroupElement | None = None
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.codes)
+
+    def linear(self, perm, signs) -> tuple[tuple[int, ...], ...]:
+        """The linear part L of the lattice rows (perm, signs) of a code."""
+        L = self._linear.get((perm, signs))
+        if L is None:
+            L = self._linear[perm, signs] = _linear_of(perm, signs, self.model.n)
+        return L
+
+    def part(self, perm, signs) -> LinearPart:
+        """The `LinearPart` of the lattice rows (perm, signs) of a code."""
+        lp = self._parts.get((perm, signs))
+        if lp is None:
+            lp = self._parts[perm, signs] = linear_part(self.linear(perm, signs), self.linear_parts)
+        return lp
+
+    def decode(self, code) -> GroupElement:
+        """The element of a code; each k/D is built once per group."""
+        perm, signs, t, parities = code
+        fr = self._fractions
+        that = tuple(fr[k] if k in fr else fr.setdefault(k, Fraction(k, self.D)) for k in t)
+        return GroupElement(AffineAuto(self.model, self.linear(perm, signs), that), parities)
+
+    @property
+    def elements(self) -> tuple[GroupElement, ...]:
+        if self._elements is None:
+            self._elements = tuple(map(self.decode, self.codes))
+        return self._elements
 
     @property
     def identity(self) -> GroupElement:
-        return self.elements[0]
+        if self._identity is None:
+            self._identity = self.decode(self.codes[0])
+        return self._identity
+
+    def is_torus_identity(self, code) -> bool:
+        """Whether a code acts trivially on the torus block."""
+        return code[:3] == self.codes[0][:3]
 
     @property
     def is_abelian(self) -> bool:
-        codes, D = _encode(self.generators or self.elements)
+        codes, D = self.generator_codes or self.codes, self.D
         return all(
             _compose_codes(a, b, D) == _compose_codes(b, a, D) for a in codes for b in codes
         )
 
-    def element_order(self, e: GroupElement) -> int:
-        """m * D / gcd(D, S D t) for t over D, doubled when a parity is set and
+    def _order(self, code) -> int:
+        """m * D / gcd(D, S t) for t over D, doubled when a parity is set and
         that is odd: e^k has linear part L^k, translation sum_{j<k} Lhat^j t,
         parities k p mod 2; L^k = I needs m | k; e^{m j} translates by j S t."""
-        lp = linear_part(e.auto.L, self.linear_parts)
-        t, D = _numerators(e.auto.that)
+        perm, signs, t, parities = code
+        lp, D = self.part(perm, signs), self.D
         k = lp.order * (D // gcd(D, *_mat_vec(lp.S, t)))
-        if k % 2 and any(e.parities):
+        if k % 2 and any(parities):
             k *= 2
         if k > self.order:
             raise AssertionError("element order exceeds group order")
@@ -261,18 +317,27 @@ class FiniteGroup:
 
     @property
     def element_orders(self) -> tuple[int, ...]:
-        return tuple(self.element_order(e) for e in self.elements)
+        return tuple(map(self._order, self.codes))
 
     @property
     def max_element_order(self) -> int:
         return max(self.element_orders)
+
+    def torus_free(self, code) -> bool:
+        """Whether the torus part of a code, not the identity, has no fixed
+        point: (Lhat - I) z = -t is obstructed iff U t is nonzero mod D on a
+        zero row of the SNF U (Lhat - I) V = diag."""
+        perm, signs, t, _ = code
+        D = self.D
+        return any(sum(map(mul, row, t)) % D for row in self.part(perm, signs).null_rows)
 
 
 def generate_group(
     gens, model: TorusModel | None = None, parity_width: int | None = None
 ) -> FiniteGroup:
     """BFS closure under composition mod lattice, capped at CLOSURE_CAP, on
-    codes over the generators' common denominator; built and validated last."""
+    codes over the generators' common denominator; every closed code is
+    checked by `_check_codes`, and none is decoded here."""
     gens = [g if isinstance(g, GroupElement) else GroupElement(g) for g in gens]
     if model is None:
         if not gens:
@@ -299,8 +364,8 @@ def generate_group(
                     if len(seen) > CLOSURE_CAP:
                         raise ClosureError(f"group closure exceeded CLOSURE_CAP = {CLOSURE_CAP} elements")
         frontier = nxt
-    memo: dict = {}
-    return FiniteGroup(model, [_decode(model, c, D, memo) for c in seen], gens)
+    _check_codes(seen, model.labels, D, parity_width)
+    return FiniteGroup(model, seen, D, gens, codes)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +460,8 @@ class LinearPart:
     """What every element with linear part L shares.
 
     order: the order m of L.  S: sum_{k<m} Lhat^k.  M: Lhat - I, with
-    U M V = D its Smith normal form and diag the diagonal of D.
+    U M V = D its Smith normal form and diag the diagonal of D.  null_rows:
+    the rows of U where diag is 0, the only rows the obstruction reads.
     """
 
     order: int
@@ -404,6 +470,7 @@ class LinearPart:
     U: tuple[tuple[int, ...], ...]
     V: tuple[tuple[int, ...], ...]
     diag: tuple[int, ...]
+    null_rows: tuple[tuple[int, ...], ...]
 
 
 def linear_part(L, table: dict) -> LinearPart:
@@ -421,9 +488,9 @@ def linear_part(L, table: dict) -> LinearPart:
             S = [[a + b for a, b in zip(rs, rp)] for rs, rp in zip(S, power)]
         M = tuple(tuple(Lhat[i][j] - (i == j) for j in range(size)) for i in range(size))
         U, D, V = smith_normal_form(M)
-        lp = table[L] = LinearPart(
-            m, tuple(map(tuple, S)), M, U, V, tuple(D[i][i] for i in range(size))
-        )
+        diag = tuple(D[i][i] for i in range(size))
+        null_rows = tuple(row for row, d in zip(U, diag) if d == 0)
+        lp = table[L] = LinearPart(m, tuple(map(tuple, S)), M, U, V, diag, null_rows)
     return lp
 
 
@@ -464,26 +531,39 @@ def delegated_elements(G: FiniteGroup) -> tuple[GroupElement, ...]:
     whose freeness is input data and cannot be computed here.
     """
     return tuple(
-        e
-        for e in G.elements
-        if any(e.parities)
-        and (e.auto.is_identity() or not fixed_point_free(e.auto, G.linear_parts).free)
+        G.decode(c)
+        for c in G.codes
+        if any(c[3]) and (G.is_torus_identity(c) or not G.torus_free(c))
     )
+
+
+def _first_fixed_code(G: FiniteGroup):
+    """The first code that fixes the formal factors, is not the identity on
+    the torus and has a torus fixed point; None if none has."""
+    counted = (c for c in G.codes if not any(c[3]) and not G.is_torus_identity(c))
+    return next((c for c in counted if not G.torus_free(c)), None)
 
 
 def first_fixed(G: FiniteGroup) -> tuple[GroupElement, FreeCertificate] | None:
     """The first non-identity element fixing the formal factors that has a
-    fixed point on the torus block, with its certificate; None if none has."""
-    counted = (e for e in G.elements if not e.is_identity() and not any(e.parities))
-    certs = ((e, fixed_point_free(e.auto, G.linear_parts)) for e in counted)
-    return next(((e, cert) for e, cert in certs if not cert.free), None)
+    fixed point on the torus block, with its certificate; None if none has.
+    Only that element is decoded, and `fixed_point_free` certifies it."""
+    c = _first_fixed_code(G)
+    if c is None:
+        return None
+    e = G.decode(c)
+    cert = fixed_point_free(e.auto, G.linear_parts)
+    if cert.free:
+        raise AssertionError(f"the code and the certificate disagree on the freeness of {e}")
+    return e, cert
 
 
 def action_free(G: FiniteGroup) -> bool:
     """TRUE iff no element that first_fixed examines has a torus fixed point.
     An element that moves a formal factor is free when its torus part is;
-    otherwise delegated_elements lists it, and it is not counted here."""
-    return first_fixed(G) is None
+    otherwise delegated_elements lists it, and it is not counted here.
+    Decided on the codes alone."""
+    return _first_fixed_code(G) is None
 
 
 # ---------------------------------------------------------------------------
@@ -510,11 +590,16 @@ def graded_character(L) -> list[int]:
     return char
 
 
+def _class_counts(G: FiniteGroup) -> dict[tuple, int]:
+    """How many elements share each (L, parities), counted on the codes."""
+    counts = Counter((perm, signs, parities) for perm, signs, _, parities in G.codes)
+    return {(G.linear(perm, signs), par): n for (perm, signs, par), n in counts.items()}
+
+
 def _average(G: FiniteGroup, character) -> tuple[int, ...]:
     """Invariant dimension per degree: the group average of `character(L,
     parities)`, taken once per distinct (L, parities), weighted by its count."""
-    counts = Counter((e.auto.L, e.parities) for e in G.elements)
-    chars = [[n * x for x in character(*key)] for key, n in counts.items()]
+    chars = [[n * x for x in character(*key)] for key, n in _class_counts(G).items()]
     totals = [sum(col) for col in zip(*chars)]
     for p, total in enumerate(totals):
         if total % G.order:
@@ -564,7 +649,7 @@ def quotient_hodge(formal, G: FiniteGroup) -> HodgeData:
     total = G.model.n + sum(f.dim for f in formal)
     if total != 4:
         raise ValueError(f"total complex dimension is {total}, need 4")
-    if any(len(e.parities) != len(formal) for e in G.elements):
+    if any(len(c[3]) != len(formal) for c in G.codes):
         raise ValueError("group parities do not match the formal factor count")
 
     def character(L, parities):

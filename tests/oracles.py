@@ -12,6 +12,10 @@ from abfib.torusquot import (
     AffineAuto,
     ClosureError,
     GroupElement,
+    _compose_codes,
+    _encode,
+    _lhat,
+    _linear_of,
     identity_auto,
 )
 from abfib.weierstrass import (
@@ -31,6 +35,30 @@ def element_key(e: GroupElement):
     """A hashable identity of e: its linear part, Fraction translation and
     parities."""
     return (e.auto.L, e.auto.that, e.parities)
+
+
+def lhat(f: AffineAuto) -> tuple[tuple[int, ...], ...]:
+    """The 2n x 2n lattice map of f: each entry of L becomes a scalar 2-block."""
+    return _lhat(f.L)
+
+
+def compose_elements(f: GroupElement, g: GroupElement) -> GroupElement:
+    """f after g by one step of the integer-coded closure in `torusquot`,
+    decoded back to Fractions."""
+    if len(f.parities) != len(g.parities):
+        raise ValueError("elements carry different formal-factor counts")
+    if f.auto.model != g.auto.model:
+        raise ValueError("automorphisms live on different models")
+    (fc, gc), D = _encode((f, g))
+    perm, signs, t, parities = _compose_codes(fc, gc, D)
+    model = f.auto.model
+    L = _linear_of(perm, signs, model.n)
+    return GroupElement(AffineAuto(model, L, tuple(Fraction(k, D) for k in t)), parities)
+
+
+def compose(f: AffineAuto, g: AffineAuto) -> AffineAuto:
+    """f after g: z -> L_f L_g z + L_f t_g + t_f, translation reduced mod 1."""
+    return compose_elements(GroupElement(f), GroupElement(g)).auto
 
 
 def compose_by_fractions(f: GroupElement, g: GroupElement) -> GroupElement:
@@ -74,33 +102,42 @@ def generate_group_by_compose(gens, model, parity_width) -> tuple[GroupElement, 
     return tuple(elements)
 
 
+_GRID_IMAGES: dict = {}
+
+
+def _grid_images(L, G: int) -> set:
+    """(L - I) k mod G for every k on the grid (Z/G)^n, kept per (L, G)."""
+    if (L, G) not in _GRID_IMAGES:
+        n = len(L)
+        M = np.array([[L[i][j] - (i == j) for j in range(n)] for i in range(n)], dtype=np.int64)
+        K = np.array(list(itertools.product(range(G), repeat=n)), dtype=np.int64)
+        _GRID_IMAGES[L, G] = {tuple(r) for r in ((K @ M.T) % G).tolist()}
+    return _GRID_IMAGES[L, G]
+
+
 def fixed_point_free_brute(f) -> bool:
     """Exhaustive grid search, independent of the SNF path.
 
     The lattice map splits into identical copies of L - I on the real and
     period coordinates, so the two n-dimensional systems are searched
-    separately over the (1 / 2D)-grid, D = translation denominator lcm.
+    separately over the (1 / 2D)-grid, D = translation denominator lcm:
+    (L - I) k = -2D t mod 2D must hit the image of the whole grid.
     """
     if f.is_identity():
         raise ValueError("identity fixes everything; test non-identity elements")
-    n = f.model.n
     D = lcm(1, *(x.denominator for x in f.that))
     G = 2 * D
-    M = np.array(
-        [[f.L[i][j] - (i == j) for j in range(n)] for i in range(n)], dtype=np.int64
-    )
-    K = np.array(list(itertools.product(range(G), repeat=n)), dtype=np.int64)
+    images = _grid_images(f.L, G)
 
     def solvable(part):
-        rhs = np.array([int(G * x) for x in part], dtype=np.int64)
-        return bool(((K @ M.T + rhs) % G == 0).all(axis=1).any())
+        return tuple(-int(G * x) % G for x in part) in images
 
     return not (solvable(f.that[0::2]) and solvable(f.that[1::2]))
 
 
 def element_order_by_powers(G, e) -> int:
     """Order of e in G by composing powers until the identity: the reference
-    for the closed form in `FiniteGroup.element_order`."""
+    for the closed form in `FiniteGroup.element_orders`."""
     k, acc = 1, e
     while not acc.is_identity():
         acc = compose_by_fractions(acc, e)

@@ -178,6 +178,59 @@ def test_scan_gate_commands_pinned(argv, md5, monkeypatch, capsys):
     assert hashlib.md5(out.encode()).hexdigest() == md5
 
 
+# a non-free four-fold scenario: its record carries the witness element, the
+# SNF diagonal and a fixed point; it also has delegated elements and h^(4,0) = 0
+NONFREE_SCN = """version 1
+name nonfree
+factor torus e
+factor torus e
+factor k3 -1
+generator z2+1/3, z1, +
+generator -z1+1/2, -z2+t2/4, -
+"""
+
+# a generated free scenario of order 512 (the shape of perfbench's exact workload)
+FREE512_SCN = """version 1
+name free512
+factor torus e
+factor torus e
+factor torus e3
+factor torus e4
+generator z1, z2+7/8*t2, z3, z4
+generator z1+1/2*t1, z2, z3, z4
+generator z1, z2, z3+1/8, z4
+generator -z1, -z2, z3, z4+1/2
+generator -z1, z2, -z3, z4+1/2*t4
+expect order 512
+expect abelian false
+expect free true
+expect forms 1,1,0,1,1
+expect hodge 1,1,0,1,1
+"""
+
+
+@pytest.mark.parametrize(
+    "scenario, code, md5",
+    [
+        ("d8", 0, "bbbe483f40335a7fc8c6a3f3c3e68343"),
+        ("bielliptic", 0, "5d0378f4120752b4dee247acd42b3c2b"),
+        ("enriques", 0, "ed16a092feebc9652d3731701f332fb6"),
+        ("nonfree.scn", 1, "d52930d6edae4a31203ef31daf97c4e8"),
+        ("free512.scn", 0, "cee0ed862c6358c9bce1e61bd34cc340"),
+    ],
+)
+def test_torus_gate_commands_pinned(scenario, code, md5, tmp_path, monkeypatch, capsys):
+    # the byte-identical gate for torus engine changes; the written scenarios
+    # are run by relative name, so the path in the payload does not vary
+    monkeypatch.delenv("ABFIB_SEED", raising=False)
+    (tmp_path / "nonfree.scn").write_text(NONFREE_SCN)
+    (tmp_path / "free512.scn").write_text(FREE512_SCN)
+    monkeypatch.chdir(tmp_path)
+    got, out, err = run(["torus", scenario, "--format", "json"], capsys)
+    assert got == code and not err
+    assert hashlib.md5(out.encode()).hexdigest() == md5
+
+
 def test_weierstrass_trials_budget(capsys):
     for trials in ("0", "101", "-1"):
         code, out, err = run(["weierstrass", "--trials", trials], capsys)

@@ -8,7 +8,7 @@ from abfib.scenario import (
     resolve_scenario,
     run_scenario,
 )
-from abfib.torusquot import FormalFactor
+from abfib.torusquot import AffineAuto, FormalFactor, identity_auto
 
 BUNDLED = ["d8.scn", "bielliptic.scn", "enriques.scn", "empty.scn"]
 
@@ -57,6 +57,58 @@ def test_empty_scenario_details():
     assert r.order == 1
     assert r.forms == (1, 4, 6, 4, 1)
     assert r.hodge.h_q == (1, 4, 6, 4, 1)
+
+
+FREE_256 = """version 1
+name free256
+factor torus e
+factor torus e
+factor torus e3
+factor torus e4
+generator z1, z2+7/8*t2, z3, z4
+generator z1, z2, z3+1/8, z4
+generator -z1, -z2, z3, z4+1/2
+generator -z1, z2, -z3, z4+1/2*t4
+"""
+
+NOT_FREE = """version 1
+name notfree
+factor torus e
+factor torus e
+generator z2+1/3, z1
+generator -z1+1/2, -z2+t2/4
+"""
+
+
+def autos_built_by(text, monkeypatch):
+    """(scenario, its result, the AffineAutos validated while parsing and
+    running it, in order)."""
+    built = []
+    post_init = AffineAuto.__post_init__
+
+    def counting(self):
+        post_init(self)
+        built.append(self)
+
+    monkeypatch.setattr(AffineAuto, "__post_init__", counting)
+    sc = parse_scenario(text)
+    res = run_scenario(sc)
+    return sc, res, list(built)
+
+
+def test_free_scenario_builds_only_generators_and_identity(monkeypatch):
+    # the engine works on integer codes: no element of a free group is decoded
+    sc, res, built = autos_built_by(FREE_256, monkeypatch)
+    assert res.order == 256 and res.free and res.fixed is None
+    assert built == [g.auto for g in sc.generators] + [identity_auto(sc.model)]
+
+
+def test_non_free_scenario_builds_one_witness(monkeypatch):
+    sc, res, built = autos_built_by(NOT_FREE, monkeypatch)
+    assert res.order >= 2 and not res.free
+    witness = res.fixed[0].auto
+    assert built == [g.auto for g in sc.generators] + [identity_auto(sc.model), witness]
+    assert built[-1] is witness
 
 
 def test_resolve_scenario_bundled_and_missing(tmp_path):

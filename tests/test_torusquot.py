@@ -1,12 +1,18 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from abfib.scenario import bundled_scenario_path, load_scenario
+from abfib import torusquot
 from abfib.torusquot import (
     AffineAuto,
     ClosureError,
@@ -16,9 +22,8 @@ from abfib.torusquot import (
     TorusModel,
     action_free,
     affine_auto,
-    compose,
-    compose_elements,
     delegated_elements,
+    first_fixed,
     fixed_point_free,
     generate_group,
     graded_character,
@@ -29,11 +34,14 @@ from abfib.torusquot import (
 )
 
 from oracles import (
+    compose,
+    compose_elements,
     element_key,
     element_order_by_powers,
     fixed_point_free_brute,
     generate_group_by_compose,
     graded_character_minors,
+    lhat,
 )
 
 F = Fraction
@@ -46,7 +54,7 @@ F = Fraction
 def grid_fixed_points(auto, denom):
     """All fixed points on the (1/denom)-grid, exact Fraction arithmetic."""
     m = 2 * auto.model.n
-    Lhat = auto.Lhat
+    Lhat = lhat(auto)
     M = [[Lhat[i][j] - (i == j) for j in range(m)] for i in range(m)]
     pts = []
     for combo in itertools.product(range(denom), repeat=m):
@@ -158,9 +166,9 @@ def test_group_d8_profile():
     assert sorted(G.element_orders) == [1, 2, 2, 2, 2, 2, 4, 4]
     # closure contains every inverse
     keys = {element_key(e) for e in G.elements}
-    for e in G.elements:
+    for e, k in zip(G.elements, G.element_orders):
         inv = e
-        for _ in range(max(0, G.element_order(e) - 2)):
+        for _ in range(max(0, k - 2)):
             inv = compose_elements(inv, e)
         assert element_key(compose_elements(inv, e)) == element_key(G.identity)
         assert element_key(inv) in keys
@@ -225,9 +233,9 @@ def oracle_groups():
 def test_element_order_matches_powers(oracle_groups):
     orders = set()
     for G in oracle_groups:
-        for e in G.elements:
-            orders.add(G.element_order(e))
-            assert G.element_order(e) == element_order_by_powers(G, e)
+        for e, k in zip(G.elements, G.element_orders, strict=True):
+            orders.add(k)
+            assert k == element_order_by_powers(G, e)
     # odd translation orders, sign flips and parity doubling all occur
     assert {3, 4, 6} <= orders
 
@@ -239,6 +247,116 @@ def test_group_table_certificates_match_fresh_ones(oracle_groups):
                 assert fixed_point_free(e.auto, G.linear_parts) == fixed_point_free(e.auto)
         # one table entry per distinct linear part
         assert set(G.linear_parts) <= {e.auto.L for e in G.elements}
+
+
+def test_code_path_matches_decoded_fraction_path(oracle_groups):
+    # orders, freeness, delegation and the character classes read off the
+    # integer codes, against the same quantities on the decoded elements
+    outcomes = set()
+    for G in oracle_groups:
+        assert len(G.codes) == G.order == len(G.elements)
+        # orders: test_element_order_matches_powers
+        for c, e in zip(G.codes, G.elements, strict=True):
+            assert G.decode(c) == e
+            if e.auto.is_identity():
+                assert G.is_torus_identity(c)
+                continue
+            assert not G.is_torus_identity(c)
+            free = G.torus_free(c)
+            assert free == fixed_point_free(e.auto).free == fixed_point_free_brute(e.auto), e
+            outcomes.add(free)
+        delegated = [
+            e
+            for e in G.elements
+            if any(e.parities) and (e.auto.is_identity() or not fixed_point_free(e.auto).free)
+        ]
+        assert list(delegated_elements(G)) == delegated
+        counted = [e for e in G.elements if not e.is_identity() and not any(e.parities)]
+        fixed = [e for e in counted if not fixed_point_free(e.auto).free]
+        found = first_fixed(G)
+        if fixed:
+            assert found == (fixed[0], fixed_point_free(fixed[0].auto))
+        else:
+            assert found is None
+        assert torusquot._class_counts(G) == Counter((e.auto.L, e.parities) for e in G.elements)
+    assert outcomes == {True, False}
+
+
+def test_elements_decode_once_and_stay_on_the_group():
+    _, g1, g2, g3 = d8_setup()
+    G = generate_group([g1, g2, g3])
+    identity = G.identity
+    assert identity is G.identity and identity.is_identity()
+    assert G.elements is G.elements
+    assert G.elements[0] == identity
+
+
+def corrupted_codes():
+    """(name, code) pairs over D = 4 on the model (e, e, f) with one parity
+    bit: each breaks one rule that `_check_codes` enforces."""
+    perm, signs = (0, 1, 2, 3, 4, 5), (1, 1, 1, 1, 1, 1)
+    t, par = (0, 0, 0, 0, 0, 0), (0,)
+    return [
+        ("label-crossing permutation", ((4, 5, 2, 3, 0, 1), signs, t, par)),
+        ("unequal block signs", (perm, (1, -1, 1, 1, 1, 1), t, par)),
+        ("t == D", (perm, signs, (0, 0, 4, 0, 0, 0), par)),
+        ("negative t", (perm, signs, (0, -1, 0, 0, 0, 0), par)),
+        ("pair split", ((1, 0, 2, 3, 4, 5), signs, t, par)),
+        ("not a permutation", ((0, 1, 0, 1, 4, 5), signs, t, par)),
+        ("sign 2", (perm, (2, 2, 1, 1, 1, 1), t, par)),
+        ("parity 2", (perm, signs, t, (2,))),
+    ]
+
+
+CHECK_LABELS, CHECK_D, CHECK_WIDTH = ("e", "e", "f"), 4, 1
+
+
+@pytest.mark.parametrize("name, code", corrupted_codes())
+def test_check_codes_rejects_corrupted_codes(name, code):
+    valid = ((2, 3, 0, 1, 4, 5), (-1, -1, 1, 1, 1, 1), (3, 0, 1, 2, 0, 3), (1,))
+    torusquot._check_codes([valid], CHECK_LABELS, CHECK_D, CHECK_WIDTH)
+    with pytest.raises(ValueError):
+        torusquot._check_codes([valid, code], CHECK_LABELS, CHECK_D, CHECK_WIDTH)
+
+
+def test_check_codes_is_not_an_assert_statement():
+    # python -O strips assert statements; the closure check must survive it
+    script = (
+        "import ast, sys\n"
+        "from abfib import torusquot\n"
+        "for name, code in ast.literal_eval(sys.argv[1]):\n"
+        "    try:\n"
+        f"        torusquot._check_codes([code], {CHECK_LABELS!r}, {CHECK_D}, {CHECK_WIDTH})\n"
+        "    except ValueError:\n"
+        "        continue\n"
+        "    sys.exit('accepted: ' + name)\n"
+        "print(sys.flags.optimize)\n"
+    )
+    src = Path(__file__).parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script, repr(corrupted_codes())],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1\n"
+
+
+def test_generate_group_checks_every_closed_code(monkeypatch):
+    # a composition that leaves [0, D) is caught before the group is built
+    m = TorusModel(("e",))
+    shift = affine_auto(m, [[1]], [(F(1, 4), 0)])
+    compose_codes = torusquot._compose_codes
+
+    def off_by_d(f, g, D):
+        perm, signs, t, parities = compose_codes(f, g, D)
+        return perm, signs, tuple(x + D * (x == 2) for x in t), parities
+
+    monkeypatch.setattr(torusquot, "_compose_codes", off_by_d)
+    with pytest.raises(ValueError, match="translation not reduced"):
+        generate_group([shift])
 
 
 def test_closure_matches_fraction_oracle(oracle_groups):
@@ -311,7 +429,7 @@ def test_snf_diagonal_matches_sympy():
         for perm in itertools.permutations(range(n)):
             for signs in itertools.product((-1, 1), repeat=n):
                 L = [[signs[i] * (perm[i] == j) for j in range(n)] for i in range(n)]
-                Lhat = affine_auto(TorusModel(("e",) * n), L, [(0, 0)] * n).Lhat
+                Lhat = lhat(affine_auto(TorusModel(("e",) * n), L, [(0, 0)] * n))
                 mats.append([[x - (i == j) for j, x in enumerate(r)] for i, r in enumerate(Lhat)])
     assert len(mats) == 60 + 2 + 8 + 48
     for M in mats:
