@@ -422,34 +422,6 @@ RULES: tuple[Rule, ...] = (
 )
 
 
-def _nodal_c1() -> Verdict:
-    c = chern(split_pair(-2, -2))
-    steps = (
-        RuleStep(
-            "nodal-c1",
-            "under either equality hypothesis c1(V) = -3 exactly",
-            checked=False,
-        ),
-        RuleStep(
-            "riemann-roch",
-            f"c1(O(-2)+O(-2)) = {c.c1} != -3",
-            checked=True,
-        ),
-    )
-    return Verdict(IMPOSSIBLE, documented=True, steps=steps)
-
-
-def documented_rule(rule_id: str, window: tuple[int, int] = DEFAULT_C1_WINDOW) -> Verdict:
-    """Verdict for a rule of RULES, or for nodal-c1, which decides no triple
-    of the table; its checkable side conditions are run."""
-    if rule_id == "nodal-c1":
-        return _nodal_c1()
-    for row in RULES:
-        if row.rule_id == rule_id:
-            return row.verdict(window)
-    raise ValueError(f"unknown documented rule {rule_id!r}")
-
-
 def rule_for(h: HolonomyClass, t: CohVector) -> Rule:
     """The row of RULES that decides triple t for class h."""
     for row in RULES:
@@ -465,12 +437,9 @@ def classify(
     return [(t, rule_for(h, t).verdict(window)) for t in h.triples]
 
 
-def classify_all(window: tuple[int, int] = DEFAULT_C1_WINDOW) -> dict[str, list]:
-    return {h.id: classify(h, window) for h in HOLONOMY_CLASSES}
-
-
 def admissible_class_ids(table: dict[str, list]) -> set[str]:
-    """Classes of a `classify_all` table with at least one admissible direct image."""
+    """Classes of a {class id: `classify` verdicts} table with at least one
+    admissible direct image."""
     return {
         class_id
         for class_id, verdicts in table.items()

@@ -119,12 +119,6 @@ def _from_coeffs(degree: int, coeffs: np.ndarray, p: int | None) -> HomogPoly:
     return object.__new__(HomogPoly)._set(degree, coeffs, p)
 
 
-def poly(degree: int, coeffs: dict, p: int | None = None) -> HomogPoly:
-    """Build a polynomial from {(i,j,k): coefficient}; reduces and validates."""
-    reduced = ((e, c % p if p is not None else Fraction(c)) for e, c in coeffs.items())
-    return HomogPoly(degree, tuple((e, c) for e, c in reduced if c), p)
-
-
 def zero_poly(degree: int, p: int | None = None) -> HomogPoly:
     return HomogPoly(degree, (), p)
 

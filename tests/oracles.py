@@ -7,6 +7,28 @@ from math import lcm
 
 import numpy as np
 
+from abfib.classifier import (
+    DEFAULT_C1_WINDOW,
+    HOLONOMY_CLASSES,
+    IMPOSSIBLE,
+    RULES,
+    RuleStep,
+    Verdict,
+    classify,
+    split_pair,
+)
+from abfib.sheafcalc import (
+    BundleExpr,
+    Cotangent,
+    Det,
+    DirectSum,
+    Dual,
+    Line,
+    Sym,
+    Tangent,
+    TwistBy,
+    chern,
+)
 from abfib.torusquot import (
     CLOSURE_CAP,
     AffineAuto,
@@ -26,7 +48,6 @@ from abfib.weierstrass import (
     _plane_point,
     _pow_table,
     derivative,
-    poly,
     zero_poly,
 )
 
@@ -172,6 +193,12 @@ def graded_character_minors(L) -> list[int]:
     ]
 
 
+def poly(degree: int, coeffs: dict, p: int | None = None) -> HomogPoly:
+    """Build a polynomial from {(i,j,k): coefficient}; reduces and validates."""
+    reduced = ((e, c % p if p is not None else Fraction(c)) for e, c in coeffs.items())
+    return HomogPoly(degree, tuple((e, c) for e, c in reduced if c), p)
+
+
 def poly_mul_dict(f, g):
     """Term-by-term product of two forms over the same field, with no dense
     matrices: the reference for the convolution in `weierstrass.poly_mul`."""
@@ -309,3 +336,145 @@ def format_poly(f: HomogPoly) -> str:
         else:
             parts.append(("+ " if parts else "") + body)
     return " ".join(parts)
+
+
+# ---------------------------------------------------------------------------
+# the bundle text grammar that `abfib.sheafcalc.format_bundle` writes
+#
+#   expr    := term ('+' term)*
+#   term    := atom ( '(' int ')' )*          postfix twists
+#   atom    := 'O' ['(' int ')'] | 'Omega1' | 'T'
+#            | 'Dual' '(' expr ')' | 'Det' '(' expr ')'
+#            | 'Sym' digits '(' expr ')' | '(' expr ')'
+#
+# format_bundle and parse_bundle are mutually inverse on expression trees.
+
+_TOKEN = re.compile(r"\s*(Omega1|Dual|Det|Sym\d+|O|T|[()+]|-?\d+)")
+
+
+class BundleParseError(ValueError):
+    pass
+
+
+def _tokenize(s: str) -> list[str]:
+    out = []
+    pos = 0
+    while pos < len(s):
+        m = _TOKEN.match(s, pos)
+        if not m:
+            raise BundleParseError(f"bad token at offset {pos}: {s[pos:pos+12]!r}")
+        out.append(m.group(1))
+        pos = m.end()
+    return out
+
+
+class _Parser:
+    def __init__(self, tokens: list[str]):
+        self.toks = tokens
+        self.i = 0
+
+    def peek(self) -> str | None:
+        return self.toks[self.i] if self.i < len(self.toks) else None
+
+    def take(self, expected: str | None = None) -> str:
+        tok = self.peek()
+        if tok is None:
+            raise BundleParseError("unexpected end of input")
+        if expected is not None and tok != expected:
+            raise BundleParseError(f"expected {expected!r}, got {tok!r}")
+        self.i += 1
+        return tok
+
+    def int_(self) -> int:
+        tok = self.take()
+        try:
+            return int(tok)
+        except ValueError:
+            raise BundleParseError(f"expected integer, got {tok!r}") from None
+
+    def expr(self) -> BundleExpr:
+        parts = [self.term()]
+        while self.peek() == "+":
+            self.take("+")
+            parts.append(self.term())
+        return parts[0] if len(parts) == 1 else DirectSum(tuple(parts))
+
+    def term(self) -> BundleExpr:
+        e = self.atom()
+        while self.peek() == "(":
+            self.take("(")
+            k = self.int_()
+            self.take(")")
+            e = TwistBy(e, k)
+        return e
+
+    def atom(self) -> BundleExpr:
+        tok = self.take()
+        if tok == "O":
+            if self.peek() == "(":
+                self.take("(")
+                k = self.int_()
+                self.take(")")
+                return Line(k)
+            return Line(0)
+        if tok == "Omega1":
+            return Cotangent()
+        if tok == "T":
+            return Tangent()
+        if tok in ("Dual", "Det"):
+            self.take("(")
+            inner = self.expr()
+            self.take(")")
+            return Dual(inner) if tok == "Dual" else Det(inner)
+        if tok.startswith("Sym"):
+            n = int(tok[3:])
+            self.take("(")
+            inner = self.expr()
+            self.take(")")
+            return Sym(inner, n)
+        if tok == "(":
+            inner = self.expr()
+            self.take(")")
+            return inner
+        raise BundleParseError(f"unexpected token {tok!r}")
+
+
+def parse_bundle(s: str) -> BundleExpr:
+    p = _Parser(_tokenize(s.strip()))
+    e = p.expr()
+    if p.peek() is not None:
+        raise BundleParseError(f"trailing input from token {p.peek()!r}")
+    return e
+
+
+def classify_all(window: tuple[int, int] = DEFAULT_C1_WINDOW) -> dict[str, list]:
+    """`classify` over every holonomy class, keyed by class id."""
+    return {h.id: classify(h, window) for h in HOLONOMY_CLASSES}
+
+
+def _nodal_c1() -> Verdict:
+    c = chern(split_pair(-2, -2))
+    steps = (
+        RuleStep(
+            "nodal-c1",
+            "under either equality hypothesis c1(V) = -3 exactly",
+            checked=False,
+        ),
+        RuleStep(
+            "riemann-roch",
+            f"c1(O(-2)+O(-2)) = {c.c1} != -3",
+            checked=True,
+        ),
+    )
+    return Verdict(IMPOSSIBLE, documented=True, steps=steps)
+
+
+def documented_rule(rule_id: str, window: tuple[int, int] = DEFAULT_C1_WINDOW) -> Verdict:
+    """Verdict for a rule of RULES, or for nodal-c1, which decides no triple
+    of the table; its checkable side conditions are run."""
+    if rule_id == "nodal-c1":
+        return _nodal_c1()
+    for row in RULES:
+        if row.rule_id == rule_id:
+            return row.verdict(window)
+    raise ValueError(f"unknown documented rule {rule_id!r}")

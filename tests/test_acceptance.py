@@ -15,12 +15,11 @@ import time
 from fractions import Fraction
 
 from conftest import criterion_results
-from oracles import fixed_point_free_brute
+from oracles import classify_all, fixed_point_free_brute
 
 from abfib import report
 from abfib.classifier import (
     CohVector,
-    classify_all,
     admissible_class_ids,
     split_candidates,
 )

@@ -18,8 +18,6 @@ from abfib.classifier import (
     Verdict,
     admissible_class_ids,
     classify,
-    classify_all,
-    documented_rule,
     inequality_verdict,
     rule_for,
     split_candidates,
@@ -27,6 +25,7 @@ from abfib.classifier import (
 from abfib.citations import CITATIONS
 from abfib.jacfib import classify_jacobian_fibrations
 from abfib.sheafcalc import CohVector, Cotangent, DirectSum, Line, chern, coh, riemann_roch
+from oracles import classify_all, documented_rule
 
 
 # ---------------------------------------------------------------------------

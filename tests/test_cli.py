@@ -1,9 +1,11 @@
+import argparse
 import hashlib
 import json
 
 import pytest
 
-from abfib.cli import build_parser, main
+from abfib import cli
+from abfib.cli import COMMANDS, build_parser, main
 
 
 def run(argv, capsys):
@@ -346,3 +348,91 @@ def test_parser_window_flag(capsys):
 
 def test_parser_prog_name():
     assert build_parser().prog == "abfib"
+
+
+# argv for which `main` must behave as if it parsed with the full tree:
+# valid commands (with abbreviated flags), help, and usage errors
+AGREEMENT_CORPUS = [
+    ["classify", "all"],
+    ["classify", "SU4", "--window", "-10", "-3", "--format", "json", "--seed", "3"],
+    ["classify", "su4", "--win", "-3", "0", "--form", "json"],
+    ["classify", "bogus"],
+    ["classify", "--", "all"],
+    ["torus", "d8", "--format", "json"],
+    ["torus", "bielliptic", "--form", "text", "--se", "2"],
+    ["weierstrass", "--l", "2", "--p", "7", "--trials", "1", "--fibre-product", "--l2", "2", "--seed", "1"],
+    ["weierstrass", "--form", "json", "--tri", "2", "--p", "5", "--fib"],
+    ["weierstrass", "--trials", "0"],
+    ["jacfib"],
+    ["jacfib", "--form", "json", "--se", "4"],
+    ["report", "all", "--format", "json"],
+    ["--help"],
+    ["-h"],
+    *([name, "--help"] for name in COMMANDS),
+    ["weierstrass", "--he"],
+    ["weierstrass", "--trials", "1", "-h"],
+    [],
+    ["bogus"],
+    ["--format", "json"],
+    ["classify", "all", "--bogus"],
+    ["torus", "d8", "--bogus"],
+    ["weierstrass", "--bogus"],
+    ["jacfib", "--bogus"],
+    ["report", "all", "--bogus"],
+    ["weierstrass", "--trials", "x"],
+    ["jacfib", "--format", "yaml"],
+    ["report", "everything"],
+    ["jacfib", "x"],
+    ["jacfib", "--", "x"],
+    ["classify"],
+    ["classify", "all", "--window", "1"],
+]
+
+
+def _outcome(argv, capsys):
+    try:
+        code = ("return", main(argv))
+    except SystemExit as e:
+        code = ("exit", e.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", AGREEMENT_CORPUS, ids=lambda argv: " ".join(argv) or "[]")
+def test_command_parser_agrees_with_full_tree(argv, monkeypatch, capsys):
+    # help text wraps at the terminal width; fix it for both runs
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("ABFIB_SEED", raising=False)
+    parse = cli.parse_args
+    got = _outcome(list(argv), capsys)
+    monkeypatch.setattr(cli, "parse_args", lambda a: build_parser().parse_args(a))
+    want = _outcome(list(argv), capsys)
+    assert got == want
+    if want[0][0] == "return":
+        assert vars(parse(list(argv))) == vars(build_parser().parse_args(list(argv)))
+
+
+def _count_parsers(monkeypatch) -> list:
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    return built
+
+
+def test_known_command_builds_only_its_parser(monkeypatch, capsys):
+    built = _count_parsers(monkeypatch)
+    assert main(["weierstrass", "--trials", "1", "--format", "json"]) == 0
+    assert built == ["abfib weierstrass"]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["bogus"]])
+def test_other_argv_build_the_full_tree(argv, monkeypatch, capsys):
+    built = _count_parsers(monkeypatch)
+    with pytest.raises(SystemExit):
+        main(argv)
+    assert built == ["abfib", *(f"abfib {name}" for name in COMMANDS)]

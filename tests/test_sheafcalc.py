@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abfib.sheafcalc import (
-    BundleParseError,
     ChernPair,
     CohVector,
     Cotangent,
@@ -32,11 +31,11 @@ from abfib.sheafcalc import (
     coh_line,
     format_bundle,
     normalize,
-    parse_bundle,
     rank,
     riemann_roch,
     sym6_dual_twist,
 )
+from oracles import BundleParseError, parse_bundle
 
 
 def twist_chern(c: ChernPair, k: int) -> ChernPair:

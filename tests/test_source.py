@@ -1,6 +1,7 @@
 """Properties of the package source rather than of its results."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -76,3 +77,92 @@ def test_exact_commands_never_import_numpy():
     env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+# Top-level `src/` names that may go unread inside `src/`, each with its reader
+# outside it.  perfbench calls or rebinds a name by its module attribute, so a
+# rename there breaks the benchmark, not tier-1; the second test catches it.
+EXTERNAL_READERS = {
+    "__init__.__version__": "package metadata, for importers of abfib",
+    "cli.main": "the console script (pyproject.toml); perfbench worker.py and selfcheck.py call it, tracing.py rebinds it",
+    "report.build_classify": "perfbench tracing.py rebinds it; record_golden.py calls it",
+    "report.build_torus": "perfbench tracing.py rebinds it",
+    "report.build_weierstrass": "perfbench tracing.py rebinds it",
+    "report.build_jacfib": "perfbench tracing.py rebinds it; record_golden.py calls it",
+    "report.build_properties": "perfbench tracing.py rebinds it",
+    "report.build_report_all": "perfbench tracing.py rebinds it",
+    "report.render_json": "perfbench tracing.py rebinds it",
+    "report.render_text": "perfbench tracing.py rebinds it; worker.py calls it",
+    "weierstrass.smoothness_trials": "perfbench tracing.py rebinds it; record_golden.py calls it",
+    "weierstrass.transversality_trials": "perfbench record_golden.py calls it",
+    "weierstrass.random_family": "perfbench tracing.py rebinds it; checks.py calls it",
+    "weierstrass.discriminant": "perfbench tracing.py rebinds it",
+    "weierstrass.is_smooth_curve": "perfbench tracing.py rebinds it",
+    "weierstrass.transversal_intersection": "perfbench tracing.py rebinds it",
+    "scenario.resolve_scenario": "perfbench tracing.py rebinds it",
+    "scenario.load_scenario": "perfbench tracing.py rebinds it",
+    "scenario.run_scenario": "perfbench tracing.py rebinds it",
+    "scenario.generate_group": "perfbench tracing.py rebinds it (imported from torusquot)",
+    "scenario.action_free": "perfbench tracing.py rebinds it (imported from torusquot)",
+    "scenario.invariant_form_dims": "perfbench tracing.py rebinds it (imported from torusquot)",
+    "scenario.quotient_hodge": "perfbench tracing.py rebinds it (imported from torusquot)",
+    "scenario.delegated_elements": "perfbench tracing.py rebinds it (imported from torusquot)",
+    "torusquot.smith_normal_form": "perfbench tracing.py rebinds it",
+    "torusquot.FiniteGroup": "perfbench tracing.py rebinds its element_orders and is_abelian",
+    "classifier.classify": "perfbench tracing.py rebinds it",
+    "classifier.admissible_class_ids": "perfbench tracing.py rebinds it",
+    "classifier.split_candidates": "perfbench tracing.py rebinds it",
+    "jacfib.classify_jacobian_fibrations": "perfbench tracing.py rebinds it",
+    "jacfib.admissible_cases": "perfbench tracing.py rebinds it",
+}
+
+
+def _defined_names(stmt: ast.stmt) -> list[str]:
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+    return [
+        node.id
+        for target in targets
+        if target is not None
+        for node in ast.walk(target)
+        if isinstance(node, ast.Name)
+    ]
+
+
+def _read_names(stmt: ast.stmt) -> set[str]:
+    # a load of the name, an attribute of that name, or an import of it
+    read = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def test_every_top_level_name_is_read_in_src():
+    # code that only tests read belongs in tests/oracles.py
+    statements = [
+        (path.stem, stmt, _defined_names(stmt), _read_names(stmt))
+        for path in sorted(SRC.glob("*.py"))
+        for stmt in ast.parse(path.read_text()).body
+    ]
+    unread = [
+        f"{module}.{name}"
+        for module, stmt, defined, _ in statements
+        for name in defined
+        if not any(name in read for _, other, _, read in statements if other is not stmt)
+    ]
+    assert sorted(set(unread) - set(EXTERNAL_READERS)) == []
+
+
+def test_externally_read_names_exist():
+    missing = []
+    for key in EXTERNAL_READERS:
+        module, name = key.split(".")
+        if not hasattr(importlib.import_module("abfib" if module == "__init__" else f"abfib.{module}"), name):
+            missing.append(key)
+    assert missing == []

@@ -24,7 +24,6 @@ from abfib.weierstrass import (
     discriminant,
     is_smooth_curve,
     is_smooth_discriminant,
-    poly,
     poly_add,
     poly_mul,
     poly_pow,
@@ -43,6 +42,7 @@ from oracles import (
     derivative_dict,
     format_poly,
     parse_poly,
+    poly,
     poly_add_dict,
     poly_mul_dict,
     poly_scale_dict,
