@@ -9,20 +9,22 @@ the induced lattice map integral no matter what the periods are.
 
 Group closure runs on integers over D, the lcm of the generators'
 translation denominators: signed permutations keep (1/D)Z mod 1 stable.
-The group keeps its elements as integer codes, each checked once at the
-end of the closure (a signed permutation of the lattice rows in (real,
-period) pairs, label-preserving, translation in [0, D)); element orders,
-the fixed-point obstruction and the character averages run on the codes.
-An element becomes an `AffineAuto` with Fraction translations only where it
-is reported: the fixed-point witness, delegated elements, and
-`FiniteGroup.elements` / `identity` on first access.
+Each linear part with its parities is interned once per group as a kind,
+and kinds multiply through a per-group table, so a composition only
+translates.  Each closed code is checked once (a signed permutation of the
+lattice rows in (real, period) pairs, label-preserving, translation in
+[0, D)); element orders, the fixed-point obstruction and the character
+averages run on the codes.  An element becomes an `AffineAuto` with
+Fraction translations only where it is reported: the fixed-point witness,
+delegated elements, and `FiniteGroup.elements` / `identity` on first access.
 Fixed-point analysis is exact: (L - I) z = -t over the torus is solved by
 Smith normal form; the tests back it with an independent exhaustive search
 over a torsion grid (solutions, when they exist, have denominator dividing
 twice the translation denominator, because the nonzero elementary divisors
 of L - I are 1 or 2 for signed permutations).  Everything that depends on
-the linear part alone (its order, sum_{k<m} Lhat^k, the SNF of Lhat - I) is
-computed once per distinct L in the group's `linear_parts` table.
+the linear part alone (its order, sum_{k<m} Lhat^k and the SNF of Lhat - I,
+with the sparse rows of both that orders and freeness read) is computed
+once per distinct L in the group's `linear_parts` table.
 
 Hodge bookkeeping for quotients multiplies the graded character
 det(I + tL) of the torus block, read off the cycles of L, with one factor
@@ -182,6 +184,15 @@ def _encode(elements) -> tuple[list, int]:
     return codes, D
 
 
+def _translate(rows, t, D: int) -> tuple[int, ...]:
+    """t_f + Lhat_f t mod D, for the rows (t_f[k], perm_f[k], signs_f[k]) of f.
+    A plain loop: it runs once per composition, and beats a comprehension."""
+    out = []
+    for x, j, s in rows:
+        out.append((x + s * t[j]) % D)
+    return tuple(out)
+
+
 def _compose_codes(f, g, D: int):
     """f after g on codes over D: Lhat_f Lhat_g and t_f + Lhat_f t_g mod D."""
     fp, fs, ft, fpar = f
@@ -189,7 +200,7 @@ def _compose_codes(f, g, D: int):
     return (
         tuple([gp[j] for j in fp]),
         tuple([s * gs[j] for j, s in zip(fp, fs)]),
-        tuple([(x + s * gt[j]) % D for x, j, s in zip(ft, fp, fs)]),
+        _translate(zip(ft, fp, fs), gt, D),
         tuple([a ^ b for a, b in zip(fpar, gpar)]),
     )
 
@@ -212,7 +223,7 @@ def _check_codes(codes, labels, D: int, width: int) -> None:
     for perm, signs, t, parities in codes:
         if len(t) != m:
             raise ValueError("translation has wrong shape")
-        if not all(0 <= x < D for x in t):
+        if t and (min(t) < 0 or max(t) >= D):
             raise ValueError("translation not reduced to [0,1)")
         distinct.add((perm, signs, parities))
     for perm, signs, parities in distinct:
@@ -233,23 +244,31 @@ def _check_codes(codes, labels, D: int, width: int) -> None:
 class FiniteGroup:
     """Closure of a generating set, identity first, canonical translations.
 
-    `codes` holds the elements in BFS order as integer codes (perm, signs, t,
-    parities) over the common denominator D; orders, freeness and the
-    character averages are read off them.  `elements` and `identity` decode
-    them into `GroupElement`s on first access and keep them on the group.
-    `linear_parts` maps each linear part L met so far to its `LinearPart`;
-    a group has few distinct linear parts however many elements it has.
+    `entries` holds the elements in BFS order as (kind, t), t the translation
+    over the common denominator D; a kind is a code (perm, signs, (),
+    parities) without translation, interned in `kinds`, and `products[kg,
+    ke]` is the kind of g after e.  `codes` holds the elements as codes
+    (perm, signs, t, parities) sharing their kind's tuples.  Orders, freeness
+    and the character averages read a kind's `LinearPart` from a list, and
+    `linear_parts` maps each L met so far to its `LinearPart`.  `elements`
+    and `identity` decode the entries on first access and keep them.
     """
 
-    def __init__(self, model: TorusModel, codes, D: int, generators, generator_codes):
+    def __init__(
+        self, model: TorusModel, kinds, products, entries, D: int, generators, generator_codes
+    ):
         self.model = model
-        self.codes = tuple(codes)
+        self.kinds = kinds = tuple(kinds)
+        self.products = products
+        self.entries = tuple(entries)
+        self.codes = tuple((*kinds[k][:2], t, kinds[k][3]) for k, t in self.entries)
         self.D = D
         self.generators = tuple(generators)
         self.generator_codes = tuple(generator_codes)
+        self.linears = tuple(_linear_of(perm, signs, model.n) for perm, signs, *_ in kinds)
+        self.moves = tuple(any(parities) for *_, parities in kinds)  # a formal factor
         self.linear_parts: dict[tuple, LinearPart] = {}
-        self._linear: dict[tuple, tuple] = {}  # (perm, signs) -> L
-        self._parts: dict[tuple, LinearPart] = {}  # (perm, signs) -> LinearPart of L
+        self._parts: list[LinearPart | None] = [None] * len(kinds)
         self._fractions: dict[int, Fraction] = {}  # k -> k / D
         self._elements: tuple[GroupElement, ...] | None = None
         self._identity: GroupElement | None = None
@@ -258,42 +277,30 @@ class FiniteGroup:
     def order(self) -> int:
         return len(self.codes)
 
-    def linear(self, perm, signs) -> tuple[tuple[int, ...], ...]:
-        """The linear part L of the lattice rows (perm, signs) of a code."""
-        L = self._linear.get((perm, signs))
-        if L is None:
-            L = self._linear[perm, signs] = _linear_of(perm, signs, self.model.n)
-        return L
-
-    def part(self, perm, signs) -> LinearPart:
-        """The `LinearPart` of the lattice rows (perm, signs) of a code."""
-        lp = self._parts.get((perm, signs))
+    def part(self, kind: int) -> LinearPart:
+        """The `LinearPart` of a kind's linear part L."""
+        lp = self._parts[kind]
         if lp is None:
-            lp = self._parts[perm, signs] = linear_part(self.linear(perm, signs), self.linear_parts)
+            lp = self._parts[kind] = linear_part(self.linears[kind], self.linear_parts)
         return lp
 
-    def decode(self, code) -> GroupElement:
-        """The element of a code; each k/D is built once per group."""
-        perm, signs, t, parities = code
+    def decode(self, kind: int, t) -> GroupElement:
+        """The element (kind, t); each k/D is built once per group."""
         fr = self._fractions
         that = tuple(fr[k] if k in fr else fr.setdefault(k, Fraction(k, self.D)) for k in t)
-        return GroupElement(AffineAuto(self.model, self.linear(perm, signs), that), parities)
+        return GroupElement(AffineAuto(self.model, self.linears[kind], that), self.kinds[kind][3])
 
     @property
     def elements(self) -> tuple[GroupElement, ...]:
         if self._elements is None:
-            self._elements = tuple(map(self.decode, self.codes))
+            self._elements = tuple(self.decode(k, t) for k, t in self.entries)
         return self._elements
 
     @property
     def identity(self) -> GroupElement:
         if self._identity is None:
-            self._identity = self.decode(self.codes[0])
+            self._identity = self.decode(*self.entries[0])
         return self._identity
-
-    def is_torus_identity(self, code) -> bool:
-        """Whether a code acts trivially on the torus block."""
-        return code[:3] == self.codes[0][:3]
 
     @property
     def is_abelian(self) -> bool:
@@ -302,42 +309,51 @@ class FiniteGroup:
             _compose_codes(a, b, D) == _compose_codes(b, a, D) for a in codes for b in codes
         )
 
-    def _order(self, code) -> int:
-        """m * D / gcd(D, S t) for t over D, doubled when a parity is set and
-        that is odd: e^k has linear part L^k, translation sum_{j<k} Lhat^j t,
-        parities k p mod 2; L^k = I needs m | k; e^{m j} translates by j S t."""
-        perm, signs, t, parities = code
-        lp, D = self.part(perm, signs), self.D
-        k = lp.order * (D // gcd(D, *_mat_vec(lp.S, t)))
-        if k % 2 and any(parities):
-            k *= 2
-        if k > self.order:
-            raise AssertionError("element order exceeds group order")
-        return k
-
     @property
     def element_orders(self) -> tuple[int, ...]:
-        return tuple(map(self._order, self.codes))
+        """m * D / gcd(D, S t) per element, doubled when a parity is set and
+        that is odd: e^k has linear part L^k, translation sum_{j<k} Lhat^j t,
+        parities k p mod 2; L^k = I needs m | k; e^{m j} translates by j S t."""
+        D, orders = self.D, []
+        for kind, t in self.entries:
+            lp, g = self.part(kind), D
+            for row in lp.S_rows:  # plain loops: they run once per element
+                x = 0
+                for j, c in row:
+                    x += c * t[j]
+                g = gcd(g, x)
+            k = lp.order * (D // g)
+            if k % 2 and self.moves[kind]:
+                k *= 2
+            if k > self.order:
+                raise AssertionError("element order exceeds group order")
+            orders.append(k)
+        return tuple(orders)
 
     @property
     def max_element_order(self) -> int:
         return max(self.element_orders)
 
-    def torus_free(self, code) -> bool:
-        """Whether the torus part of a code, not the identity, has no fixed
-        point: (Lhat - I) z = -t is obstructed iff U t is nonzero mod D on a
-        zero row of the SNF U (Lhat - I) V = diag."""
-        perm, signs, t, _ = code
-        D = self.D
-        return any(sum(map(mul, row, t)) % D for row in self.part(perm, signs).null_rows)
+    def torus_free(self, kind: int, t) -> bool:
+        """Whether the torus part of the element (kind, t) has no fixed point:
+        (Lhat - I) z = -t is obstructed iff U t is nonzero mod D on a zero row
+        of the SNF U (Lhat - I) V = diag.  The torus identity is not free."""
+        for row in self.part(kind).null_rows:
+            x = 0
+            for j, c in row:
+                x += c * t[j]
+            if x % self.D:
+                return True
+        return False
 
 
 def generate_group(
     gens, model: TorusModel | None = None, parity_width: int | None = None
 ) -> FiniteGroup:
     """BFS closure under composition mod lattice, capped at CLOSURE_CAP, on
-    codes over the generators' common denominator; every closed code is
-    checked by `_check_codes`, and none is decoded here."""
+    (kind, t) over the generators' common denominator: the kind of g after e
+    comes from the group's product table, so a composition only translates.
+    Every closed code is checked by `_check_codes`; none is decoded here."""
     gens = [g if isinstance(g, GroupElement) else GroupElement(g) for g in gens]
     if model is None:
         if not gens:
@@ -352,20 +368,32 @@ def generate_group(
             raise ValueError("generators carry different formal-factor counts")
     unit = GroupElement(identity_auto(model), (0,) * parity_width)
     (ident, *codes), D = _encode([unit, *gens])
-    seen, frontier = {ident: None}, [ident]  # a dict keeps the BFS order
+    index, products = {}, {}  # kind code -> kind number, in order of appearance
+
+    def kind(perm, signs, _t, parities) -> int:
+        return index.setdefault((perm, signs, (), parities), len(index))
+
+    start = (kind(*ident), ident[2])
+    steps = [(kind(*c), tuple(zip(c[2], c[0], c[1]))) for c in codes]
+    seen, frontier = {start: None}, [start]  # a dict keeps the BFS order
     while frontier:
         nxt = []
-        for e in frontier:
-            for g in codes:
-                h = _compose_codes(g, e, D)
+        for ke, te in frontier:
+            for kg, rows in steps:
+                kh = products.get((kg, ke))
+                if kh is None:
+                    kinds = list(index)
+                    kh = products[kg, ke] = kind(*_compose_codes(kinds[kg], kinds[ke], D))
+                h = (kh, _translate(rows, te, D))
                 if h not in seen:
                     seen[h] = None
                     nxt.append(h)
                     if len(seen) > CLOSURE_CAP:
                         raise ClosureError(f"group closure exceeded CLOSURE_CAP = {CLOSURE_CAP} elements")
         frontier = nxt
-    _check_codes(seen, model.labels, D, parity_width)
-    return FiniteGroup(model, seen, D, gens, codes)
+    G = FiniteGroup(model, index, products, seen, D, gens, codes)
+    _check_codes(G.codes, model.labels, D, parity_width)
+    return G
 
 
 # ---------------------------------------------------------------------------
@@ -459,18 +487,32 @@ class FreeCertificate:
 class LinearPart:
     """What every element with linear part L shares.
 
-    order: the order m of L.  S: sum_{k<m} Lhat^k.  M: Lhat - I, with
-    U M V = D its Smith normal form and diag the diagonal of D.  null_rows:
-    the rows of U where diag is 0, the only rows the obstruction reads.
+    order: the order m of L.  S: sum_{k<m} Lhat^k, and S_rows its distinct
+    nonzero rows up to sign as sparse (column, coefficient) pairs, all the
+    element order reads.  M: Lhat - I, with U M V = D its Smith normal form
+    and diag the diagonal of D.  null_rows: the rows of U where diag is 0,
+    sparse like S_rows, the only rows the obstruction reads.
     """
 
     order: int
     S: tuple[tuple[int, ...], ...]
+    S_rows: tuple[tuple[tuple[int, int], ...], ...]
     M: tuple[tuple[int, ...], ...]
     U: tuple[tuple[int, ...], ...]
     V: tuple[tuple[int, ...], ...]
     diag: tuple[int, ...]
-    null_rows: tuple[tuple[int, ...], ...]
+    null_rows: tuple[tuple[tuple[int, int], ...], ...]
+
+
+def _sparse_rows(rows) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The distinct nonzero rows up to sign, as (column, coefficient) pairs
+    whose first coefficient is positive."""
+    signed = (
+        max(tuple((j, e * c) for j, c in enumerate(row) if c) for e in (1, -1))
+        for row in rows
+        if any(row)
+    )
+    return tuple(dict.fromkeys(signed))
 
 
 def linear_part(L, table: dict) -> LinearPart:
@@ -481,16 +523,19 @@ def linear_part(L, table: dict) -> LinearPart:
         m = lcm(1, *(k if e == 1 else 2 * k for k, e in _cycles(L)))
         Lhat = _lhat(L)
         size = len(Lhat)
-        power = [[int(i == j) for j in range(size)] for i in range(size)]
-        S = [row[:] for row in power]
-        for _ in range(m - 1):
-            power = [[sum(x * y for x, y in zip(r, col)) for col in zip(*Lhat)] for r in power]
-            S = [[a + b for a, b in zip(rs, rp)] for rs, rp in zip(S, power)]
+        entries = [_entry(row) for row in Lhat]
+        S = [[0] * size for _ in range(size)]
+        for i, row in enumerate(S):
+            j, s = i, 1  # row i of Lhat^k is the signed unit vector s e_j
+            for _ in range(m):
+                row[j] += s
+                j, x = entries[j]
+                s *= x
         M = tuple(tuple(Lhat[i][j] - (i == j) for j in range(size)) for i in range(size))
         U, D, V = smith_normal_form(M)
         diag = tuple(D[i][i] for i in range(size))
-        null_rows = tuple(row for row, d in zip(U, diag) if d == 0)
-        lp = table[L] = LinearPart(m, tuple(map(tuple, S)), M, U, V, diag, null_rows)
+        nulls = _sparse_rows(row for row, d in zip(U, diag) if d == 0)
+        lp = table[L] = LinearPart(m, tuple(map(tuple, S)), _sparse_rows(S), M, U, V, diag, nulls)
     return lp
 
 
@@ -530,28 +575,23 @@ def delegated_elements(G: FiniteGroup) -> tuple[GroupElement, ...]:
     A fixed point of such an element also needs one on the formal factors,
     whose freeness is input data and cannot be computed here.
     """
-    return tuple(
-        G.decode(c)
-        for c in G.codes
-        if any(c[3]) and (G.is_torus_identity(c) or not G.torus_free(c))
-    )
+    return tuple(G.decode(k, t) for k, t in G.entries if G.moves[k] and not G.torus_free(k, t))
 
 
-def _first_fixed_code(G: FiniteGroup):
-    """The first code that fixes the formal factors, is not the identity on
-    the torus and has a torus fixed point; None if none has."""
-    counted = (c for c in G.codes if not any(c[3]) and not G.is_torus_identity(c))
-    return next((c for c in counted if not G.torus_free(c)), None)
+def _first_fixed_entry(G: FiniteGroup):
+    """The first (kind, t) that fixes the formal factors and has a torus fixed
+    point, bar the identity (the only such element trivial on the torus)."""
+    return next((e for e in G.entries[1:] if not G.moves[e[0]] and not G.torus_free(*e)), None)
 
 
 def first_fixed(G: FiniteGroup) -> tuple[GroupElement, FreeCertificate] | None:
     """The first non-identity element fixing the formal factors that has a
     fixed point on the torus block, with its certificate; None if none has.
     Only that element is decoded, and `fixed_point_free` certifies it."""
-    c = _first_fixed_code(G)
-    if c is None:
+    entry = _first_fixed_entry(G)
+    if entry is None:
         return None
-    e = G.decode(c)
+    e = G.decode(*entry)
     cert = fixed_point_free(e.auto, G.linear_parts)
     if cert.free:
         raise AssertionError(f"the code and the certificate disagree on the freeness of {e}")
@@ -563,7 +603,7 @@ def action_free(G: FiniteGroup) -> bool:
     An element that moves a formal factor is free when its torus part is;
     otherwise delegated_elements lists it, and it is not counted here.
     Decided on the codes alone."""
-    return _first_fixed_code(G) is None
+    return _first_fixed_entry(G) is None
 
 
 # ---------------------------------------------------------------------------
@@ -591,9 +631,9 @@ def graded_character(L) -> list[int]:
 
 
 def _class_counts(G: FiniteGroup) -> dict[tuple, int]:
-    """How many elements share each (L, parities), counted on the codes."""
-    counts = Counter((perm, signs, parities) for perm, signs, _, parities in G.codes)
-    return {(G.linear(perm, signs), par): n for (perm, signs, par), n in counts.items()}
+    """How many elements share each (L, parities): a count per kind."""
+    counts = Counter(k for k, _ in G.entries)
+    return {(G.linears[k], G.kinds[k][3]): n for k, n in counts.items()}
 
 
 def _average(G: FiniteGroup, character) -> tuple[int, ...]:
@@ -649,7 +689,7 @@ def quotient_hodge(formal, G: FiniteGroup) -> HodgeData:
     total = G.model.n + sum(f.dim for f in formal)
     if total != 4:
         raise ValueError(f"total complex dimension is {total}, need 4")
-    if any(len(c[3]) != len(formal) for c in G.codes):
+    if any(len(parities) != len(formal) for *_, parities in G.kinds):
         raise ValueError("group parities do not match the formal factor count")
 
     def character(L, parities):

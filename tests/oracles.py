@@ -156,6 +156,21 @@ def fixed_point_free_brute(f) -> bool:
     return not (solvable(f.that[0::2]) and solvable(f.that[1::2]))
 
 
+def S_by_powers(L) -> tuple[tuple[int, ...], ...]:
+    """sum_{k<m} Lhat^k by dense matrix products, m found as the first k > 0
+    with Lhat^k = I: the reference for the walk along the signed permutation
+    in `torusquot.linear_part`, which takes m from the cycles of L."""
+    Lhat = _lhat(L)
+    size = len(Lhat)
+    ident = [[int(i == j) for j in range(size)] for i in range(size)]
+    power, S = ident, [row[:] for row in ident]
+    while True:
+        power = [[sum(x * y for x, y in zip(r, col)) for col in zip(*Lhat)] for r in power]
+        if power == ident:
+            return tuple(map(tuple, S))
+        S = [[a + b for a, b in zip(rs, rp)] for rs, rp in zip(S, power)]
+
+
 def element_order_by_powers(G, e) -> int:
     """Order of e in G by composing powers until the identity: the reference
     for the closed form in `FiniteGroup.element_orders`."""

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
+from math import gcd
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -42,6 +44,7 @@ from oracles import (
     generate_group_by_compose,
     graded_character_minors,
     lhat,
+    S_by_powers,
 )
 
 F = Fraction
@@ -190,6 +193,24 @@ def bundled_groups():
         yield generate_group(sc.generators, model=sc.model, parity_width=len(sc.formal))
 
 
+def random_linear(rng, model):
+    """A random signed permutation that maps each coordinate from one with
+    the same curve label.  The labels are visited sorted: the order of a set
+    of strings changes with the hash seed, and so would the groups."""
+    n = model.n
+    perm = list(range(n))
+    for lab in sorted(set(model.labels)):
+        idx = [i for i in range(n) if model.labels[i] == lab]
+        tgt = idx[:]
+        rng.shuffle(tgt)
+        for i, j in zip(idx, tgt):
+            perm[i] = j
+    L = [[0] * n for _ in range(n)]
+    for i in range(n):
+        L[i][perm[i]] = rng.choice([-1, 1])
+    return L
+
+
 def random_groups(seed, count):
     """Seeded groups of one to three random signed-permutation generators on a
     labelled model, with random shifts and parity bits; capped closures skipped."""
@@ -201,16 +222,7 @@ def random_groups(seed, count):
         width = rng.randint(0, 2)
         gens = []
         for _ in range(rng.randint(1, 3)):
-            perm = list(range(n))
-            for lab in set(model.labels):
-                idx = [i for i in range(n) if model.labels[i] == lab]
-                tgt = idx[:]
-                rng.shuffle(tgt)
-                for i, j in zip(idx, tgt):
-                    perm[i] = j
-            L = [[0] * n for _ in range(n)]
-            for i in range(n):
-                L[i][perm[i]] = rng.choice([-1, 1])
+            L = random_linear(rng, model)
             denom = rng.choice([1, 2, 3, 4])
             shifts = [
                 (F(rng.randrange(denom), denom), F(rng.randrange(denom), denom)) for _ in range(n)
@@ -224,10 +236,88 @@ def random_groups(seed, count):
     return groups
 
 
+def wide_groups(seed, count):
+    """Seeded groups on four coordinates of order 64 to 512 with at least
+    three linear parts: two random signed permutations with shifts of
+    denominator 1-4 and parity bits, and one or two translations of
+    denominator 2, 4 or 8; other closures skipped."""
+    rng = random.Random(seed)
+    identity = [[int(i == j) for j in range(4)] for i in range(4)]
+    groups = []
+    while len(groups) < count:
+        model = TorusModel(rng.choice((("e", "e", "f", "f"), ("e", "e", "e", "f"), ("e",) * 4)))
+        width = rng.randint(0, 1)
+        gens = []
+        for k in range(rng.randint(3, 4)):
+            translation = k >= 2
+            L = identity if translation else random_linear(rng, model)
+            denom = rng.choice([2, 4, 8] if translation else [1, 2, 3, 4])
+            shifts = [
+                (F(rng.randrange(denom), denom), F(rng.randrange(denom), denom)) for _ in range(4)
+            ]
+            parities = tuple(0 if translation else rng.randint(0, 1) for _ in range(width))
+            gens.append(GroupElement(affine_auto(model, L, shifts), parities))
+        try:
+            G = generate_group(gens)
+        except ClosureError:
+            continue
+        if 64 <= G.order <= 512 and len(set(G.linears)) >= 3:
+            groups.append(G)
+    return groups
+
+
 @pytest.fixture(scope="module")
 def oracle_groups():
     _, g1, g2, g3 = d8_setup()
     return [generate_group([g1, g2, g3]), *bundled_groups(), *random_groups(31, 24)]
+
+
+@pytest.fixture(scope="module")
+def four_fold_groups():
+    return wide_groups(14, 6)
+
+
+def test_four_fold_groups_match_the_fraction_oracles(four_fold_groups):
+    # larger closures than random_groups reaches: BFS order against composing
+    # Fractions, and every element order against composing powers
+    orders = set()
+    for G in four_fold_groups:
+        ref = generate_group_by_compose(G.generators, G.model, len(G.identity.parities))
+        assert [element_key(e) for e in G.elements] == [element_key(e) for e in ref]
+        for e, k in zip(G.elements, G.element_orders, strict=True):
+            orders.add(k)
+            assert k == element_order_by_powers(G, e)
+    assert max(G.order for G in four_fold_groups) == 512
+    assert min(G.order for G in four_fold_groups) == 64
+    assert {3, 8, 12} <= orders
+
+
+def test_linear_part_rows_match_dense_oracles(oracle_groups, four_fold_groups):
+    # S against m - 1 dense products; the order gcd over the sparse S rows and
+    # the obstruction over the sparse null rows against the dense rows
+    for G in [*oracle_groups, *four_fold_groups]:
+        D = G.D
+        dense = [S_by_powers(L) for L in G.linears]
+        for kind, S in enumerate(dense):
+            assert G.part(kind).S == S
+        for (kind, t), code, order in zip(G.entries, G.codes, G.element_orders, strict=True):
+            lp = G.part(kind)
+            k = lp.order * (D // gcd(D, *(sum(map(mul, row, t)) for row in dense[kind])))
+            assert order == (2 * k if k % 2 and any(code[3]) else k)
+            null = [row for row, d in zip(lp.U, lp.diag, strict=True) if d == 0]
+            assert G.torus_free(kind, t) == any(sum(map(mul, row, t)) % D for row in null)
+
+
+def test_codes_share_their_kind_and_the_product_table_is_small(oracle_groups, four_fold_groups):
+    for G in [*oracle_groups, *four_fold_groups]:
+        assert len(set(G.kinds)) == len(G.kinds) == len({k for k, _ in G.entries})
+        assert len(G.products) <= len(G.kinds) ** 2
+        for (kg, ke), kh in G.products.items():
+            assert torusquot._compose_codes(G.kinds[kg], G.kinds[ke], G.D) == G.kinds[kh]
+        for (kind, t), code in zip(G.entries, G.codes, strict=True):
+            perm, signs, _, parities = G.kinds[kind]
+            assert code[0] is perm and code[1] is signs and code[3] is parities
+            assert code[2] == t
 
 
 def test_element_order_matches_powers(oracle_groups):
@@ -256,13 +346,12 @@ def test_code_path_matches_decoded_fraction_path(oracle_groups):
     for G in oracle_groups:
         assert len(G.codes) == G.order == len(G.elements)
         # orders: test_element_order_matches_powers
-        for c, e in zip(G.codes, G.elements, strict=True):
-            assert G.decode(c) == e
+        for (k, t), e in zip(G.entries, G.elements, strict=True):
+            assert G.decode(k, t) == e
             if e.auto.is_identity():
-                assert G.is_torus_identity(c)
+                assert not G.torus_free(k, t)  # the torus identity fixes every point
                 continue
-            assert not G.is_torus_identity(c)
-            free = G.torus_free(c)
+            free = G.torus_free(k, t)
             assert free == fixed_point_free(e.auto).free == fixed_point_free_brute(e.auto), e
             outcomes.add(free)
         delegated = [
@@ -348,13 +437,12 @@ def test_generate_group_checks_every_closed_code(monkeypatch):
     # a composition that leaves [0, D) is caught before the group is built
     m = TorusModel(("e",))
     shift = affine_auto(m, [[1]], [(F(1, 4), 0)])
-    compose_codes = torusquot._compose_codes
+    translate = torusquot._translate
 
-    def off_by_d(f, g, D):
-        perm, signs, t, parities = compose_codes(f, g, D)
-        return perm, signs, tuple(x + D * (x == 2) for x in t), parities
+    def off_by_d(rows, t, D):
+        return tuple(x + D * (x == 2) for x in translate(rows, t, D))
 
-    monkeypatch.setattr(torusquot, "_compose_codes", off_by_d)
+    monkeypatch.setattr(torusquot, "_translate", off_by_d)
     with pytest.raises(ValueError, match="translation not reduced"):
         generate_group([shift])
 
