@@ -9,11 +9,15 @@ is always the lexicographically smallest one.
 
 The sampling runs scan the pair (a, b), not the product: a and b are
 evaluated on the whole plane, the discriminant's values follow from theirs
-with one reduction mod p, and at its zeros its gradient is
-12a^2 grad a + 54b grad b.  `discriminant` builds the degree-12l form only
-where the form itself is wanted (tests, and telling a zero discriminant
-from one that vanishes on every F_p-point).  `is_smooth_curve` and
-`transversal_intersection` scan any given forms.
+with one divisibility test by p, and at its zeros its gradient is
+12a^2 grad a + 54b grad b.  A sampling run builds one `_Plane` for its p
+and degrees and evaluates every family in its buffers, in place: int32
+plane values, reduced without an int64 `% p` and without a p^2-sized
+temporary.  `discriminant` builds the degree-12l form only where the form
+itself is wanted (tests, and telling a zero discriminant from one that
+vanishes on every F_p-point).  `is_smooth_curve` and
+`transversal_intersection` scan any given forms through the same
+`_eval_plane`.
 """
 
 from __future__ import annotations
@@ -230,30 +234,58 @@ def _pow_table(p: int, max_exp: int) -> np.ndarray:
     return tab
 
 
-def _eval_plane(f: HomogPoly, tab: np.ndarray, p: int) -> np.ndarray:
-    """Values of f at all p^2 + p + 1 normalized points, in lex order.
+class _Plane:
+    """Buffers for evaluating forms of degree at most `degree` on the
+    p^2 + p + 1 normalized points of P^2(F_p), built once and reused for
+    every form a scan or a sampling run evaluates.
+
+    It holds the p x (degree+1) power table and its float64 copy, one p x p
+    float64 chart, and int32 value arrays `a`, `b`, `delta` and `scratch`.
+    The two bounds that keep `_eval_plane` exact are checked here, before
+    anything is allocated: every partial sum of a chart product is an
+    integer of at most (degree+1)(p-1)^2, which float64 holds exactly below
+    2^53 and int32 below 2^31 (about 6.4e6 at degree 96, p = 257).
+    """
+
+    def __init__(self, p: int, degree: int):
+        top = (degree + 1) * (p - 1) ** 2
+        if top >= 2**53:
+            raise ValueError(f"degree {degree} at p = {p} is beyond exact float64 plane products")
+        if top >= 2**31:
+            raise ValueError(f"degree {degree} at p = {p} is beyond int32 plane values")
+        self.p, self.degree = p, degree
+        self.tab = _pow_table(p, degree)
+        self.tabf = self.tab.astype(np.float64)
+        self.chart = np.empty((p, p))
+        self.a, self.b, self.delta, self.scratch = np.empty((4, p * p + p + 1), dtype=np.int32)
+
+
+def _eval_plane(f: HomogPoly, plane: _Plane, out: np.ndarray) -> np.ndarray:
+    """Writes the values of f at all p^2 + p + 1 normalized points, in lex
+    order, into the int32 array out (not plane.scratch) and returns it.
 
     The points are (0,0,1), then (0,1,t), then (1,s,t); the first nonzero
     coordinate is 1.  With C[j,k] the coefficient of x1^j*x2^k and V the
-    p x (d+1) power table, the chart x0 = 1 is ((V C) mod p) V^T mod p, the
-    line x0 = 0 is V applied to the anti-diagonal of C, and (0,0,1) is
-    C[0,d].  The two chart products run in float64 BLAS.  Every partial sum
-    there is an integer of at most (d+1)(p-1)^2, which float64 holds
-    exactly below 2^53 (about 6.4e6 at d = 96, p = 257); larger sizes raise
-    ValueError.
+    p x (d+1) power table, the chart x0 = 1 is ((V C) mod p) V^T, the line
+    x0 = 0 is V applied to the anti-diagonal of C, and (0,0,1) is C[0,d].
+    The two chart products run in float64 BLAS, the second into
+    plane.chart; the bounds `_Plane` checks make both exact and the cast
+    to int32 exact.  out is then reduced mod p in place as
+    out -= (out // p) * p, with the quotients in plane.scratch.
     """
-    d, coeffs = f.degree, f.coeffs
-    if (d + 1) * (p - 1) ** 2 >= 2**53:
-        raise ValueError(f"degree {d} at p = {p} is beyond exact float64 plane products")
-    v = tab[:, : d + 1]
-    vf = v.astype(np.float64)
-    first = (vf @ coeffs.astype(np.float64)).astype(np.int64) % p
-    values = np.empty(p * p + p + 1, dtype=np.int64)
-    values[0] = coeffs[0, d]
-    values[1 : p + 1] = v @ coeffs[::-1].diagonal()
-    values[p + 1 :] = (first.astype(np.float64) @ vf.T).ravel()
-    values %= p
-    return values
+    p, d, coeffs = plane.p, f.degree, f.coeffs
+    if f.p != p or d > plane.degree:
+        raise ValueError(f"a degree {d} form over F_{f.p} does not fit the plane buffers")
+    vf = plane.tabf[:, : d + 1]
+    first = vf @ coeffs.astype(np.float64)
+    first -= np.floor(first / p) * p  # floor(x / p) is exact for integers x < 2^53
+    out[0] = coeffs[0, d]
+    out[1 : p + 1] = plane.tab[:, : d + 1] @ coeffs[::-1].diagonal()
+    out[p + 1 :] = np.matmul(first, vf.T, out=plane.chart).ravel()
+    quotient = np.floor_divide(out, p, out=plane.scratch)
+    quotient *= p
+    out -= quotient
+    return out
 
 
 def _eval_at(forms, tab: np.ndarray, p: int, idx: np.ndarray) -> list[np.ndarray]:
@@ -354,13 +386,13 @@ def is_smooth_curve(f: HomogPoly) -> ScanResult:
     f and the partials before it vanish.
     """
     p = _check_scan_args(f)
-    tab = _pow_table(p, f.degree)
-    values = _eval_plane(f, tab, p)
+    plane = _Plane(p, f.degree)
+    values = _eval_plane(f, plane, plane.a)
     bad = np.flatnonzero(values == 0)
     for var in range(3):
         if not bad.size:
             break
-        bad = bad[_eval_at([derivative(f, var)], tab, p, bad)[0] == 0]
+        bad = bad[_eval_at([derivative(f, var)], plane.tab, p, bad)[0] == 0]
     return _scan_result(bad, len(values), p)
 
 
@@ -371,11 +403,11 @@ def transversal_intersection(f: HomogPoly, g: HomogPoly) -> ScanResult:
     their common zeros.
     """
     p = _check_scan_args(f, g)
-    tab = _pow_table(p, max(f.degree, g.degree))
-    fv, gv = _eval_plane(f, tab, p), _eval_plane(g, tab, p)
+    plane = _Plane(p, max(f.degree, g.degree))
+    fv, gv = _eval_plane(f, plane, plane.a), _eval_plane(g, plane, plane.b)
     bad = np.flatnonzero((fv == 0) & (gv == 0))
     if bad.size:
-        grads = _eval_at([derivative(h, v) for h in (f, g) for v in range(3)], tab, p, bad)
+        grads = _eval_at([derivative(h, v) for h in (f, g) for v in range(3)], plane.tab, p, bad)
         bad = bad[_dependent(grads[:3], grads[3:], p)]
     return _scan_result(bad, len(fv), p)
 
@@ -384,24 +416,33 @@ def transversal_intersection(f: HomogPoly, g: HomogPoly) -> ScanResult:
 # discriminant scans from the pair (a, b)
 
 
-def _discriminant_zeros(w: WeierstrassFamily, tab: np.ndarray, p: int):
+def _discriminant_zeros(w: WeierstrassFamily, plane: _Plane):
     """Sorted lex indices of the F_p-zeros of 4a^3 + 27b^2, from the plane
     values of a and b, and the weights 12a^2 and 54b mod p there of grad a
     and grad b in grad(4a^3 + 27b^2) = 12a^2 grad a + 54b grad b.
 
-    a and b are reduced, so 4a^3 + 27b^2 < 31p^3 and one reduction of it
-    is exact in int64.  If the discriminant vanishes on the whole plane,
-    it is built once to tell the zero polynomial, which raises, from a
-    form that only vanishes on F_p-points.
+    The values of a and b land in plane.a and plane.b, reduced, so
+    4a^3 + 27b^2 is at most 4(p-1)^3 + 27(p-1)^2; it is formed in
+    plane.delta, which holds it exactly while that is below 2^31
+    (p <= 811), and tested for divisibility by p with the quotients in
+    plane.scratch.  If the discriminant vanishes on the whole plane, it is
+    built once to tell the zero polynomial, which raises, from a form that
+    only vanishes on F_p-points.
     """
-    av, bv = _eval_plane(w.a, tab, p), _eval_plane(w.b, tab, p)
-    delta = av * av
+    p = plane.p
+    if 4 * (p - 1) ** 3 + 27 * (p - 1) ** 2 >= 2**31:
+        raise ValueError(f"p = {p} is beyond int32 discriminant values")
+    av, bv = _eval_plane(w.a, plane, plane.a), _eval_plane(w.b, plane, plane.b)
+    delta, scratch = plane.delta, plane.scratch
+    np.multiply(av, av, out=delta)
     delta *= av
     delta *= 4
-    square = bv * bv
-    square *= 27
-    delta += square
-    zeros = np.flatnonzero(np.remainder(delta, p, out=delta) == 0)
+    np.multiply(bv, bv, out=scratch)
+    scratch *= 27
+    delta += scratch
+    np.floor_divide(delta, p, out=scratch)
+    scratch *= p
+    zeros = np.flatnonzero(delta == scratch)
     if zeros.size == delta.size and discriminant(w).is_zero():
         raise ValueError("zero polynomial")
     a, b = av[zeros], bv[zeros]
@@ -415,35 +456,38 @@ def _discriminant_partials(w: WeierstrassFamily, weights, tab, p: int, idx, vari
     return [(weights[0] * da + weights[1] * db) % p for da, db in zip(values[::2], values[1::2])]
 
 
-def is_smooth_discriminant(w: WeierstrassFamily) -> ScanResult:
+def is_smooth_discriminant(w: WeierstrassFamily, plane: _Plane | None = None) -> ScanResult:
     """is_smooth_curve(discriminant(w)), without the degree-12l product.
 
     The discriminant's values come from the plane values of a and b; at
     its zeros each partial comes from those of a and b, evaluated only
-    where the discriminant and the partials before it vanish.
+    where the discriminant and the partials before it vanish.  plane, if
+    given, is reused; otherwise the scan builds its own.
     """
     p = _check_pair_args(w)
-    tab = _pow_table(p, w.b.degree)
-    bad, weights = _discriminant_zeros(w, tab, p)
+    plane = plane or _Plane(p, w.b.degree)
+    bad, weights = _discriminant_zeros(w, plane)
     for var in range(3):
         if not bad.size:
             break
-        keep = _discriminant_partials(w, weights, tab, p, bad, [var])[0] == 0
+        keep = _discriminant_partials(w, weights, plane.tab, p, bad, [var])[0] == 0
         bad, weights = bad[keep], (weights[0][keep], weights[1][keep])
     return _scan_result(bad, p * p + p + 1, p)
 
 
-def transversal_discriminants(w1: WeierstrassFamily, w2: WeierstrassFamily) -> ScanResult:
+def transversal_discriminants(
+    w1: WeierstrassFamily, w2: WeierstrassFamily, plane: _Plane | None = None
+) -> ScanResult:
     """transversal_intersection(discriminant(w1), discriminant(w2)), without
     the degree-12l products: both gradients come from the pairs (a, b) at
-    the common zeros."""
+    the common zeros.  plane, if given, is reused for both families."""
     p = _check_pair_args(w1, w2)
-    tab = _pow_table(p, max(w1.b.degree, w2.b.degree))
-    (z1, weights1), (z2, weights2) = (_discriminant_zeros(w, tab, p) for w in (w1, w2))
+    plane = plane or _Plane(p, max(w1.b.degree, w2.b.degree))
+    (z1, weights1), (z2, weights2) = (_discriminant_zeros(w, plane) for w in (w1, w2))
     bad, at1, at2 = np.intersect1d(z1, z2, assume_unique=True, return_indices=True)
     if bad.size:
         df, dg = (
-            _discriminant_partials(w, (weights[0][at], weights[1][at]), tab, p, bad, range(3))
+            _discriminant_partials(w, (weights[0][at], weights[1][at]), plane.tab, p, bad, range(3))
             for w, weights, at in ((w1, weights1, at1), (w2, weights2, at2))
         )
         bad = bad[_dependent(df, dg, p)]
@@ -493,14 +537,18 @@ class SamplingRecord:
 
 
 def _trials(kind: str, ls: tuple[int, ...], p: int, seed: int, trials: int, scan):
-    """Per trial, sample one family per twist in ls and scan their discriminants."""
+    """Per trial, sample one family per twist in ls and scan their
+    discriminants, every family in one plane context."""
     rng = random.Random(seed)
-    outcomes, degree_ok = [], True
+    outcomes, degree_ok, plane = [], True, None
     for t in range(trials):
         families = [random_family(l, p, rng) for l in ls]
         # deg(4a^3 + 27b^2) = 3 deg a = 2 deg b
         degree_ok &= all(3 * w.a.degree == 2 * w.b.degree == 12 * l for w, l in zip(families, ls))
-        result = scan(*families)
+        if plane is None:
+            # sized only once p has passed the checks the scan makes
+            plane = _Plane(_check_pair_args(*families), 6 * max(ls))
+        result = scan(*families, plane=plane)
         outcomes.append(TrialOutcome(t, result.ok, result.witness))
     return SamplingRecord(
         kind=kind,

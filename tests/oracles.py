@@ -44,7 +44,6 @@ from abfib.weierstrass import (
     HomogPoly,
     ScanResult,
     _check_scan_args,
-    _eval_plane,
     _plane_point,
     _pow_table,
     derivative,
@@ -253,6 +252,26 @@ def derivative_dict(f, var):
     return poly(max(f.degree - 1, 0), acc, f.p)
 
 
+def eval_plane(f, tab, p) -> np.ndarray:
+    """Values of f at all p^2 + p + 1 normalized points, in lex order, as
+    fresh int64 arrays reduced with `% p`: the reference for
+    `weierstrass._eval_plane`, which writes int32 values into reused
+    buffers.  The chart x0 = 1 is ((V C) mod p) V^T mod p, its two products
+    in float64, exact while (d+1)(p-1)^2 < 2^53."""
+    d, coeffs = f.degree, f.coeffs
+    if (d + 1) * (p - 1) ** 2 >= 2**53:
+        raise ValueError(f"degree {d} at p = {p} is beyond exact float64 plane products")
+    v = tab[:, : d + 1]
+    vf = v.astype(np.float64)
+    first = (vf @ coeffs.astype(np.float64)).astype(np.int64) % p
+    values = np.empty(p * p + p + 1, dtype=np.int64)
+    values[0] = coeffs[0, d]
+    values[1 : p + 1] = v @ coeffs[::-1].diagonal()
+    values[p + 1 :] = (first.astype(np.float64) @ vf.T).ravel()
+    values %= p
+    return values
+
+
 def _full_plane_result(bad, p) -> ScanResult:
     if bad.any():
         return ScanResult(False, _plane_point(int(np.argmax(bad)), p), len(bad))
@@ -265,9 +284,9 @@ def smooth_full_plane(f) -> ScanResult:
     partials only at the zeros of f."""
     p = _check_scan_args(f)
     tab = _pow_table(p, f.degree)
-    mask = _eval_plane(f, tab, p) == 0
+    mask = eval_plane(f, tab, p) == 0
     for var in range(3):
-        mask &= _eval_plane(derivative(f, var), tab, p) == 0
+        mask &= eval_plane(derivative(f, var), tab, p) == 0
     return _full_plane_result(mask, p)
 
 
@@ -276,9 +295,9 @@ def transversal_full_plane(f, g) -> ScanResult:
     points: the reference for `weierstrass.transversal_intersection`."""
     p = _check_scan_args(f, g)
     tab = _pow_table(p, max(f.degree, g.degree))
-    common = (_eval_plane(f, tab, p) == 0) & (_eval_plane(g, tab, p) == 0)
-    df = [_eval_plane(derivative(f, v), tab, p) for v in range(3)]
-    dg = [_eval_plane(derivative(g, v), tab, p) for v in range(3)]
+    common = (eval_plane(f, tab, p) == 0) & (eval_plane(g, tab, p) == 0)
+    df = [eval_plane(derivative(f, v), tab, p) for v in range(3)]
+    dg = [eval_plane(derivative(g, v), tab, p) for v in range(3)]
     dependent = np.ones(len(common), dtype=bool)
     for u, v in ((0, 1), (0, 2), (1, 2)):
         dependent &= (df[u] * dg[v] - df[v] * dg[u]) % p == 0

@@ -1,6 +1,10 @@
 import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -436,3 +440,26 @@ def test_other_argv_build_the_full_tree(argv, monkeypatch, capsys):
     with pytest.raises(SystemExit):
         main(argv)
     assert built == ["abfib", *(f"abfib {name}" for name in COMMANDS)]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["jacfib"], 0),
+        (["classify", "bogus"], 2),
+        (["classify", "su4", "--window", "-2", "0"], 1),
+    ],
+)
+def test_python_m_abfib_runs_the_cli(argv, code, monkeypatch, capsys):
+    monkeypatch.delenv("ABFIB_SEED", raising=False)
+    want = run(argv, capsys)
+    src = str(Path(cli.__file__).parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "ABFIB_SEED"}
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-m", "abfib", *argv], env=env, capture_output=True, text=True
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == want
+    assert want[0] == code
+    if code == 2:
+        assert not want[1] and want[2].count("\n") == 1

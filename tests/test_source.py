@@ -12,15 +12,21 @@ import abfib
 SRC = Path(abfib.__file__).parent
 
 
+def _assert_lines(source: str) -> list[int]:
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
 def test_no_assert_statements_in_src():
     # `python -O` strips assert statements; engine invariants must raise
     found = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(SRC.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Assert)
+        f"{path.relative_to(SRC)}:{line}"
+        for path in sorted(SRC.rglob("*.py"))
+        for line in _assert_lines(path.read_text())
     ]
     assert found == []
+    # the walk reaches asserts nested in functions, classes and branches
+    nested = "class C:\n    def f(self, x):\n        if x:\n            assert x > 0, x\n"
+    assert _assert_lines(nested) == [4]
 
 
 def test_src_imports_only_stdlib_numpy_and_abfib():

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ from abfib import weierstrass
 from abfib.weierstrass import (
     CERT_CAVEAT,
     MAX_L,
+    MAX_SCAN_PRIME,
     _eval_plane,
     _from_coeffs,
     _pow_table,
@@ -40,6 +42,7 @@ from abfib.weierstrass import (
 from abfib.sheafcalc import param_count
 from oracles import (
     derivative_dict,
+    eval_plane,
     format_poly,
     parse_poly,
     poly,
@@ -100,6 +103,12 @@ def oracle_transversal(f, g):
     return True, None
 
 
+def plane_values(f):
+    """f on the whole plane through the int32 kernel, copied out of its buffer."""
+    plane = weierstrass._Plane(f.p, f.degree)
+    return _eval_plane(f, plane, plane.a).copy()
+
+
 def test_smoothness_matches_oracle():
     rng = random.Random(3)
     for _ in range(30):
@@ -148,7 +157,7 @@ def test_discriminant_values_on_every_point():
     p = 31
     delta = discriminant(random_family(1, p, random.Random(5)))
     assert delta.degree == 12
-    values = _eval_plane(delta, _pow_table(p, delta.degree), p)
+    values = plane_values(delta)
     points = oracle_points(p)
     assert len(values) == len(points) == 993
     assert [int(v) for v in values] == [oracle_eval(delta.terms, pt, p) for pt in points]
@@ -158,11 +167,11 @@ def test_discriminant_values_on_every_point():
 
 def test_int64_edge_full_coefficients():
     # every coefficient p - 1 at degree 24 (l = 2) and the largest scan prime:
-    # each int64 entry stays below (d + 1) * p^2 before reduction
+    # each int32 entry stays below (d + 1)(p - 1)^2 before reduction
     p, d = 257, 24
     f = poly(d, {(i, j, d - i - j): p - 1 for i in range(d + 1) for j in range(d - i + 1)}, p=p)
     assert len(f.terms) == (d + 1) * (d + 2) // 2
-    values = _eval_plane(f, _pow_table(p, d), p)
+    values = plane_values(f)
     assert len(values) == p * p + p + 1
     assert values[0] == oracle_eval(f.terms, (0, 0, 1), p)
     for t in range(p):
@@ -381,9 +390,9 @@ def test_scans_evaluate_each_form_once_on_the_whole_plane(monkeypatch):
     plane = weierstrass._eval_plane
     calls = []
 
-    def counting(f, tab, p):
+    def counting(f, *args):
         calls.append(f)
-        return plane(f, tab, p)
+        return plane(f, *args)
 
     monkeypatch.setattr(weierstrass, "_eval_plane", counting)
     rng = random.Random(2)
@@ -538,13 +547,13 @@ def test_pair_scans_at_the_largest_size():
     b = dict.fromkeys(monomials(48), p - 1)
     b[(48, 0, 0)] = 109
     full = WeierstrassFamily(8, poly(32, dict.fromkeys(monomials(32), p - 1), p), poly(48, b, p))
-    tab = _pow_table(p, 96)
+    tab, plane = _pow_table(p, 96), weierstrass._Plane(p, 48)
     at = (p + 1) + 1 * p + 235  # lex index of (1:1:235)
     for w in (w1, full):
         assert is_smooth_discriminant(w) == reference_smooth(w)
         # the zero set itself, not only the scan's verdict
-        zeros, _ = weierstrass._discriminant_zeros(w, tab, p)
-        assert zeros.tolist() == np.flatnonzero(_eval_plane(discriminant(w), tab, p) == 0).tolist()
+        zeros, _ = weierstrass._discriminant_zeros(w, plane)
+        assert zeros.tolist() == np.flatnonzero(eval_plane(discriminant(w), tab, p) == 0).tolist()
     assert at in zeros
     assert transversal_discriminants(w1, w2) == reference_transversal(w1, w2)
     assert transversal_discriminants(full, w1) == reference_transversal(full, w1)
@@ -582,7 +591,7 @@ def test_pair_scans_on_hand_built_families(p):
             assert transversal_discriminants(w, other) == reference_transversal(w, other)
     # 27b^2 and 4a^3 are singular exactly at the F_p-zeros of b and of a
     for w, f in ((pure_b, pure_b.b), (pure_a, pure_a.a)):
-        zeros = np.flatnonzero(_eval_plane(f, tab, p) == 0)
+        zeros = np.flatnonzero(eval_plane(f, tab, p) == 0)
         scan = is_smooth_discriminant(w)
         assert scan.ok == (zeros.size == 0)
         if zeros.size:
@@ -597,7 +606,7 @@ def test_pair_scans_find_a_node_away_from_a_and_b(p):
     q = poly(2, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1}, p)
     node = cusp_family(q, poly(6, {(4, 1, 1): 1}, p))
     tab = _pow_table(p, 6)
-    assert [int(_eval_plane(f, tab, p)[0]) for f in (node.a, node.b)] == [p - 3, 2]
+    assert [int(eval_plane(f, tab, p)[0]) for f in (node.a, node.b)] == [p - 3, 2]
     scan = is_smooth_discriminant(node)
     assert (scan.ok, scan.witness) == (False, (0, 0, 1))
     assert scan == reference_smooth(node)
@@ -611,8 +620,9 @@ def test_discriminant_partials_from_the_pair(p):
     rng = random.Random(5 * p)
     for l in (1, 2, 3):
         w = random_family(l, p, rng)
-        tab = _pow_table(p, 12 * l)
-        zeros, weights = weierstrass._discriminant_zeros(w, tab, p)
+        plane = weierstrass._Plane(p, 12 * l)
+        tab = plane.tab
+        zeros, weights = weierstrass._discriminant_zeros(w, plane)
         assert zeros.size
         delta = discriminant(w)
         expected = weierstrass._eval_at([derivative(delta, v) for v in range(3)], tab, p, zeros)
@@ -670,9 +680,9 @@ def test_pair_scans_evaluate_a_and_b_once_on_the_whole_plane(monkeypatch):
     plane = weierstrass._eval_plane
     calls = []
 
-    def counting(f, tab, p):
+    def counting(f, *args):
         calls.append(f)
-        return plane(f, tab, p)
+        return plane(f, *args)
 
     monkeypatch.setattr(weierstrass, "_eval_plane", counting)
     rng = random.Random(12)
@@ -722,11 +732,12 @@ def test_pair_scan_argument_validation():
 
 def test_float64_plane_products_exact_at_the_largest_size():
     # every coefficient p - 1 at d = 12 * MAX_L and the largest scan prime:
-    # the float64 partial sums reach the size of (d + 1)(p - 1)^2 ~ 6.4e6
+    # the float64 partial sums and the int32 values reach the size of
+    # (d + 1)(p - 1)^2 ~ 6.4e6
     p, d = 257, 12 * MAX_L
     f = poly(d, {(i, j, d - i - j): p - 1 for i in range(d + 1) for j in range(d - i + 1)}, p=p)
     tab = _pow_table(p, d)
-    values = _eval_plane(f, tab, p)
+    values = plane_values(f)
     # the same products on Python ints
     v, c = tab.astype(object), f.coeffs.astype(object)
     chart = ((v @ c) % p) @ v.T
@@ -744,15 +755,142 @@ def test_float64_plane_products_exact_at_the_largest_size():
 
 def test_float64_plane_products_guard_raises():
     # (d + 1)(p - 1)^2 >= 2^53: float64 would no longer hold every partial
-    # sum; the check runs before the power table is read
+    # sum; the plane checks it before it allocates anything
     p = 2**31 - 1
     for d in (0, 1):
-        f = poly(d, {(d, 0, 0): 1}, p)
         with pytest.raises(ValueError, match="exact float64"):
-            _eval_plane(f, np.zeros((0, d + 1), dtype=np.int64), p)
+            weierstrass._Plane(p, d)
     big = 94906267  # the smallest p with (p - 1)^2 >= 2^53, at d = 0
     with pytest.raises(ValueError, match="exact float64"):
-        _eval_plane(poly(0, {(0, 0, 0): 1}, big), np.zeros((0, 1), dtype=np.int64), big)
+        weierstrass._Plane(big, 0)
+
+
+def primes_from_5_to(n):
+    return [p for p in range(5, n + 1) if all(p % q for q in range(2, p))]
+
+
+def test_int32_plane_values_match_the_int64_oracle_at_the_extreme_size():
+    # every coefficient p - 1 at d = 12 * MAX_L, at every scan prime: the
+    # largest values the int32 buffers and the in-place reduction see
+    d = 12 * MAX_L
+    for p in primes_from_5_to(MAX_SCAN_PRIME):
+        f = poly(d, dict.fromkeys(monomials(d), p - 1), p=p)
+        plane = weierstrass._Plane(p, d)
+        values = _eval_plane(f, plane, plane.b)
+        assert values is plane.b and values.dtype == np.int32
+        assert values.tolist() == eval_plane(f, plane.tab, p).tolist(), p
+
+
+def test_discriminant_zeros_and_weights_match_the_int64_oracle():
+    # seeded families at every scan prime; l up to 4 at p <= 47, l <= 2 above
+    for p in primes_from_5_to(MAX_SCAN_PRIME):
+        rng = random.Random(p)
+        plane = weierstrass._Plane(p, 24 if p <= 47 else 12)
+        for l in range(1, 5 if p <= 47 else 3):
+            w = random_family(l, p, rng)
+            a, b = (eval_plane(f, plane.tab, p) for f in (w.a, w.b))
+            zeros = np.flatnonzero((4 * a**3 + 27 * b**2) % p == 0)
+            got, weights = weierstrass._discriminant_zeros(w, plane)
+            assert got.tolist() == zeros.tolist(), (p, l)
+            assert weights[0].tolist() == (12 * a[zeros] ** 2 % p).tolist(), (p, l)
+            assert weights[1].tolist() == (54 * b[zeros] % p).tolist(), (p, l)
+
+
+def test_int32_guards_raise():
+    # (d + 1)(p - 1)^2 >= 2^31 at p = 257 from d = 32767 on; the plane
+    # checks it before it allocates anything
+    with pytest.raises(ValueError, match="^degree 32767 at p = 257 is beyond int32 plane values$"):
+        weierstrass._Plane(257, 32767)
+    # 4(p - 1)^3 + 27(p - 1)^2 < 2^31 holds up to p = 811 and fails at the
+    # next prime, 821, where the int32 sum would wrap
+    assert 4 * 810**3 + 27 * 810**2 < 2**31 <= 4 * 820**3 + 27 * 820**2
+    rng = random.Random(811)
+    w = random_family(1, 811, rng)
+    plane = weierstrass._Plane(811, 6)
+    zeros, _ = weierstrass._discriminant_zeros(w, plane)
+    delta = eval_plane(discriminant(w), _pow_table(811, 12), 811)
+    assert zeros.tolist() == np.flatnonzero(delta == 0).tolist()
+    with pytest.raises(ValueError, match="^p = 821 is beyond int32 discriminant values$"):
+        weierstrass._discriminant_zeros(random_family(1, 821, rng), weierstrass._Plane(821, 6))
+
+
+def test_int32_guards_raise_under_optimize():
+    # python -O strips assert statements; the bounds must still raise
+    script = (
+        "import random, sys\n"
+        "from abfib import weierstrass as W\n"
+        "raised = []\n"
+        "for p, d in ((257, 32767), (2**31 - 1, 0)):\n"
+        "    try:\n"
+        "        W._Plane(p, d)\n"
+        "    except ValueError:\n"
+        "        raised.append(d)\n"
+        "w = W.random_family(1, 821, random.Random(0))\n"
+        "try:\n"
+        "    W._discriminant_zeros(w, W._Plane(821, 6))\n"
+        "except ValueError:\n"
+        "    raised.append(821)\n"
+        "print(sys.flags.optimize, raised)\n"
+    )
+    src = os.path.dirname(os.path.dirname(abfib.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1 [32767, 0, 821]\n"
+
+
+def test_plane_rejects_a_form_it_was_not_sized_for():
+    plane = weierstrass._Plane(31, 6)
+    rng = random.Random(3)
+    for f in (random_homog(7, 31, rng), random_homog(6, 37, rng)):
+        with pytest.raises(ValueError, match="does not fit the plane buffers"):
+            _eval_plane(f, plane, plane.a)
+    with pytest.raises(ValueError, match="does not fit the plane buffers"):
+        is_smooth_discriminant(random_family(2, 31, rng), weierstrass._Plane(31, 6))
+
+
+def test_second_family_reuses_the_plane_buffers():
+    # a p^2-sized temporary per family (an int32 one is 4p^2 bytes) would
+    # show in the traced peak of the second family's plane scan; the full
+    # scans also evaluate partials at the ~p zeros, arrays of about p(d+1)
+    # int64 entries, so they stay only below one int32 plane array
+    p = MAX_SCAN_PRIME
+    rng = random.Random(16)
+    plane = weierstrass._Plane(p, 12)
+    w1, w2, w3 = (random_family(2, p, rng) for _ in range(3))
+    growth = []
+    tracemalloc.start()
+    try:
+        for scan in (
+            lambda: weierstrass._discriminant_zeros(w2, plane),
+            lambda: is_smooth_discriminant(w2, plane),
+            lambda: transversal_discriminants(w2, w3, plane),
+        ):
+            is_smooth_discriminant(w1, plane)
+            tracemalloc.reset_peak()
+            current = tracemalloc.get_traced_memory()[0]
+            scan()
+            growth.append(tracemalloc.get_traced_memory()[1] - current)
+    finally:
+        tracemalloc.stop()
+    assert growth[0] < 2 * p * p, growth
+    assert max(growth) < 4 * p * p, growth
+
+
+def test_trials_build_one_plane_per_run(monkeypatch):
+    built = []
+    plane = weierstrass._Plane
+    monkeypatch.setattr(weierstrass, "_Plane", lambda *args: built.append(args) or plane(*args))
+    smoothness_trials(2, 101, 0, 4)
+    assert built == [(101, 12)]
+    built.clear()
+    transversality_trials(1, 2, 31, 0, 3)
+    assert built == [(31, 12)]
+    built.clear()
+    smoothness_trials(1, 101, 0, 0)
+    assert built == []
 
 
 # ---------------------------------------------------------------------------
