@@ -212,21 +212,22 @@ def _linear_of(perm, signs, n: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _check_codes(codes, labels, D: int, width: int) -> None:
-    """Raise ValueError unless every code over D is a valid element: a signed
+def _check_codes(kinds, labels, D: int, width: int, entries=None) -> None:
+    """Raise ValueError unless every element over D is valid: a signed
     permutation of the 2n lattice rows in (real, period) pairs with equal
     signs, mapping each coordinate from one with the same curve label, a
-    translation in [0, D) and `width` parity bits of 0 or 1.  The linear
-    rows and parities are checked once per distinct value."""
+    translation in [0, D) and `width` parity bits of 0 or 1.  The elements
+    are the entries (kind, t) over the codes `kinds`, or without entries
+    each code with its own translation; each code's linear rows and
+    parities are checked once, and each entry's translation once."""
     m = 2 * len(labels)
-    distinct = set()
-    for perm, signs, t, parities in codes:
+    translations = (code[2] for code in kinds) if entries is None else (t for _, t in entries)
+    for t in translations:
         if len(t) != m:
             raise ValueError("translation has wrong shape")
         if t and (min(t) < 0 or max(t) >= D):
             raise ValueError("translation not reduced to [0,1)")
-        distinct.add((perm, signs, parities))
-    for perm, signs, parities in distinct:
+    for perm, signs, _, parities in kinds:
         if len(parities) != width or any(p not in (0, 1) for p in parities):
             raise ValueError(f"parities must be {width} bits of 0 or 1")
         if len(signs) != m or sorted(perm) != list(range(m)):
@@ -275,7 +276,7 @@ class FiniteGroup:
 
     @property
     def order(self) -> int:
-        return len(self.codes)
+        return len(self.entries)
 
     def part(self, kind: int) -> LinearPart:
         """The `LinearPart` of a kind's linear part L."""
@@ -392,7 +393,7 @@ def generate_group(
                         raise ClosureError(f"group closure exceeded CLOSURE_CAP = {CLOSURE_CAP} elements")
         frontier = nxt
     G = FiniteGroup(model, index, products, seen, D, gens, codes)
-    _check_codes(G.codes, model.labels, D, parity_width)
+    _check_codes(G.kinds, model.labels, D, parity_width, G.entries)
     return G
 
 

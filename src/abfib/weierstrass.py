@@ -1,30 +1,30 @@
 """Weierstrass families y^2 z = x^3 + a x z^2 + b z^3 over the plane.
 
-a and b are homogeneous forms of degrees 4l and 6l; the discriminant
-4a^3 + 27b^2 has degree 12l.  Smoothness and transversality are certified
-by exhaustive scans over the F_p-rational points of the plane, exact but
-explicitly NOT a statement about the algebraic closure.  Scans run in
-lexicographic order over normalized representatives, so a reported witness
-is always the lexicographically smallest one.
+a and b are homogeneous forms over F_p of degrees 4l and 6l; the
+discriminant 4a^3 + 27b^2 has degree 12l.  Smoothness and transversality
+are certified by exhaustive scans over the F_p-rational points of the
+plane, exact but explicitly NOT a statement about the algebraic closure.
+Scans run in lexicographic order over normalized representatives, so a
+reported witness is always the lexicographically smallest one.
 
-The sampling runs scan the pair (a, b), not the product: a and b are
-evaluated on the whole plane, the discriminant's values follow from theirs
-with one divisibility test by p, and at its zeros its gradient is
-12a^2 grad a + 54b grad b.  A sampling run builds one `_Plane` for its p
-and degrees and evaluates every family in its buffers, in place: int32
-plane values, reduced without an int64 `% p` and without a p^2-sized
-temporary.  `discriminant` builds the degree-12l form only where the form
-itself is wanted (tests, and telling a zero discriminant from one that
-vanishes on every F_p-point).  `is_smooth_curve` and
-`transversal_intersection` scan any given forms through the same
-`_eval_plane`.
+Every scan asks where a composite of forms fails to be smooth.  A
+composite is its forms f_i, the sorted plane indices of its F_p-zeros and
+one gradient weight w_i per form at each zero, its gradient there being
+sum_i w_i grad f_i: (f,) with weight 1 for a plain curve, (a, b) with
+12a^2 and 54b for 4a^3 + 27b^2, whose values follow from those of a and b
+with one divisibility test by p.  `_singular` evaluates the partials only
+at the zeros, straight from each form's coefficient matrix, and returns
+every singular index.  A sampling run builds one `_Plane` for its p and
+degrees and evaluates every family in its buffers, in place: int32 plane
+values, reduced without an int64 `% p` and without a p^2-sized temporary.
+`discriminant` builds the degree-12l form only to tell a zero
+discriminant from one that vanishes on every F_p-point.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, reduce
 
 import numpy as np
@@ -50,42 +50,40 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _dtype(p: int | None):
-    """int64 while a product of two entries of [0, p) fits, (p-1)^2 < 2^63."""
-    return np.int64 if p is not None and (p - 1) ** 2 < 2**63 else object
-
-
-def _reduce(coeffs: np.ndarray, p: int | None) -> np.ndarray:
-    return coeffs if p is None else coeffs % p
-
-
 class HomogPoly:
-    """Homogeneous polynomial in x0, x1, x2 with exact coefficients.
+    """Homogeneous polynomial in x0, x1, x2 over F_p.
 
-    coeffs[j, k] is the coefficient of x0^(d-j-k)*x1^j*x2^k (zero if j + k > d):
-    ints in [0, p) over F_p, Fractions over QQ (p is None), dtype _dtype(p).
-    terms lists the nonzero ((i, j, k), c) in reverse-lex order of the
-    exponents; HomogPoly(degree, terms, p) checks every term.
+    coeffs[j, k] is the coefficient of x0^(d-j-k)*x1^j*x2^k (zero if
+    j + k > d), an int64 in [0, p).  terms lists the nonzero ((i, j, k), c)
+    in reverse-lex order of the exponents; HomogPoly(degree, terms, p)
+    checks every term.
     """
 
-    def __init__(self, degree: int, terms, p: int | None = None):
-        coeffs = np.zeros((degree + 1, degree + 1), dtype=_dtype(p))
+    def __init__(self, degree: int, terms, p: int):
+        coeffs = np.zeros((degree + 1, degree + 1), dtype=np.int64)
         for (i, j, k), c in terms:
             if min(i, j, k) < 0 or i + j + k != degree:
                 raise ValueError(f"term x0^{i}*x1^{j}*x2^{k} breaks homogeneity")
-            if not isinstance(c, Fraction if p is None else int) or c == 0:
-                raise ValueError("coefficients must be nonzero: Fractions over QQ, ints over F_p")
+            if not isinstance(c, int) or c == 0:
+                raise ValueError("coefficients must be nonzero ints")
             coeffs[j, k] = c
         self._set(degree, coeffs, p)
 
-    def _set(self, degree: int, coeffs: np.ndarray, p: int | None) -> HomogPoly:
-        """The invariant check every form passes, then the fields."""
-        if degree < 0 or coeffs.shape != (degree + 1, degree + 1) or coeffs.dtype != _dtype(p):
+    def _set(self, degree: int, coeffs: np.ndarray, p: int) -> HomogPoly:
+        """The invariant check every form passes, then the fields.
+
+        A degree-d form has at most (d+1)(d+2)/2 terms; bounding that many
+        products of two entries below 2^63 keeps every int64 sum of products
+        exact, in `poly_mul` and wherever the form is evaluated.
+        """
+        if degree < 0 or coeffs.shape != (degree + 1, degree + 1) or coeffs.dtype != np.int64:
             raise ValueError(f"{coeffs.dtype} matrix of shape {coeffs.shape} for degree {degree}")
+        if (degree + 1) * (degree + 2) // 2 * (p - 1) ** 2 >= 2**63:
+            raise ValueError(f"p = {p} is beyond exact int64 products at degree {degree}")
         r = np.arange(degree + 1)
         if coeffs[np.add.outer(r, r) > degree].any():
             raise ValueError(f"nonzero coefficient beyond degree {degree}")
-        if p is not None and ((coeffs < 0) | (coeffs >= p)).any():
+        if ((coeffs < 0) | (coeffs >= p)).any():
             raise ValueError(f"F_p coefficients must lie in [0, {p})")
         coeffs.flags.writeable = False
         for name, value in (("degree", degree), ("coeffs", coeffs), ("p", p)):
@@ -119,12 +117,8 @@ class HomogPoly:
         return not self.coeffs.any()
 
 
-def _from_coeffs(degree: int, coeffs: np.ndarray, p: int | None) -> HomogPoly:
+def _from_coeffs(degree: int, coeffs: np.ndarray, p: int) -> HomogPoly:
     return object.__new__(HomogPoly)._set(degree, coeffs, p)
-
-
-def zero_poly(degree: int, p: int | None = None) -> HomogPoly:
-    return HomogPoly(degree, (), p)
 
 
 def _same_field(f: HomogPoly, g: HomogPoly):
@@ -137,7 +131,7 @@ def poly_add(f: HomogPoly, g: HomogPoly) -> HomogPoly:
     _same_field(f, g)
     if f.degree != g.degree:
         raise ValueError("cannot add forms of different degrees")
-    return _from_coeffs(f.degree, _reduce(f.coeffs + g.coeffs, f.p), f.p)
+    return _from_coeffs(f.degree, (f.coeffs + g.coeffs) % f.p, f.p)
 
 
 def poly_mul(f: HomogPoly, g: HomogPoly) -> HomogPoly:
@@ -146,46 +140,27 @@ def poly_mul(f: HomogPoly, g: HomogPoly) -> HomogPoly:
     With rows padded to w = deg f + deg g + 1, the flattened index of
     x1^j*x2^k is j*w + k and exponents add without carrying between rows;
     the first w^2 entries of the convolution are the product's matrix.
-    Each entry sums at most min(#terms f, #terms g) products of two
-    coefficients in [1, p), so int64 is exact while min(#terms f, #terms g)
-    * (p-1)^2 < 2^63; otherwise (QQ, or a huge p) it runs on object arrays.
+    Each entry sums at most #terms f products of two coefficients in
+    [1, p), which the invariant check on f keeps below 2^63 in int64.
     """
     _same_field(f, g)
     p, w = f.p, f.degree + g.degree + 1
-    terms = int(min(np.count_nonzero(f.coeffs), np.count_nonzero(g.coeffs)))
-    dtype = np.int64 if p is not None and terms * (p - 1) ** 2 < 2**63 else object
-    rows = [np.zeros((h.degree + 1, w), dtype=dtype) for h in (f, g)]
+    rows = [np.zeros((h.degree + 1, w), dtype=np.int64) for h in (f, g)]
     for row, h in zip(rows, (f, g)):
         row[:, : h.degree + 1] = h.coeffs
     prod = np.convolve(rows[0].ravel(), rows[1].ravel())[: w * w].reshape(w, w)
-    return _from_coeffs(w - 1, _reduce(prod, p).astype(_dtype(p), copy=False), p)
+    return _from_coeffs(w - 1, prod % p, p)
 
 
-def poly_scale(c, f: HomogPoly) -> HomogPoly:
+def poly_scale(c: int, f: HomogPoly) -> HomogPoly:
     """c * f with c reduced first, so int64 holds each product."""
-    c = Fraction(c) if f.p is None else c % f.p
-    return _from_coeffs(f.degree, _reduce(f.coeffs * c, f.p), f.p)
+    return _from_coeffs(f.degree, f.coeffs * (c % f.p) % f.p, f.p)
 
 
 def poly_pow(f: HomogPoly, n: int) -> HomogPoly:
     if n < 1:
         raise ValueError("exponent must be positive")
     return reduce(poly_mul, [f] * n)
-
-
-def derivative(f: HomogPoly, var: int) -> HomogPoly:
-    """d f / d x_var: scale each coefficient by its x_var exponent, reduced
-    mod p so int64 holds the product, then shift."""
-    d, c, p = f.degree, f.coeffs, f.p
-    if d == 0:
-        return zero_poly(0, p)
-    r = np.arange(d + 1)
-    exps, part = {
-        0: ((d - np.add.outer(r, r))[:d, :d], c[:d, :d]),  # c is 0 where d - j - k < 0
-        1: (r[1:, None], c[1:, :d]),
-        2: (r[None, 1:], c[:d, 1:]),
-    }[var]
-    return _from_coeffs(d - 1, _reduce(part * _reduce(exps.astype(c.dtype), p), p), p)
 
 
 # ---------------------------------------------------------------------------
@@ -288,25 +263,6 @@ def _eval_plane(f: HomogPoly, plane: _Plane, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _eval_at(forms, tab: np.ndarray, p: int, idx: np.ndarray) -> list[np.ndarray]:
-    """Values of each form at the points with sorted lex indices idx, as
-    _eval_plane gives them: (0,0,1) is C[0,d], a line point (0,1,t) is V[t]
-    applied to the anti-diagonal of C, a chart point (1,s,t) is
-    ((V[s] C) mod p) . V[t].  Every entry is reduced mod p before the next
-    product, so no int64 value exceeds (d+1)*p^2.
-    """
-    n0, n1 = np.searchsorted(idx, (1, p + 1))
-    s, t = np.divmod(idx[n1:] - (p + 1), p)
-    vl, vs, vt = tab[idx[n0:n1] - 1], tab[s], tab[t]
-    values = []
-    for f in forms:
-        d, coeffs = f.degree, f.coeffs
-        line = vl[:, : d + 1] @ coeffs[::-1].diagonal() % p
-        chart = ((vs[:, : d + 1] @ coeffs) % p * vt[:, : d + 1]).sum(axis=1) % p
-        values.append(np.concatenate((np.full(n0, coeffs[0, d]), line, chart)))
-    return values
-
-
 def _plane_point(index: int, p: int) -> tuple[int, int, int]:
     """The normalized point at position index of the lex order above."""
     if index == 0:
@@ -317,13 +273,12 @@ def _plane_point(index: int, p: int) -> tuple[int, int, int]:
     return (1, s, t)
 
 
-def _check_field(p: int | None) -> int:
-    if p is None:
-        raise ValueError("scans run over a finite field; coefficients are in QQ")
-    if not _is_prime(p) or p in (2, 3):
-        raise ValueError(f"p = {p} must be a prime outside {{2, 3}}")
+def _check_field(p: int) -> int:
+    # the budget first: trial division of a huge p would not return
     if p > MAX_SCAN_PRIME:
         raise ValueError(f"p = {p} exceeds the scan budget {MAX_SCAN_PRIME}")
+    if not _is_prime(p) or p in (2, 3):
+        raise ValueError(f"p = {p} must be a prime outside {{2, 3}}")
     return p
 
 
@@ -337,11 +292,10 @@ def _check_scan_args(*polys):
     return p
 
 
-def _check_pair_args(*families: WeierstrassFamily) -> int:
+def _check_pair_args(p: int, *families: WeierstrassFamily) -> int:
     """The checks, in the order and with the messages, that building each
-    discriminant and scanning it would raise; a zero discriminant is caught
-    by _discriminant_zeros."""
-    p = families[0].a.p
+    discriminant over F_p and scanning it would raise; a zero discriminant
+    is caught by _discriminant_curve."""
     if p in (2, 3):
         raise ValueError(_CHAR_ERROR)
     _check_field(p)
@@ -363,63 +317,96 @@ class ScanResult:
         return self.ok
 
 
-def _scan_result(bad: np.ndarray, points: int, p: int) -> ScanResult:
+def _scan_result(bad: np.ndarray, p: int) -> ScanResult:
     """bad holds the sorted lex indices of the failing points."""
+    points = p * p + p + 1
     if bad.size:
         return ScanResult(False, _plane_point(int(bad[0]), p), points)
     return ScanResult(True, None, points)
 
 
-def _dependent(df, dg, p: int) -> np.ndarray:
-    """Where the gradients df and dg (three value arrays each) are
-    proportional: all three 2 x 2 minors vanish mod p."""
-    dependent = np.ones(len(df[0]), dtype=bool)
+# ---------------------------------------------------------------------------
+# the singular-point kernel
+
+
+def _partials(forms, weights, tab: np.ndarray, p: int, idx: np.ndarray, variables) -> list:
+    """sum_i w_i d f_i / d x_v mod p for each v in variables, at the points
+    with sorted lex indices idx, the weights aligned with idx.
+
+    A partial's coefficient matrix C is its form's, scaled by the x_v
+    exponents, shifted and reduced mod p; it is evaluated as _eval_plane
+    would: (0,0,1) is C[0,d-1], a line point (0,1,t) is V[t] applied to the
+    anti-diagonal of C, a chart point (1,s,t) is ((V[s] C) mod p) . V[t].
+    Entries are reduced mod p between products, so no int64 value exceeds
+    (d+1) p^2.  A form with a zero has degree at least 1: the scans reject
+    the zero constant.
+    """
+    n0, n1 = np.searchsorted(idx, (1, p + 1))
+    s, t = np.divmod(idx[n1:] - (p + 1), p)
+    vl, vs, vt = tab[idx[n0:n1] - 1], tab[s], tab[t]
+    totals = []
+    for var in variables:
+        total = np.zeros(idx.size, dtype=np.int64)
+        for f, w in zip(forms, weights):
+            d, c = f.degree, f.coeffs
+            r = np.arange(d + 1)
+            part = {
+                0: (d - np.add.outer(r, r))[:d, :d] * c[:d, :d],  # c is 0 where d - j - k < 0
+                1: r[1:, None] * c[1:, :d],
+                2: r[None, 1:] * c[:d, 1:],
+            }[var] % p
+            line = vl[:, :d] @ part[::-1].diagonal() % p
+            chart = ((vs[:, :d] @ part) % p * vt[:, :d]).sum(axis=1) % p
+            total += w * np.concatenate((np.full(n0, part[0, d - 1]), line, chart))
+        totals.append(total % p)
+    return totals
+
+
+def _singular(plane: _Plane, *curves) -> np.ndarray:
+    """Sorted lex indices of the F_p-points where one curve, or the
+    intersection of two, fails to be smooth; the lex-first is element 0.
+
+    A curve is a composite (forms, zeros, weights): the sorted indices of
+    its F_p-zeros and per form an array, aligned with them, of the weight
+    of its gradient in the composite's.  One curve is singular where its
+    gradient vanishes: each partial is evaluated only where the partials
+    before it vanish.  Two curves fail at their common zeros where the
+    gradients are proportional, all three 2 x 2 minors 0 mod p.  No
+    partial is evaluated where there is no zero.
+    """
+    p, tab = plane.p, plane.tab
+    if len(curves) == 1:
+        ((forms, bad, weights),) = curves
+        for var in range(3):
+            if not bad.size:
+                break
+            keep = _partials(forms, weights, tab, p, bad, [var])[0] == 0
+            bad, weights = bad[keep], [w[keep] for w in weights]
+        return bad
+    (f, z1, w1), (g, z2, w2) = curves
+    bad, at1, at2 = np.intersect1d(z1, z2, assume_unique=True, return_indices=True)
+    if not bad.size:
+        return bad
+    df, dg = (
+        _partials(forms, [w[at] for w in weights], tab, p, bad, range(3))
+        for forms, weights, at in ((f, w1, at1), (g, w2, at2))
+    )
+    dependent = np.ones(bad.size, dtype=bool)
     for u, v in ((0, 1), (0, 2), (1, 2)):
         dependent &= (df[u] * dg[v] - df[v] * dg[u]) % p == 0
-    return dependent
+    return bad[dependent]
 
 
-def is_smooth_curve(f: HomogPoly) -> ScanResult:
-    """TRUE iff no F_p-point annihilates f and all three partials.
-
-    f is evaluated on the whole plane, each partial only at the points where
-    f and the partials before it vanish.
-    """
-    p = _check_scan_args(f)
-    plane = _Plane(p, f.degree)
-    values = _eval_plane(f, plane, plane.a)
-    bad = np.flatnonzero(values == 0)
-    for var in range(3):
-        if not bad.size:
-            break
-        bad = bad[_eval_at([derivative(f, var)], plane.tab, p, bad)[0] == 0]
-    return _scan_result(bad, len(values), p)
+def _curve(f: HomogPoly, plane: _Plane):
+    """f as a composite: its F_p-zeros, weight 1."""
+    zeros = np.flatnonzero(_eval_plane(f, plane, plane.a) == 0)
+    return (f,), zeros, [np.ones(zeros.size, dtype=np.int64)]
 
 
-def transversal_intersection(f: HomogPoly, g: HomogPoly) -> ScanResult:
-    """TRUE iff the gradients are independent at every common F_p-zero.
-
-    f and g are evaluated on the whole plane, the six partials only at
-    their common zeros.
-    """
-    p = _check_scan_args(f, g)
-    plane = _Plane(p, max(f.degree, g.degree))
-    fv, gv = _eval_plane(f, plane, plane.a), _eval_plane(g, plane, plane.b)
-    bad = np.flatnonzero((fv == 0) & (gv == 0))
-    if bad.size:
-        grads = _eval_at([derivative(h, v) for h in (f, g) for v in range(3)], plane.tab, p, bad)
-        bad = bad[_dependent(grads[:3], grads[3:], p)]
-    return _scan_result(bad, len(fv), p)
-
-
-# ---------------------------------------------------------------------------
-# discriminant scans from the pair (a, b)
-
-
-def _discriminant_zeros(w: WeierstrassFamily, plane: _Plane):
-    """Sorted lex indices of the F_p-zeros of 4a^3 + 27b^2, from the plane
-    values of a and b, and the weights 12a^2 and 54b mod p there of grad a
-    and grad b in grad(4a^3 + 27b^2) = 12a^2 grad a + 54b grad b.
+def _discriminant_curve(w: WeierstrassFamily, plane: _Plane):
+    """4a^3 + 27b^2 as the composite of (a, b): its F_p-zeros, from the
+    plane values of a and b, and the weights 12a^2 and 54b mod p there of
+    grad a and grad b in grad(4a^3 + 27b^2) = 12a^2 grad a + 54b grad b.
 
     The values of a and b land in plane.a and plane.b, reduced, so
     4a^3 + 27b^2 is at most 4(p-1)^3 + 27(p-1)^2; it is formed in
@@ -446,52 +433,44 @@ def _discriminant_zeros(w: WeierstrassFamily, plane: _Plane):
     if zeros.size == delta.size and discriminant(w).is_zero():
         raise ValueError("zero polynomial")
     a, b = av[zeros], bv[zeros]
-    return zeros, (12 * (a * a % p) % p, 54 * b % p)
+    return (w.a, w.b), zeros, [12 * (a * a % p) % p, 54 * b % p]
 
 
-def _discriminant_partials(w: WeierstrassFamily, weights, tab, p: int, idx, variables):
-    """d(4a^3 + 27b^2)/dx_v mod p at idx for each v in variables, from the
-    partials of a and b and their weights at idx."""
-    values = _eval_at([derivative(f, v) for v in variables for f in (w.a, w.b)], tab, p, idx)
-    return [(weights[0] * da + weights[1] * db) % p for da, db in zip(values[::2], values[1::2])]
+# ---------------------------------------------------------------------------
+# the four scans
+
+
+def is_smooth_curve(f: HomogPoly) -> ScanResult:
+    """TRUE iff no F_p-point annihilates f and all three partials."""
+    p = _check_scan_args(f)
+    plane = _Plane(p, f.degree)
+    return _scan_result(_singular(plane, _curve(f, plane)), p)
+
+
+def transversal_intersection(f: HomogPoly, g: HomogPoly) -> ScanResult:
+    """TRUE iff the gradients are independent at every common F_p-zero."""
+    p = _check_scan_args(f, g)
+    plane = _Plane(p, max(f.degree, g.degree))
+    return _scan_result(_singular(plane, _curve(f, plane), _curve(g, plane)), p)
 
 
 def is_smooth_discriminant(w: WeierstrassFamily, plane: _Plane | None = None) -> ScanResult:
     """is_smooth_curve(discriminant(w)), without the degree-12l product.
-
-    The discriminant's values come from the plane values of a and b; at
-    its zeros each partial comes from those of a and b, evaluated only
-    where the discriminant and the partials before it vanish.  plane, if
-    given, is reused; otherwise the scan builds its own.
-    """
-    p = _check_pair_args(w)
+    plane, if given, is reused; otherwise the scan builds its own."""
+    p = _check_pair_args(w.a.p, w)
     plane = plane or _Plane(p, w.b.degree)
-    bad, weights = _discriminant_zeros(w, plane)
-    for var in range(3):
-        if not bad.size:
-            break
-        keep = _discriminant_partials(w, weights, plane.tab, p, bad, [var])[0] == 0
-        bad, weights = bad[keep], (weights[0][keep], weights[1][keep])
-    return _scan_result(bad, p * p + p + 1, p)
+    return _scan_result(_singular(plane, _discriminant_curve(w, plane)), p)
 
 
 def transversal_discriminants(
     w1: WeierstrassFamily, w2: WeierstrassFamily, plane: _Plane | None = None
 ) -> ScanResult:
     """transversal_intersection(discriminant(w1), discriminant(w2)), without
-    the degree-12l products: both gradients come from the pairs (a, b) at
-    the common zeros.  plane, if given, is reused for both families."""
-    p = _check_pair_args(w1, w2)
+    the degree-12l products.  plane, if given, is reused for both families."""
+    p = _check_pair_args(w1.a.p, w1, w2)
     plane = plane or _Plane(p, max(w1.b.degree, w2.b.degree))
-    (z1, weights1), (z2, weights2) = (_discriminant_zeros(w, plane) for w in (w1, w2))
-    bad, at1, at2 = np.intersect1d(z1, z2, assume_unique=True, return_indices=True)
-    if bad.size:
-        df, dg = (
-            _discriminant_partials(w, (weights[0][at], weights[1][at]), plane.tab, p, bad, range(3))
-            for w, weights, at in ((w1, weights1, at1), (w2, weights2, at2))
-        )
-        bad = bad[_dependent(df, dg, p)]
-    return _scan_result(bad, p * p + p + 1, p)
+    curves = [_discriminant_curve(w, plane) for w in (w1, w2)]
+    return _scan_result(_singular(plane, *curves), p)
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +481,7 @@ def random_homog(degree: int, p: int, rng: random.Random) -> HomogPoly:
     """Coefficients drawn in lex order of the exponents (x0, then x1)."""
     r = np.arange(degree + 1)
     i, j = np.nonzero(np.add.outer(r, r) <= degree)  # exponents of x0 and x1, in draw order
-    coeffs = np.zeros((degree + 1, degree + 1), dtype=_dtype(p))
+    coeffs = np.zeros((degree + 1, degree + 1), dtype=np.int64)
     coeffs[j, degree - i - j] = [rng.randrange(p) for _ in range(len(i))]
     return _from_coeffs(degree, coeffs, p)
 
@@ -540,14 +519,13 @@ def _trials(kind: str, ls: tuple[int, ...], p: int, seed: int, trials: int, scan
     """Per trial, sample one family per twist in ls and scan their
     discriminants, every family in one plane context."""
     rng = random.Random(seed)
-    outcomes, degree_ok, plane = [], True, None
+    # p passes the checks the scan makes before anything is sampled
+    plane = _Plane(_check_pair_args(p), 6 * max(ls)) if trials else None
+    outcomes, degree_ok = [], True
     for t in range(trials):
         families = [random_family(l, p, rng) for l in ls]
         # deg(4a^3 + 27b^2) = 3 deg a = 2 deg b
         degree_ok &= all(3 * w.a.degree == 2 * w.b.degree == 12 * l for w, l in zip(families, ls))
-        if plane is None:
-            # sized only once p has passed the checks the scan makes
-            plane = _Plane(_check_pair_args(*families), 6 * max(ls))
         result = scan(*families, plane=plane)
         outcomes.append(TrialOutcome(t, result.ok, result.witness))
     return SamplingRecord(

@@ -46,8 +46,6 @@ from abfib.weierstrass import (
     _check_scan_args,
     _plane_point,
     _pow_table,
-    derivative,
-    zero_poly,
 )
 
 
@@ -207,9 +205,13 @@ def graded_character_minors(L) -> list[int]:
     ]
 
 
-def poly(degree: int, coeffs: dict, p: int | None = None) -> HomogPoly:
-    """Build a polynomial from {(i,j,k): coefficient}; reduces and validates."""
-    reduced = ((e, c % p if p is not None else Fraction(c)) for e, c in coeffs.items())
+def zero_poly(degree: int, p: int) -> HomogPoly:
+    return HomogPoly(degree, (), p)
+
+
+def poly(degree: int, coeffs: dict, p: int) -> HomogPoly:
+    """Build a form over F_p from {(i,j,k): coefficient}; reduces and validates."""
+    reduced = ((e, c % p) for e, c in coeffs.items())
     return HomogPoly(degree, tuple((e, c) for e, c in reduced if c), p)
 
 
@@ -242,8 +244,9 @@ def poly_scale_dict(c, f):
 
 
 def derivative_dict(f, var):
-    """Term-by-term partial derivative in x_var: the reference for
-    `weierstrass.derivative`; a constant's derivative is the zero constant."""
+    """Term-by-term partial derivative in x_var: the reference for the
+    partials `weierstrass._partials` evaluates; a constant's derivative is
+    the zero constant."""
     acc = {}
     for e, c in f.terms:
         if e[var]:
@@ -272,36 +275,44 @@ def eval_plane(f, tab, p) -> np.ndarray:
     return values
 
 
+def singular_full_plane(*forms) -> np.ndarray:
+    """Sorted lex indices where one form and its three partials vanish, or
+    where two forms vanish with proportional gradients, every form and
+    partial (from `derivative_dict`) evaluated on all p^2 + p + 1 points:
+    the reference for `weierstrass._singular`, which evaluates the partials
+    only at the zeros."""
+    p = _check_scan_args(*forms)
+    tab = _pow_table(p, max(f.degree for f in forms))
+    bad = np.ones(p * p + p + 1, dtype=bool)
+    grads = []
+    for f in forms:
+        bad &= eval_plane(f, tab, p) == 0
+        grads.append([eval_plane(derivative_dict(f, v), tab, p) for v in range(3)])
+    if len(forms) == 1:
+        for df in grads[0]:
+            bad &= df == 0
+    else:
+        df, dg = grads
+        for u, v in ((0, 1), (0, 2), (1, 2)):
+            bad &= (df[u] * dg[v] - df[v] * dg[u]) % p == 0
+    return np.flatnonzero(bad)
+
+
 def _full_plane_result(bad, p) -> ScanResult:
-    if bad.any():
-        return ScanResult(False, _plane_point(int(np.argmax(bad)), p), len(bad))
-    return ScanResult(True, None, len(bad))
+    points = p * p + p + 1
+    if bad.size:
+        return ScanResult(False, _plane_point(int(bad[0]), p), points)
+    return ScanResult(True, None, points)
 
 
 def smooth_full_plane(f) -> ScanResult:
-    """f and its three partials evaluated on all p^2 + p + 1 points: the
-    reference for `weierstrass.is_smooth_curve`, which evaluates the
-    partials only at the zeros of f."""
-    p = _check_scan_args(f)
-    tab = _pow_table(p, f.degree)
-    mask = eval_plane(f, tab, p) == 0
-    for var in range(3):
-        mask &= eval_plane(derivative(f, var), tab, p) == 0
-    return _full_plane_result(mask, p)
+    """The reference for `weierstrass.is_smooth_curve`."""
+    return _full_plane_result(singular_full_plane(f), f.p)
 
 
 def transversal_full_plane(f, g) -> ScanResult:
-    """Both forms and their six partials evaluated on all p^2 + p + 1
-    points: the reference for `weierstrass.transversal_intersection`."""
-    p = _check_scan_args(f, g)
-    tab = _pow_table(p, max(f.degree, g.degree))
-    common = (eval_plane(f, tab, p) == 0) & (eval_plane(g, tab, p) == 0)
-    df = [eval_plane(derivative(f, v), tab, p) for v in range(3)]
-    dg = [eval_plane(derivative(g, v), tab, p) for v in range(3)]
-    dependent = np.ones(len(common), dtype=bool)
-    for u, v in ((0, 1), (0, 2), (1, 2)):
-        dependent &= (df[u] * dg[v] - df[v] * dg[u]) % p == 0
-    return _full_plane_result(common & dependent, p)
+    """The reference for `weierstrass.transversal_intersection`."""
+    return _full_plane_result(singular_full_plane(f, g), f.p)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +323,7 @@ _TERM = re.compile(r"([+-])([^+-]+)")
 _FACTOR = re.compile(r"^x([012])(?:\^(\d+))?$")
 
 
-def parse_poly(text: str, p: int | None = None, degree: int | None = None) -> HomogPoly:
+def parse_poly(text: str, p: int, degree: int | None = None) -> HomogPoly:
     s = text.replace(" ", "")
     if s in ("", "0"):
         return zero_poly(degree or 0, p)
@@ -334,7 +345,7 @@ def parse_poly(text: str, p: int | None = None, degree: int | None = None) -> Ho
                 exps[int(fm.group(1))] += int(fm.group(2) or 1)
             elif coef is None:
                 try:
-                    coef = int(part) if p is not None else Fraction(part)
+                    coef = int(part)
                 except ValueError:
                     raise ValueError(f"bad coefficient {part!r}") from None
             else:
@@ -363,12 +374,8 @@ def format_poly(f: HomogPoly) -> str:
                 factors.append(f"x{idx}")
             elif e > 1:
                 factors.append(f"x{idx}^{e}")
-        mag = abs(c) if f.p is None else c
-        body = "*".join([str(mag)] + factors) if (mag != 1 or not factors) else "*".join(factors)
-        if f.p is None and c < 0:
-            parts.append(("- " if parts else "-") + body)
-        else:
-            parts.append(("+ " if parts else "") + body)
+        body = "*".join([str(c)] + factors) if (c != 1 or not factors) else "*".join(factors)
+        parts.append(("+ " if parts else "") + body)
     return " ".join(parts)
 
 

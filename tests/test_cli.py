@@ -146,6 +146,7 @@ BAD_PRIME_ERRORS = {
     "3": "abfib: error: discriminant arithmetic needs characteristic outside {2, 3}\n",
     "4": "abfib: error: p = 4 must be a prime outside {2, 3}\n",
     "91": "abfib: error: p = 91 must be a prime outside {2, 3}\n",
+    "259": "abfib: error: p = 259 exceeds the scan budget 257\n",
     "263": "abfib: error: p = 263 exceeds the scan budget 257\n",
 }
 
@@ -157,6 +158,17 @@ def test_weierstrass_rejects_bad_primes(capsys):
             assert (code, out, err) == (2, "", message), (p, product)
     code, _, _ = run(["weierstrass", "--trials", "0"], capsys)
     assert code == 2
+
+
+def test_weierstrass_rejects_a_huge_prime_at_once():
+    # 2^61 - 1 is prime: the budget is checked before trial division, which
+    # would run about 1.5e9 steps; a subprocess, so a regression times out
+    argv = [sys.executable, "-m", "abfib", "weierstrass", "--p", str(2**61 - 1), "--trials", "1"]
+    src = str(Path(cli.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"abfib: error: p = {2**61 - 1} exceeds the scan budget 257\n"
 
 
 def test_weierstrass_twist_budget(capsys):

@@ -29,6 +29,54 @@ def test_no_assert_statements_in_src():
     assert _assert_lines(nested) == [4]
 
 
+def _is_object(node: ast.expr) -> bool:
+    return (isinstance(node, ast.Name) and node.id == "object") or (
+        isinstance(node, ast.Constant) and node.value in ("O", "object")
+    )
+
+
+def _second_arithmetic_path(source: str, fractions_allowed: bool) -> list[int]:
+    """Lines that build a numpy object array (dtype=object, .astype(object),
+    np.dtype(object)) or, unless allowed, import fractions."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.keyword):
+            hit = node.arg == "dtype" and _is_object(node.value)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            hit = node.func.attr in ("astype", "dtype") and any(map(_is_object, node.args))
+        elif isinstance(node, ast.Import):
+            hit = not fractions_allowed and any(a.name == "fractions" for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            hit = not fractions_allowed and node.module == "fractions"
+        else:
+            continue
+        if hit:
+            found.append(node.value.lineno if isinstance(node, ast.keyword) else node.lineno)
+    return sorted(found)
+
+
+def test_one_int64_arithmetic_path():
+    # F_p forms are int64 matrices only: no src/ module builds a numpy
+    # object array, and weierstrass imports no Fraction to fall back on
+    found = [
+        f"{path.relative_to(SRC)}:{line}"
+        for path in sorted(SRC.rglob("*.py"))
+        for line in _second_arithmetic_path(path.read_text(), path.stem != "weierstrass")
+    ]
+    assert found == []
+    sample = (
+        "import fractions\n"
+        "from fractions import Fraction\n"
+        "a = np.zeros(3, dtype=object)\n"
+        "b = a.astype(object)\n"
+        "c = np.array([], dtype='O')\n"
+        "d = np.dtype(object)\n"
+        "e = np.zeros(3, dtype=np.int64)\n"
+    )
+    assert _second_arithmetic_path(sample, False) == [1, 2, 3, 4, 5, 6]
+    assert _second_arithmetic_path(sample, True) == [3, 4, 5, 6]
+
+
 def test_src_imports_only_stdlib_numpy_and_abfib():
     # numpy is the only runtime dependency declared in pyproject.toml
     allowed = set(sys.stdlib_module_names) | {"numpy", "abfib"}
