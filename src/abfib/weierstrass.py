@@ -66,6 +66,8 @@ class HomogPoly:
                 raise ValueError(f"term x0^{i}*x1^{j}*x2^{k} breaks homogeneity")
             if not isinstance(c, int) or c == 0:
                 raise ValueError("coefficients must be nonzero ints")
+            if not 0 <= c < p:  # before the int64 store, which overflows past 2^63
+                raise ValueError(f"F_p coefficients must lie in [0, {p})")
             coeffs[j, k] = c
         self._set(degree, coeffs, p)
 
@@ -203,9 +205,17 @@ def discriminant(w: WeierstrassFamily) -> HomogPoly:
 
 
 def _pow_table(p: int, max_exp: int) -> np.ndarray:
-    tab = np.ones((p, max_exp + 1), dtype=np.int64)
-    for e in range(1, max_exp + 1):
-        tab[:, e] = (tab[:, e - 1] * np.arange(p, dtype=np.int64)) % p
+    """x^e mod p for x in F_p and 0 <= e <= max_exp, by doubling: with
+    columns 0..m-1 filled, columns m..2m-1 are those times x^m."""
+    tab = np.empty((p, max_exp + 1), dtype=np.int64)
+    tab[:, 0] = 1
+    xm, m = np.arange(p, dtype=np.int64), 1  # xm holds x^m
+    while m <= max_exp:
+        w = min(m, max_exp + 1 - m)
+        block = np.multiply(tab[:, :w], xm[:, None], out=tab[:, m : m + w])
+        block %= p
+        xm = xm * xm % p
+        m *= 2
     return tab
 
 
@@ -350,11 +360,13 @@ def _partials(forms, weights, tab: np.ndarray, p: int, idx: np.ndarray, variable
         for f, w in zip(forms, weights):
             d, c = f.degree, f.coeffs
             r = np.arange(d + 1)
-            part = {
-                0: (d - np.add.outer(r, r))[:d, :d] * c[:d, :d],  # c is 0 where d - j - k < 0
-                1: r[1:, None] * c[1:, :d],
-                2: r[None, 1:] * c[:d, 1:],
-            }[var] % p
+            if var == 0:
+                part = (d - np.add.outer(r, r))[:d, :d] * c[:d, :d]  # c is 0 where d - j - k < 0
+            elif var == 1:
+                part = r[1:, None] * c[1:, :d]
+            else:
+                part = r[None, 1:] * c[:d, 1:]
+            part %= p
             line = vl[:, :d] @ part[::-1].diagonal() % p
             chart = ((vs[:, :d] @ part) % p * vt[:, :d]).sum(axis=1) % p
             total += w * np.concatenate((np.full(n0, part[0, d - 1]), line, chart))
@@ -477,17 +489,46 @@ def transversal_discriminants(
 # sampling
 
 
-def random_homog(degree: int, p: int, rng: random.Random) -> HomogPoly:
-    """Coefficients drawn in lex order of the exponents (x0, then x1)."""
+def _randranges(rng: random.Random, p: int, n: int) -> np.ndarray:
+    """[rng.randrange(p) for _ in range(n)] as an int64 array, leaving rng
+    in the same state as that list would.
+
+    For k = p.bit_length() <= 32, randrange(p) reads one 32-bit Mersenne
+    Twister word w and keeps w >> (32 - k) if that is below p, otherwise it
+    reads the next word; getrandbits(32 m) returns the next m words, the
+    first in the lowest 32 bits.  A round reads as many words as values are
+    still missing, so it never reads past the last value kept; the last few
+    values, and every value for a wider p, come from randrange itself.
+    """
+    drawn, got = [], 0
+    k = p.bit_length()
+    while k <= 32 and n - got >= 16:
+        m = n - got
+        words = np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"), dtype="<u4")
+        words = words >> (32 - k)
+        drawn.append(words[words < p])
+        got += drawn[-1].size
+    drawn.append(np.array([rng.randrange(p) for _ in range(n - got)], dtype=np.int64))
+    return np.concatenate(drawn, dtype=np.int64)
+
+
+def _homog_from_draws(degree: int, values: np.ndarray, p: int) -> HomogPoly:
+    """The form whose coefficients are values, in lex order of the exponents
+    (x0, then x1)."""
     r = np.arange(degree + 1)
     i, j = np.nonzero(np.add.outer(r, r) <= degree)  # exponents of x0 and x1, in draw order
     coeffs = np.zeros((degree + 1, degree + 1), dtype=np.int64)
-    coeffs[j, degree - i - j] = [rng.randrange(p) for _ in range(len(i))]
+    coeffs[j, degree - i - j] = values
     return _from_coeffs(degree, coeffs, p)
 
 
 def random_family(l: int, p: int, rng: random.Random) -> WeierstrassFamily:
-    return WeierstrassFamily(l, random_homog(4 * l, p, rng), random_homog(6 * l, p, rng))
+    """a of degree 4l, then b of degree 6l, each with one randrange(p) per
+    coefficient in lex order of the exponents, all from one batch of draws."""
+    n = (4 * l + 1) * (4 * l + 2) // 2
+    values = _randranges(rng, p, n + (6 * l + 1) * (6 * l + 2) // 2)
+    a, b = _homog_from_draws(4 * l, values[:n], p), _homog_from_draws(6 * l, values[n:], p)
+    return WeierstrassFamily(l, a, b)
 
 
 @dataclass(frozen=True)

@@ -215,6 +215,20 @@ def poly(degree: int, coeffs: dict, p: int) -> HomogPoly:
     return HomogPoly(degree, tuple((e, c) for e, c in reduced if c), p)
 
 
+def randranges(rng, p: int, n: int) -> list[int]:
+    """One rng.randrange(p) per value: the reference for the batched draws
+    of `weierstrass._randranges`."""
+    return [rng.randrange(p) for _ in range(n)]
+
+
+def random_homog(degree: int, p: int, rng) -> HomogPoly:
+    """The reference sampler: one randrange(p) per coefficient, in lex order
+    of the exponents (x0, then x1); `weierstrass.random_family` draws a and
+    b as two of these in turn."""
+    exponents = [(i, j, degree - i - j) for i in range(degree + 1) for j in range(degree - i + 1)]
+    return poly(degree, dict(zip(exponents, randranges(rng, p, len(exponents)))), p)
+
+
 def poly_mul_dict(f, g):
     """Term-by-term product of two forms over the same field, with no dense
     matrices: the reference for the convolution in `weierstrass.poly_mul`."""
@@ -253,6 +267,15 @@ def derivative_dict(f, var):
             lowered = tuple(x - (v == var) for v, x in enumerate(e))
             acc[lowered] = acc.get(lowered, 0) + c * e[var]
     return poly(max(f.degree - 1, 0), acc, f.p)
+
+
+def pow_table_stepwise(p: int, max_exp: int) -> np.ndarray:
+    """x^e mod p one exponent column at a time: the reference for the
+    doubling in `weierstrass._pow_table`."""
+    tab = np.ones((p, max_exp + 1), dtype=np.int64)
+    for e in range(1, max_exp + 1):
+        tab[:, e] = (tab[:, e - 1] * np.arange(p, dtype=np.int64)) % p
+    return tab
 
 
 def eval_plane(f, tab, p) -> np.ndarray:

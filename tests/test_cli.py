@@ -186,6 +186,9 @@ def test_weierstrass_twist_budget(capsys):
         # 20 trials at the largest scan prime, with real failure witnesses
         ("weierstrass --l 2 --p 257 --trials 20 --fibre-product --l2 2", "873e9e55c8fe5ed5aefb8f2dffda1086"),
         ("weierstrass --l 8 --p 101 --trials 2", "813ada74058679cad1234aa4da1b9667"),
+        # deep-shaped: many terms at small primes; p = 5 rejects 3 of its 8 shifted words
+        ("weierstrass --l 4 --p 47 --trials 2", "e81cbb437b70375dcdca59334595fc41"),
+        ("weierstrass --l 3 --p 5 --trials 3", "9fb284fdd3e4fbd928c97b5571ca854b"),
     ],
 )
 def test_scan_gate_commands_pinned(argv, md5, monkeypatch, capsys):

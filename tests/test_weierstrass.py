@@ -31,7 +31,6 @@ from abfib.weierstrass import (
     poly_pow,
     poly_scale,
     random_family,
-    random_homog,
     smoothness_trials,
     transversal_discriminants,
     transversal_intersection,
@@ -48,6 +47,9 @@ from oracles import (
     poly_add_dict,
     poly_mul_dict,
     poly_scale_dict,
+    pow_table_stepwise,
+    random_homog,
+    randranges,
     singular_full_plane,
     smooth_full_plane,
     transversal_full_plane,
@@ -1090,6 +1092,14 @@ def test_homogeneity_enforced():
         HomogPoly(3, (((1, 0, 0), 1),), 7)
 
 
+def test_coefficient_range_checked_before_the_int64_store():
+    # 2^64 and -2^64 do not fit int64: the range check must come first
+    for c in (2**64, -(2**64), 5, -1):
+        with pytest.raises(ValueError, match=r"^F_p coefficients must lie in \[0, 5\)$"):
+            HomogPoly(0, (((0, 0, 0), c),), 5)
+    assert HomogPoly(0, (((0, 0, 0), 4),), 5).terms == (((0, 0, 0), 4),)
+
+
 def test_parse_format_round_trip():
     rng = random.Random(41)
     for _ in range(20):
@@ -1130,6 +1140,60 @@ def test_param_count_linear_and_decreasing():
 
 # ---------------------------------------------------------------------------
 # sampling harness
+
+
+# n = 1786 is the coefficient count of one l = 8 family (325 + 1461 terms)
+DRAW_COUNTS = (1, 15, 16, 17, 28, 91, 1225, 1786)
+
+
+def test_batched_draws_reproduce_randrange():
+    # values and generator state after the batch, against one randrange per value
+    for p in filter(weierstrass._is_prime, range(5, 258)):
+        for n in DRAW_COUNTS:
+            batched, reference = random.Random(p * n), random.Random(p * n)
+            got = weierstrass._randranges(batched, p, n)
+            assert got.dtype == np.int64 and got.tolist() == randranges(reference, p, n), (p, n)
+            assert batched.getstate() == reference.getstate(), (p, n)
+
+
+def test_batched_draws_beyond_32_bits_use_randrange():
+    p = 2**61 - 1
+    batched, reference = random.Random(3), random.Random(3)
+    for n in (1, 17, 91):
+        assert weierstrass._randranges(batched, p, n).tolist() == randranges(reference, p, n)
+        assert batched.getstate() == reference.getstate()
+
+
+def test_random_family_is_two_reference_forms_in_turn():
+    for l, p in ((1, 5), (3, 13), (4, 47), (2, 257), (8, 101)):
+        batched, reference = random.Random(l * p), random.Random(l * p)
+        w = random_family(l, p, batched)
+        assert (w.l, w.a, w.b) == (l, random_homog(4 * l, p, reference), random_homog(6 * l, p, reference))
+        # the next draw starts where the reference sampler stops
+        assert random_family(1, p, batched) == WeierstrassFamily(
+            1, random_homog(4, p, reference), random_homog(6, p, reference)
+        )
+
+
+def test_trials_draw_each_family_through_random_family(monkeypatch):
+    # perfbench's tracing.py times sampling by rebinding random_family, and
+    # checks.py regenerates witnesses through it: one call per family
+    calls = []
+    sample = weierstrass.random_family
+    monkeypatch.setattr(
+        weierstrass, "random_family", lambda *args: calls.append(args[:2]) or sample(*args)
+    )
+    smoothness_trials(3, 13, 0, 4)
+    assert calls == [(3, 13)] * 4
+    calls.clear()
+    transversality_trials(1, 2, 31, 0, 3)
+    assert calls == [(1, 31), (2, 31)] * 3
+
+
+def test_pow_table_doubling_matches_stepwise():
+    for p in (5, 7, 47, 101, 257):
+        for max_exp in range(97):
+            assert np.array_equal(_pow_table(p, max_exp), pow_table_stepwise(p, max_exp)), (p, max_exp)
 
 
 def test_random_homog_deterministic():
