@@ -190,6 +190,9 @@ def main(argv=None) -> int:
     except (FileNotFoundError, ValueError) as e:
         print(f"abfib: error: {e}", file=sys.stderr)
         return 2
+    except AssertionError as e:  # an engine check fired: a fault in abfib, not in the input
+        print(f"abfib: internal check failed: {e}", file=sys.stderr)
+        return 3
     text = rpt.render_json(report) if ns.format == "json" else rpt.render_text(report)
     sys.stdout.write(text)
     return report.exit_code

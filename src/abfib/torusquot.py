@@ -9,22 +9,25 @@ the induced lattice map integral no matter what the periods are.
 
 Group closure runs on integers over D, the lcm of the generators'
 translation denominators: signed permutations keep (1/D)Z mod 1 stable.
-Each linear part with its parities is interned once per group as a kind,
-and kinds multiply through a per-group table, so a composition only
-translates.  Each closed code is checked once (a signed permutation of the
-lattice rows in (real, period) pairs, label-preserving, translation in
-[0, D)); element orders, the fixed-point obstruction and the character
-averages run on the codes.  An element becomes an `AffineAuto` with
-Fraction translations only where it is reported: the fixed-point witness,
-delegated elements, and `FiniteGroup.elements` / `identity` on first access.
+A group is one representation: its kinds and its entries.  Each linear
+part with its parities is interned once per group as a kind, kinds
+multiply through a table local to the closure, so a composition only
+translates, and each element is an entry (kind, t), t its translation
+over D.  The kinds are checked once and each translation once (a signed
+permutation of the lattice rows in (real, period) pairs, label-preserving,
+translation in [0, D)); element orders, the fixed-point obstruction and
+the character averages run on the entries.  An entry becomes an
+`AffineAuto` with Fraction translations only for the one element a report
+names, the fixed-point witness.
 Fixed-point analysis is exact: (L - I) z = -t over the torus is solved by
 Smith normal form; the tests back it with an independent exhaustive search
 over a torsion grid (solutions, when they exist, have denominator dividing
 twice the translation denominator, because the nonzero elementary divisors
 of L - I are 1 or 2 for signed permutations).  Everything that depends on
-the linear part alone (its order, sum_{k<m} Lhat^k and the SNF of Lhat - I,
-with the sparse rows of both that orders and freeness read) is computed
-once per distinct L in the group's `linear_parts` table.
+the linear part alone (its order, the sparse rows of sum_{k<m} Lhat^k
+that orders read, and the SNF of Lhat - I with the sparse rows that
+freeness reads) is one `LinearPart`, computed once per distinct L and
+kept per kind in the group's `parts`.
 
 Hodge bookkeeping for quotients multiplies the graded character
 det(I + tL) of the torus block, read off the cycles of L, with one factor
@@ -245,67 +248,41 @@ def _check_codes(kinds, labels, D: int, width: int, entries=None) -> None:
 class FiniteGroup:
     """Closure of a generating set, identity first, canonical translations.
 
-    `entries` holds the elements in BFS order as (kind, t), t the translation
-    over the common denominator D; a kind is a code (perm, signs, (),
-    parities) without translation, interned in `kinds`, and `products[kg,
-    ke]` is the kind of g after e.  `codes` holds the elements as codes
-    (perm, signs, t, parities) sharing their kind's tuples.  Orders, freeness
-    and the character averages read a kind's `LinearPart` from a list, and
-    `linear_parts` maps each L met so far to its `LinearPart`.  `elements`
-    and `identity` decode the entries on first access and keep them.
+    The group is its kinds and its entries.  `entries` holds the elements in
+    BFS order as (kind, t), t the translation over the common denominator D;
+    a kind is a code (perm, signs, (), parities) without translation,
+    interned in `kinds`; `generator_codes` holds the generators as codes
+    (perm, signs, t, parities) over D.  Per kind the group keeps its linear part L
+    (`linears`), whether it moves a formal factor (`moves`) and the
+    `LinearPart` of L (`parts`), one per distinct L, so kinds that differ
+    only in parities share it.  `decode` builds the `GroupElement` of one
+    entry, for the element a report names.
     """
 
-    def __init__(
-        self, model: TorusModel, kinds, products, entries, D: int, generators, generator_codes
-    ):
+    def __init__(self, model: TorusModel, kinds, entries, D: int, generator_codes):
         self.model = model
         self.kinds = kinds = tuple(kinds)
-        self.products = products
         self.entries = tuple(entries)
-        self.codes = tuple((*kinds[k][:2], t, kinds[k][3]) for k, t in self.entries)
         self.D = D
-        self.generators = tuple(generators)
         self.generator_codes = tuple(generator_codes)
         self.linears = tuple(_linear_of(perm, signs, model.n) for perm, signs, *_ in kinds)
         self.moves = tuple(any(parities) for *_, parities in kinds)  # a formal factor
-        self.linear_parts: dict[tuple, LinearPart] = {}
-        self._parts: list[LinearPart | None] = [None] * len(kinds)
-        self._fractions: dict[int, Fraction] = {}  # k -> k / D
-        self._elements: tuple[GroupElement, ...] | None = None
-        self._identity: GroupElement | None = None
+        parts = {L: linear_part(L) for L in dict.fromkeys(self.linears)}
+        self.parts = tuple(parts[L] for L in self.linears)
 
     @property
     def order(self) -> int:
         return len(self.entries)
 
-    def part(self, kind: int) -> LinearPart:
-        """The `LinearPart` of a kind's linear part L."""
-        lp = self._parts[kind]
-        if lp is None:
-            lp = self._parts[kind] = linear_part(self.linears[kind], self.linear_parts)
-        return lp
-
     def decode(self, kind: int, t) -> GroupElement:
-        """The element (kind, t); each k/D is built once per group."""
-        fr = self._fractions
-        that = tuple(fr[k] if k in fr else fr.setdefault(k, Fraction(k, self.D)) for k in t)
+        """The element (kind, t) with Fraction translations."""
+        that = tuple(Fraction(k, self.D) for k in t)
         return GroupElement(AffineAuto(self.model, self.linears[kind], that), self.kinds[kind][3])
 
     @property
-    def elements(self) -> tuple[GroupElement, ...]:
-        if self._elements is None:
-            self._elements = tuple(self.decode(k, t) for k, t in self.entries)
-        return self._elements
-
-    @property
-    def identity(self) -> GroupElement:
-        if self._identity is None:
-            self._identity = self.decode(*self.entries[0])
-        return self._identity
-
-    @property
     def is_abelian(self) -> bool:
-        codes, D = self.generator_codes or self.codes, self.D
+        """Whether the generators commute; with none the group is trivial."""
+        codes, D = self.generator_codes, self.D
         return all(
             _compose_codes(a, b, D) == _compose_codes(b, a, D) for a in codes for b in codes
         )
@@ -317,7 +294,7 @@ class FiniteGroup:
         parities k p mod 2; L^k = I needs m | k; e^{m j} translates by j S t."""
         D, orders = self.D, []
         for kind, t in self.entries:
-            lp, g = self.part(kind), D
+            lp, g = self.parts[kind], D
             for row in lp.S_rows:  # plain loops: they run once per element
                 x = 0
                 for j, c in row:
@@ -339,7 +316,7 @@ class FiniteGroup:
         """Whether the torus part of the element (kind, t) has no fixed point:
         (Lhat - I) z = -t is obstructed iff U t is nonzero mod D on a zero row
         of the SNF U (Lhat - I) V = diag.  The torus identity is not free."""
-        for row in self.part(kind).null_rows:
+        for row in self.parts[kind].null_rows:
             x = 0
             for j, c in row:
                 x += c * t[j]
@@ -353,8 +330,9 @@ def generate_group(
 ) -> FiniteGroup:
     """BFS closure under composition mod lattice, capped at CLOSURE_CAP, on
     (kind, t) over the generators' common denominator: the kind of g after e
-    comes from the group's product table, so a composition only translates.
-    Every closed code is checked by `_check_codes`; none is decoded here."""
+    comes from a product table kept only while closing, so a composition only
+    translates.  `_check_codes` checks every kind and translation before the
+    group is built; none is decoded here."""
     gens = [g if isinstance(g, GroupElement) else GroupElement(g) for g in gens]
     if model is None:
         if not gens:
@@ -392,9 +370,8 @@ def generate_group(
                     if len(seen) > CLOSURE_CAP:
                         raise ClosureError(f"group closure exceeded CLOSURE_CAP = {CLOSURE_CAP} elements")
         frontier = nxt
-    G = FiniteGroup(model, index, products, seen, D, gens, codes)
-    _check_codes(G.kinds, model.labels, D, parity_width, G.entries)
-    return G
+    _check_codes(index, model.labels, D, parity_width, seen)
+    return FiniteGroup(model, index, seen, D, codes)
 
 
 # ---------------------------------------------------------------------------
@@ -488,15 +465,14 @@ class FreeCertificate:
 class LinearPart:
     """What every element with linear part L shares.
 
-    order: the order m of L.  S: sum_{k<m} Lhat^k, and S_rows its distinct
-    nonzero rows up to sign as sparse (column, coefficient) pairs, all the
+    order: the order m of L.  S_rows: the distinct nonzero rows up to sign
+    of S = sum_{k<m} Lhat^k as sparse (column, coefficient) pairs, all the
     element order reads.  M: Lhat - I, with U M V = D its Smith normal form
     and diag the diagonal of D.  null_rows: the rows of U where diag is 0,
     sparse like S_rows, the only rows the obstruction reads.
     """
 
     order: int
-    S: tuple[tuple[int, ...], ...]
     S_rows: tuple[tuple[tuple[int, int], ...], ...]
     M: tuple[tuple[int, ...], ...]
     U: tuple[tuple[int, ...], ...]
@@ -516,28 +492,25 @@ def _sparse_rows(rows) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(dict.fromkeys(signed))
 
 
-def linear_part(L, table: dict) -> LinearPart:
-    """The `LinearPart` of L from `table`, computed and stored on first use."""
-    lp = table.get(L)
-    if lp is None:
-        # a cycle of length k with sign product e has order k (e = 1) or 2k
-        m = lcm(1, *(k if e == 1 else 2 * k for k, e in _cycles(L)))
-        Lhat = _lhat(L)
-        size = len(Lhat)
-        entries = [_entry(row) for row in Lhat]
-        S = [[0] * size for _ in range(size)]
-        for i, row in enumerate(S):
-            j, s = i, 1  # row i of Lhat^k is the signed unit vector s e_j
-            for _ in range(m):
-                row[j] += s
-                j, x = entries[j]
-                s *= x
-        M = tuple(tuple(Lhat[i][j] - (i == j) for j in range(size)) for i in range(size))
-        U, D, V = smith_normal_form(M)
-        diag = tuple(D[i][i] for i in range(size))
-        nulls = _sparse_rows(row for row, d in zip(U, diag) if d == 0)
-        lp = table[L] = LinearPart(m, tuple(map(tuple, S)), _sparse_rows(S), M, U, V, diag, nulls)
-    return lp
+def linear_part(L) -> LinearPart:
+    """The `LinearPart` of the signed permutation L."""
+    # a cycle of length k with sign product e has order k (e = 1) or 2k
+    m = lcm(1, *(k if e == 1 else 2 * k for k, e in _cycles(L)))
+    Lhat = _lhat(L)
+    size = len(Lhat)
+    entries = [_entry(row) for row in Lhat]
+    S = [[0] * size for _ in range(size)]
+    for i, row in enumerate(S):
+        j, s = i, 1  # row i of Lhat^k is the signed unit vector s e_j
+        for _ in range(m):
+            row[j] += s
+            j, x = entries[j]
+            s *= x
+    M = tuple(tuple(Lhat[i][j] - (i == j) for j in range(size)) for i in range(size))
+    U, D, V = smith_normal_form(M)
+    diag = tuple(D[i][i] for i in range(size))
+    nulls = _sparse_rows(row for row, d in zip(U, diag) if d == 0)
+    return LinearPart(m, _sparse_rows(S), M, U, V, diag, nulls)
 
 
 def _mat_vec(M, v) -> list[int]:
@@ -545,16 +518,18 @@ def _mat_vec(M, v) -> list[int]:
     return [sum(map(mul, row, v)) for row in M]
 
 
-def fixed_point_free(f: AffineAuto, table: dict | None = None) -> FreeCertificate:
+def fixed_point_free(f: AffineAuto, lp: LinearPart | None = None) -> FreeCertificate:
     """Exact fixed-point test for (Lhat - I) z = -that on the torus.
 
-    `table` (a group's `linear_parts`) shares the SNF of Lhat - I between
-    elements with the same linear part.  Integers over D, the denominator of
-    t, and E = D * lcm(nonzero diag); Fractions only for the certificate.
+    `lp` is the `LinearPart` of f.L when the caller holds it (a group keeps
+    one per kind), so the SNF of Lhat - I is not recomputed.  Integers over
+    D, the denominator of t, and E = D * lcm(nonzero diag); Fractions only
+    for the certificate.
     """
     if f.is_identity():
         raise ValueError("identity fixes everything; test non-identity elements")
-    lp = linear_part(f.L, {} if table is None else table)
+    if lp is None:
+        lp = linear_part(f.L)
     diag, (t, D) = lp.diag, _numerators(f.that)
     Uc = _mat_vec(lp.U, [-x for x in t])  # U (-t), over D
     zero_rows = [i for i, d in enumerate(diag) if d == 0]
@@ -570,13 +545,14 @@ def fixed_point_free(f: AffineAuto, table: dict | None = None) -> FreeCertificat
     return FreeCertificate(False, diag, residues, (), tuple(Fraction(x, E) for x in z))
 
 
-def delegated_elements(G: FiniteGroup) -> tuple[GroupElement, ...]:
-    """Non-identity elements that move a formal factor and fix a torus point.
+def delegated_elements(G: FiniteGroup) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The entries (kind, t) of the elements that move a formal factor and
+    fix a torus point, in BFS order; none is decoded.
 
     A fixed point of such an element also needs one on the formal factors,
     whose freeness is input data and cannot be computed here.
     """
-    return tuple(G.decode(k, t) for k, t in G.entries if G.moves[k] and not G.torus_free(k, t))
+    return tuple(e for e in G.entries if G.moves[e[0]] and not G.torus_free(*e))
 
 
 def _first_fixed_entry(G: FiniteGroup):
@@ -593,7 +569,7 @@ def first_fixed(G: FiniteGroup) -> tuple[GroupElement, FreeCertificate] | None:
     if entry is None:
         return None
     e = G.decode(*entry)
-    cert = fixed_point_free(e.auto, G.linear_parts)
+    cert = fixed_point_free(e.auto, G.parts[entry[0]])
     if cert.free:
         raise AssertionError(f"the code and the certificate disagree on the freeness of {e}")
     return e, cert
@@ -603,7 +579,7 @@ def action_free(G: FiniteGroup) -> bool:
     """TRUE iff no element that first_fixed examines has a torus fixed point.
     An element that moves a formal factor is free when its torus part is;
     otherwise delegated_elements lists it, and it is not counted here.
-    Decided on the codes alone."""
+    Decided on the entries alone."""
     return _first_fixed_entry(G) is None
 
 
@@ -631,16 +607,11 @@ def graded_character(L) -> list[int]:
     return char
 
 
-def _class_counts(G: FiniteGroup) -> dict[tuple, int]:
-    """How many elements share each (L, parities): a count per kind."""
-    counts = Counter(k for k, _ in G.entries)
-    return {(G.linears[k], G.kinds[k][3]): n for k, n in counts.items()}
-
-
 def _average(G: FiniteGroup, character) -> tuple[int, ...]:
     """Invariant dimension per degree: the group average of `character(L,
-    parities)`, taken once per distinct (L, parities), weighted by its count."""
-    chars = [[n * x for x in character(*key)] for key, n in _class_counts(G).items()]
+    parities)`, taken once per kind and weighted by the kind's element count."""
+    counts = Counter(k for k, _ in G.entries)
+    chars = [[n * x for x in character(G.linears[k], G.kinds[k][3])] for k, n in counts.items()]
     totals = [sum(col) for col in zip(*chars)]
     for p, total in enumerate(totals):
         if total % G.order:

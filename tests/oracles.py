@@ -55,6 +55,26 @@ def element_key(e: GroupElement):
     return (e.auto.L, e.auto.that, e.parities)
 
 
+def _decode(G, perm, signs, t, parities) -> GroupElement:
+    """The code (perm, signs, t, parities) over G.D as a GroupElement: L
+    read off the even lattice rows and t / D as Fractions, apart from
+    `FiniteGroup.decode`."""
+    n = G.model.n
+    L = tuple(tuple(signs[2 * i] if perm[2 * i] == 2 * j else 0 for j in range(n)) for i in range(n))
+    return GroupElement(AffineAuto(G.model, L, tuple(Fraction(x, G.D) for x in t)), parities)
+
+
+def elements(G) -> tuple[GroupElement, ...]:
+    """Every element of the group G from its entries (kind, t), in BFS order
+    with the identity first."""
+    return tuple(_decode(G, *G.kinds[k][:2], t, G.kinds[k][3]) for k, t in G.entries)
+
+
+def generators(G) -> tuple[GroupElement, ...]:
+    """The generators of G from its `generator_codes`."""
+    return tuple(_decode(G, *code) for code in G.generator_codes)
+
+
 def lhat(f: AffineAuto) -> tuple[tuple[int, ...], ...]:
     """The 2n x 2n lattice map of f: each entry of L becomes a scalar 2-block."""
     return _lhat(f.L)

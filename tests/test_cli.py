@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from abfib import cli
+from abfib import cli, torusquot
 from abfib.cli import COMMANDS, build_parser, main
 
 
@@ -46,6 +46,19 @@ def test_usage_errors_exit_2(capsys):
         main(["report", "everything"])
     assert e.value.code == 2
     capsys.readouterr()
+
+
+def test_engine_check_that_fires_exits_3_with_one_line(monkeypatch, capsys):
+    # a character whose degree-1 trace is 1 on L = I alone averages to 1/8
+    # over d8, so the integrality check of the invariant forms raises
+    def broken(L):
+        return [1, int(all(row[i] == 1 for i, row in enumerate(L)))] + [0] * (len(L) - 1)
+
+    monkeypatch.setattr(torusquot, "graded_character", broken)
+    code, out, err = run(["torus", "d8"], capsys)
+    assert code == 3 and not out
+    assert err.startswith("abfib: internal check failed: non-integral invariant dimension 1/8")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_torus_bundled_and_missing(capsys):

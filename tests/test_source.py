@@ -98,8 +98,8 @@ def test_src_imports_only_stdlib_numpy_and_abfib():
 
 
 def test_no_process_wide_memo_caches_in_src():
-    # a module-level cache outlives the command that filled it; memo tables
-    # belong to one object (e.g. `FiniteGroup.linear_parts`) instead
+    # a module-level cache outlives the command that filled it; what is
+    # computed once belongs to one object (e.g. `FiniteGroup.parts`) instead
     banned = {"lru_cache", "cache"}
     found = []
     for path in sorted(SRC.rglob("*.py")):
@@ -220,3 +220,72 @@ def test_externally_read_names_exist():
         if not hasattr(importlib.import_module("abfib" if module == "__init__" else f"abfib.{module}"), name):
             missing.append(key)
     assert missing == []
+
+
+def _class_members(tree: ast.Module) -> list[str]:
+    """Class.name for the public methods and properties of each top-level
+    class and the self.<name> attributes its __init__ sets.  Exceptions
+    (a base named *Error or *Exception) are skipped, and dataclass and
+    NamedTuple fields are class-level annotations, never collected."""
+    found = []
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef) or any(
+            getattr(base, "id", getattr(base, "attr", "")).endswith(("Error", "Exception"))
+            for base in cls.bases
+        ):
+            continue
+        for node in cls.body:
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            if not node.name.startswith("_"):
+                found.append(f"{cls.name}.{node.name}")
+            elif node.name == "__init__":
+                found += [
+                    f"{cls.name}.{target.attr}"
+                    for target in ast.walk(node)
+                    if isinstance(target, ast.Attribute)
+                    and isinstance(target.ctx, ast.Store)
+                    and isinstance(target.value, ast.Name)
+                    and target.value.id == "self"
+                ]
+    return found
+
+
+def _unread_members(modules) -> list[str]:
+    """module.Class.name for each member of `_class_members` whose name no
+    attribute load in any of the (module, tree) pairs reads."""
+    read = {
+        node.attr
+        for _, tree in modules
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store)
+    }
+    return sorted(
+        f"{module}.{member}"
+        for module, tree in modules
+        for member in _class_members(tree)
+        if member.split(".")[1] not in read
+    )
+
+
+def test_every_class_member_is_read_in_src():
+    # a method, property or instance attribute that only tests read belongs
+    # in tests/oracles.py; matched by attribute name like the top-level guard
+    modules = [(path.stem, ast.parse(path.read_text())) for path in sorted(SRC.glob("*.py"))]
+    assert _unread_members(modules) == []
+    sample = (
+        "class G:\n"
+        "    def __init__(self, x):\n"
+        "        self.x = self.y = x\n"
+        "    @property\n"
+        "    def order(self):\n"
+        "        return self.x\n"
+        "    def only_tests(self):\n"
+        "        return 1\n"
+        "class E(ValueError):\n"
+        "    def __init__(self, h):\n"
+        "        self.h = h\n"
+        "def size(g):\n"
+        "    return g.order\n"
+    )
+    assert _unread_members([("m", ast.parse(sample))]) == ["m.G.only_tests", "m.G.y"]

@@ -3,7 +3,6 @@ import os
 import random
 import subprocess
 import sys
-from collections import Counter
 from fractions import Fraction
 from math import gcd
 from operator import mul
@@ -40,8 +39,10 @@ from oracles import (
     compose_elements,
     element_key,
     element_order_by_powers,
+    elements,
     fixed_point_free_brute,
     generate_group_by_compose,
+    generators,
     graded_character_minors,
     lhat,
     S_by_powers,
@@ -163,17 +164,19 @@ def test_signed_permutation_validation():
 def test_group_d8_profile():
     m, g1, g2, g3 = d8_setup()
     G = generate_group([g1, g2, g3])
+    assert generators(G) == tuple(GroupElement(g) for g in (g1, g2, g3))
     assert G.order == 8
     assert not G.is_abelian
     assert G.max_element_order == 4
     assert sorted(G.element_orders) == [1, 2, 2, 2, 2, 2, 4, 4]
     # closure contains every inverse
-    keys = {element_key(e) for e in G.elements}
-    for e, k in zip(G.elements, G.element_orders):
+    elems = elements(G)
+    keys = {element_key(e) for e in elems}
+    for e, k in zip(elems, G.element_orders):
         inv = e
         for _ in range(max(0, k - 2)):
             inv = compose_elements(inv, e)
-        assert element_key(compose_elements(inv, e)) == element_key(G.identity)
+        assert element_key(compose_elements(inv, e)) == element_key(elems[0])
         assert element_key(inv) in keys
 
 
@@ -282,9 +285,10 @@ def test_four_fold_groups_match_the_fraction_oracles(four_fold_groups):
     # Fractions, and every element order against composing powers
     orders = set()
     for G in four_fold_groups:
-        ref = generate_group_by_compose(G.generators, G.model, len(G.identity.parities))
-        assert [element_key(e) for e in G.elements] == [element_key(e) for e in ref]
-        for e, k in zip(G.elements, G.element_orders, strict=True):
+        elems = elements(G)
+        ref = generate_group_by_compose(generators(G), G.model, len(elems[0].parities))
+        assert [element_key(e) for e in elems] == [element_key(e) for e in ref]
+        for e, k in zip(elems, G.element_orders, strict=True):
             orders.add(k)
             assert k == element_order_by_powers(G, e)
     assert max(G.order for G in four_fold_groups) == 512
@@ -293,37 +297,40 @@ def test_four_fold_groups_match_the_fraction_oracles(four_fold_groups):
 
 
 def test_linear_part_rows_match_dense_oracles(oracle_groups, four_fold_groups):
-    # S against m - 1 dense products; the order gcd over the sparse S rows and
-    # the obstruction over the sparse null rows against the dense rows
+    # the sparse S rows against m - 1 dense products; the order gcd over the
+    # sparse S rows and the obstruction over the sparse null rows against the
+    # dense rows
     for G in [*oracle_groups, *four_fold_groups]:
         D = G.D
         dense = [S_by_powers(L) for L in G.linears]
         for kind, S in enumerate(dense):
-            assert G.part(kind).S == S
-        for (kind, t), code, order in zip(G.entries, G.codes, G.element_orders, strict=True):
-            lp = G.part(kind)
+            assert G.parts[kind].S_rows == torusquot._sparse_rows(S)
+        for (kind, t), order in zip(G.entries, G.element_orders, strict=True):
+            lp = G.parts[kind]
             k = lp.order * (D // gcd(D, *(sum(map(mul, row, t)) for row in dense[kind])))
-            assert order == (2 * k if k % 2 and any(code[3]) else k)
+            assert order == (2 * k if k % 2 and any(G.kinds[kind][3]) else k)
             null = [row for row, d in zip(lp.U, lp.diag, strict=True) if d == 0]
             assert G.torus_free(kind, t) == any(sum(map(mul, row, t)) % D for row in null)
 
 
-def test_codes_share_their_kind_and_the_product_table_is_small(oracle_groups, four_fold_groups):
+def test_kinds_are_distinct_used_and_closed_under_products(oracle_groups, four_fold_groups):
+    # the kinds are the image of the group in (signed permutations) x
+    # (parities): each appears once, carries an element and every product of
+    # two is a kind; one LinearPart per distinct L, shared across parities
     for G in [*oracle_groups, *four_fold_groups]:
         assert len(set(G.kinds)) == len(G.kinds) == len({k for k, _ in G.entries})
-        assert len(G.products) <= len(G.kinds) ** 2
-        for (kg, ke), kh in G.products.items():
-            assert torusquot._compose_codes(G.kinds[kg], G.kinds[ke], G.D) == G.kinds[kh]
-        for (kind, t), code in zip(G.entries, G.codes, strict=True):
-            perm, signs, _, parities = G.kinds[kind]
-            assert code[0] is perm and code[1] is signs and code[3] is parities
-            assert code[2] == t
+        for a in G.kinds:
+            for b in G.kinds:
+                assert torusquot._compose_codes(a, b, G.D) in G.kinds
+        assert len(set(map(id, G.parts))) == len(set(G.linears))
+        for kind, L in enumerate(G.linears):
+            assert G.parts[kind] is G.parts[G.linears.index(L)]
 
 
 def test_element_order_matches_powers(oracle_groups):
     orders = set()
     for G in oracle_groups:
-        for e, k in zip(G.elements, G.element_orders, strict=True):
+        for e, k in zip(elements(G), G.element_orders, strict=True):
             orders.add(k)
             assert k == element_order_by_powers(G, e)
     # odd translation orders, sign flips and parity doubling all occur
@@ -332,11 +339,31 @@ def test_element_order_matches_powers(oracle_groups):
 
 def test_group_table_certificates_match_fresh_ones(oracle_groups):
     for G in oracle_groups:
-        for e in G.elements:
+        for (kind, _), e in zip(G.entries, elements(G), strict=True):
             if not e.auto.is_identity():
-                assert fixed_point_free(e.auto, G.linear_parts) == fixed_point_free(e.auto)
-        # one table entry per distinct linear part
-        assert set(G.linear_parts) <= {e.auto.L for e in G.elements}
+                assert fixed_point_free(e.auto, G.parts[kind]) == fixed_point_free(e.auto)
+
+
+def test_snf_runs_once_per_distinct_linear_part(monkeypatch):
+    # the kinds (I, (0, 0)) and (I, (1, 1)) share L = I and so one SNF; d8
+    # has one SNF per distinct L, through closure, orders, freeness, Hodge
+    # and the certificate of a reported element
+    calls, snf = [], torusquot.smith_normal_form
+    monkeypatch.setattr(torusquot, "smith_normal_form", lambda M: calls.append(M) or snf(M))
+    G = generate_group([GroupElement(identity_auto(TorusModel(())), (1, 1))])
+    assert len(G.kinds) == 2 and G.linears[0] == G.linears[1]
+    G.element_orders, delegated_elements(G), action_free(G)
+    quotient_hodge((FormalFactor(2, -1), FormalFactor(2, -1)), G)
+    assert len(calls) == 1
+    calls.clear()
+    _, g1, g2, g3 = d8_setup()
+    G = generate_group([g1, g2, g3])
+    G.element_orders, action_free(G), quotient_hodge((), G)
+    assert len(calls) == len(set(G.linears)) == 8
+    calls.clear()
+    neg = generate_group([affine_auto(one_curve(), [[-1]], [(0, 0)])])
+    assert first_fixed(neg)[1].witness is not None
+    assert len(calls) == len(set(neg.linears)) == 2
 
 
 def test_code_path_matches_decoded_fraction_path(oracle_groups):
@@ -344,9 +371,10 @@ def test_code_path_matches_decoded_fraction_path(oracle_groups):
     # integer codes, against the same quantities on the decoded elements
     outcomes = set()
     for G in oracle_groups:
-        assert len(G.codes) == G.order == len(G.elements)
+        elems = elements(G)
+        assert G.order == len(elems)
         # orders: test_element_order_matches_powers
-        for (k, t), e in zip(G.entries, G.elements, strict=True):
+        for (k, t), e in zip(G.entries, elems, strict=True):
             assert G.decode(k, t) == e
             if e.auto.is_identity():
                 assert not G.torus_free(k, t)  # the torus identity fixes every point
@@ -355,29 +383,32 @@ def test_code_path_matches_decoded_fraction_path(oracle_groups):
             assert free == fixed_point_free(e.auto).free == fixed_point_free_brute(e.auto), e
             outcomes.add(free)
         delegated = [
-            e
-            for e in G.elements
+            entry
+            for entry, e in zip(G.entries, elems)
             if any(e.parities) and (e.auto.is_identity() or not fixed_point_free(e.auto).free)
         ]
         assert list(delegated_elements(G)) == delegated
-        counted = [e for e in G.elements if not e.is_identity() and not any(e.parities)]
+        counted = [e for e in elems if not e.is_identity() and not any(e.parities)]
         fixed = [e for e in counted if not fixed_point_free(e.auto).free]
         found = first_fixed(G)
         if fixed:
             assert found == (fixed[0], fixed_point_free(fixed[0].auto))
         else:
             assert found is None
-        assert torusquot._class_counts(G) == Counter((e.auto.L, e.parities) for e in G.elements)
+        # the per-kind weighted average against one principal-minor
+        # character per decoded element
+        totals = [sum(col) for col in zip(*(graded_character_minors(e.auto.L) for e in elems))]
+        assert all(x % G.order == 0 for x in totals)
+        assert invariant_form_dims(G) == tuple(x // G.order for x in totals)
     assert outcomes == {True, False}
 
 
-def test_elements_decode_once_and_stay_on_the_group():
-    _, g1, g2, g3 = d8_setup()
-    G = generate_group([g1, g2, g3])
-    identity = G.identity
-    assert identity is G.identity and identity.is_identity()
-    assert G.elements is G.elements
-    assert G.elements[0] == identity
+def test_first_entry_decodes_to_the_identity(oracle_groups):
+    for G in oracle_groups:
+        kind, t = G.entries[0]
+        identity = G.decode(kind, t)
+        assert identity.is_identity() and not any(t) and kind == 0
+        assert identity == elements(G)[0]
 
 
 def corrupted_codes():
@@ -450,9 +481,10 @@ def test_generate_group_checks_every_closed_code(monkeypatch):
 def test_closure_matches_fraction_oracle(oracle_groups):
     # same elements in the same BFS order as composing Fractions
     for G in oracle_groups:
-        ref = generate_group_by_compose(G.generators, G.model, len(G.identity.parities))
-        assert [element_key(e) for e in G.elements] == [element_key(e) for e in ref]
-        assert G.elements == ref
+        elems = elements(G)
+        ref = generate_group_by_compose(generators(G), G.model, len(elems[0].parities))
+        assert [element_key(e) for e in elems] == [element_key(e) for e in ref]
+        assert elems == ref
 
 
 def test_closure_cap():
@@ -593,7 +625,7 @@ def test_d8_action_is_free():
     m, g1, g2, g3 = d8_setup()
     G = generate_group([g1, g2, g3])
     assert action_free(G)
-    for e in G.elements:
+    for e in elements(G):
         if not e.is_identity():
             assert fixed_point_free_brute(e.auto) is True
 
@@ -632,9 +664,9 @@ def test_group_certificates_match_brute_force():
     # denominators 1-4), against the grid search rather than a second SNF
     outcomes = []
     for G in random_groups(47, 12):
-        for e in G.elements:
+        for (kind, _), e in zip(G.entries, elements(G), strict=True):
             if not e.auto.is_identity():
-                free = fixed_point_free(e.auto, G.linear_parts).free
+                free = fixed_point_free(e.auto, G.parts[kind]).free
                 assert free == fixed_point_free_brute(e.auto), e
                 outcomes.append(free)
     assert True in outcomes and False in outcomes
