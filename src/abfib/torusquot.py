@@ -215,17 +215,15 @@ def _linear_of(perm, signs, n: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _check_codes(kinds, labels, D: int, width: int, entries=None) -> None:
-    """Raise ValueError unless every element over D is valid: a signed
-    permutation of the 2n lattice rows in (real, period) pairs with equal
-    signs, mapping each coordinate from one with the same curve label, a
-    translation in [0, D) and `width` parity bits of 0 or 1.  The elements
-    are the entries (kind, t) over the codes `kinds`, or without entries
-    each code with its own translation; each code's linear rows and
-    parities are checked once, and each entry's translation once."""
+def _check_codes(kinds, entries, labels, D: int, width: int) -> None:
+    """Raise ValueError unless every element (kind, t) of `entries` over the
+    codes `kinds` is valid: a signed permutation of the 2n lattice rows in
+    (real, period) pairs with equal signs, mapping each coordinate from one
+    with the same curve label, a translation t in [0, D) and `width` parity
+    bits of 0 or 1.  Each code's linear rows and parities are checked once,
+    and each entry's translation once."""
     m = 2 * len(labels)
-    translations = (code[2] for code in kinds) if entries is None else (t for _, t in entries)
-    for t in translations:
+    for _, t in entries:
         if len(t) != m:
             raise ValueError("translation has wrong shape")
         if t and (min(t) < 0 or max(t) >= D):
@@ -370,7 +368,7 @@ def generate_group(
                     if len(seen) > CLOSURE_CAP:
                         raise ClosureError(f"group closure exceeded CLOSURE_CAP = {CLOSURE_CAP} elements")
         frontier = nxt
-    _check_codes(index, model.labels, D, parity_width, seen)
+    _check_codes(index, seen, model.labels, D, parity_width)
     return FiniteGroup(model, index, seen, D, codes)
 
 

@@ -190,10 +190,20 @@ def test_group_trivial_and_involution():
     assert G.element_orders == (1, 2)
 
 
+def closed(gens, **kwargs):
+    """`generate_group(gens)`, checked to keep the given generators: the
+    closure oracles rebuild each group from `generators(G)`, so this ties
+    them to the inputs and `_encode` to the decoder."""
+    gens = tuple(g if isinstance(g, GroupElement) else GroupElement(g) for g in gens)
+    G = generate_group(gens, **kwargs)
+    assert generators(G) == gens
+    return G
+
+
 def bundled_groups():
     for name in ("d8.scn", "bielliptic.scn", "enriques.scn", "empty.scn"):
         sc = load_scenario(bundled_scenario_path(name))
-        yield generate_group(sc.generators, model=sc.model, parity_width=len(sc.formal))
+        yield closed(sc.generators, model=sc.model, parity_width=len(sc.formal))
 
 
 def random_linear(rng, model):
@@ -233,7 +243,7 @@ def random_groups(seed, count):
             parities = tuple(rng.randint(0, 1) for _ in range(width))
             gens.append(GroupElement(affine_auto(model, L, shifts), parities))
         try:
-            groups.append(generate_group(gens))
+            groups.append(closed(gens))
         except ClosureError:
             continue
     return groups
@@ -261,7 +271,7 @@ def wide_groups(seed, count):
             parities = tuple(0 if translation else rng.randint(0, 1) for _ in range(width))
             gens.append(GroupElement(affine_auto(model, L, shifts), parities))
         try:
-            G = generate_group(gens)
+            G = closed(gens)
         except ClosureError:
             continue
         if 64 <= G.order <= 512 and len(set(G.linears)) >= 3:
@@ -272,7 +282,7 @@ def wide_groups(seed, count):
 @pytest.fixture(scope="module")
 def oracle_groups():
     _, g1, g2, g3 = d8_setup()
-    return [generate_group([g1, g2, g3]), *bundled_groups(), *random_groups(31, 24)]
+    return [closed([g1, g2, g3]), *bundled_groups(), *random_groups(31, 24)]
 
 
 @pytest.fixture(scope="module")
@@ -282,7 +292,8 @@ def four_fold_groups():
 
 def test_four_fold_groups_match_the_fraction_oracles(four_fold_groups):
     # larger closures than random_groups reaches: BFS order against composing
-    # Fractions, and every element order against composing powers
+    # Fractions from the inputs (`closed` checks generators(G) against them),
+    # and every element order against composing powers
     orders = set()
     for G in four_fold_groups:
         elems = elements(G)
@@ -431,12 +442,18 @@ def corrupted_codes():
 CHECK_LABELS, CHECK_D, CHECK_WIDTH = ("e", "e", "f"), 4, 1
 
 
+def check_codes(codes):
+    """`_check_codes` on codes that each carry their own translation."""
+    entries = [(k, code[2]) for k, code in enumerate(codes)]
+    torusquot._check_codes(codes, entries, CHECK_LABELS, CHECK_D, CHECK_WIDTH)
+
+
 @pytest.mark.parametrize("name, code", corrupted_codes())
 def test_check_codes_rejects_corrupted_codes(name, code):
     valid = ((2, 3, 0, 1, 4, 5), (-1, -1, 1, 1, 1, 1), (3, 0, 1, 2, 0, 3), (1,))
-    torusquot._check_codes([valid], CHECK_LABELS, CHECK_D, CHECK_WIDTH)
+    check_codes([valid])
     with pytest.raises(ValueError):
-        torusquot._check_codes([valid, code], CHECK_LABELS, CHECK_D, CHECK_WIDTH)
+        check_codes([valid, code])
 
 
 def test_check_codes_is_not_an_assert_statement():
@@ -446,7 +463,9 @@ def test_check_codes_is_not_an_assert_statement():
         "from abfib import torusquot\n"
         "for name, code in ast.literal_eval(sys.argv[1]):\n"
         "    try:\n"
-        f"        torusquot._check_codes([code], {CHECK_LABELS!r}, {CHECK_D}, {CHECK_WIDTH})\n"
+        "        torusquot._check_codes(\n"
+        f"            [code], [(0, code[2])], {CHECK_LABELS!r}, {CHECK_D}, {CHECK_WIDTH}\n"
+        "        )\n"
         "    except ValueError:\n"
         "        continue\n"
         "    sys.exit('accepted: ' + name)\n"
@@ -479,7 +498,8 @@ def test_generate_group_checks_every_closed_code(monkeypatch):
 
 
 def test_closure_matches_fraction_oracle(oracle_groups):
-    # same elements in the same BFS order as composing Fractions
+    # same elements in the same BFS order as composing Fractions from the
+    # inputs (`closed` checks generators(G) against them)
     for G in oracle_groups:
         elems = elements(G)
         ref = generate_group_by_compose(generators(G), G.model, len(elems[0].parities))
