@@ -92,9 +92,6 @@ class C1Window:
     hi: int
     steps: tuple[RuleStep, ...] = field(default=(), compare=False)
 
-    def __contains__(self, c1: int) -> bool:
-        return self.lo <= c1 <= self.hi
-
 
 @dataclass(frozen=True)
 class HolonomyClass:

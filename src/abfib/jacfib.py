@@ -89,17 +89,6 @@ W_CANDIDATES: tuple[BundleExpr, ...] = (
 )
 
 
-def case_ids() -> tuple[str, ...]:
-    return tuple(format_bundle(w) for w in W_CANDIDATES)
-
-
-def _candidate(case_id: str) -> BundleExpr:
-    for w in W_CANDIDATES:
-        if format_bundle(w) == case_id:
-            return w
-    raise ValueError(f"unknown case {case_id!r}; expected one of {case_ids()}")
-
-
 @dataclass(frozen=True)
 class SectionSpace:
     """The branch-divisor section space H^0(O(-6) tensor Sym^6 W*).
@@ -110,8 +99,6 @@ class SectionSpace:
     representation and `weight` is set instead.
     """
 
-    case_id: str
-    description: str
     degrees: tuple[int, ...] | None
     weight: GL3Weight | None
     dims: tuple[int, ...]
@@ -119,17 +106,14 @@ class SectionSpace:
     forced_zero: tuple[int, ...]  # coefficient indices i with s_i identically 0
 
 
-def branch_section_space(case_id: str) -> SectionSpace:
+def branch_section_space(w: BundleExpr) -> SectionSpace:
     """Section space of the branch divisor for one candidate W."""
-    w = _candidate(case_id)
     if isinstance(w, Cotangent):
         # O(-6) tensor Sym^6 T is the irreducible representation of highest
         # weight (0,0,6); its sections do not split by coefficient
         weight = GL3Weight(0, 0, 6)
         dim = borel_weil_dim(weight)
         return SectionSpace(
-            case_id=case_id,
-            description="irreducible GL(3) representation of highest weight (0,0,6)",
             degrees=None,
             weight=weight,
             dims=(dim,),
@@ -141,8 +125,6 @@ def branch_section_space(case_id: str) -> SectionSpace:
     dims = tuple(coh_line(k).h0 for k in degrees)
     forced = tuple(i for i, k in enumerate(degrees) if k < 0)
     return SectionSpace(
-        case_id=case_id,
-        description=f"sum of line-bundle sections in degrees {list(degrees)}",
         degrees=degrees,
         weight=None,
         dims=dims,
@@ -210,6 +192,7 @@ def classify_jacobian_fibrations() -> tuple[JacobianCase, ...]:
     for w in W_CANDIDATES:
         case_id = format_bundle(w)
         c = chern(w)
+        space = branch_section_space(w)
         if c.c1 != CANONICAL_R2_DEGREE:
             # the direct image has c1 = -3 whenever the generic singular
             # fibre is integral with a single node; this candidate is ruled
@@ -230,12 +213,10 @@ def classify_jacobian_fibrations() -> tuple[JacobianCase, ...]:
                 steps=(step_doc, step_arith),
                 assumptions=MILD_DEGENERATIONS,
             )
-            space = branch_section_space(case_id)
             rows.append(
                 JacobianCase(case_id, w, c.c1, space, verdict, None, None, None)
             )
             continue
-        space = branch_section_space(case_id)
         verdict = repeated_root_verdict(space)
         if verdict.outcome == IMPOSSIBLE:
             rows.append(

@@ -60,7 +60,6 @@ class ScenarioError(ValueError):
 @dataclass(frozen=True)
 class Scenario:
     name: str
-    version: int
     model: TorusModel
     formal: tuple[FormalFactor, ...]  # K3 / CY3 factors in declaration order
     generators: tuple[GroupElement, ...]
@@ -89,10 +88,6 @@ class ScenarioResult:
     hodge: HodgeData | None
     canonical_failure: int | None
     checks: tuple[ExpectationCheck, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
 
 
 _Z_HEAD = re.compile(r"^(-?)z(\d+)")
@@ -268,7 +263,6 @@ def parse_scenario(text: str) -> Scenario:
     )
     return Scenario(
         name=name,
-        version=version,
         model=TorusModel(tuple(labels)),
         formal=tuple(formal),
         generators=gens,

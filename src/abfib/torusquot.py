@@ -171,9 +171,6 @@ class GroupElement:
         if any(p not in (0, 1) for p in self.parities):
             raise ValueError("parities must be 0 or 1")
 
-    def is_identity(self) -> bool:
-        return self.auto.is_identity() and not any(self.parities)
-
 
 def _encode(elements) -> tuple[list, int]:
     """(codes, D), D the lcm of the translation denominators; a code (perm, signs, t, parities)

@@ -542,7 +542,6 @@ class TrialOutcome:
 class SamplingRecord:
     """Pass rate of a seeded sampling run; failures are resampled, not fatal."""
 
-    kind: str
     p: int
     seed: int
     trials: int
@@ -556,7 +555,7 @@ class SamplingRecord:
         return f"{self.passes}/{self.trials}"
 
 
-def _trials(kind: str, ls: tuple[int, ...], p: int, seed: int, trials: int, scan):
+def _trials(ls: tuple[int, ...], p: int, seed: int, trials: int, scan):
     """Per trial, sample one family per twist in ls and scan their
     discriminants, every family in one plane context."""
     rng = random.Random(seed)
@@ -570,7 +569,6 @@ def _trials(kind: str, ls: tuple[int, ...], p: int, seed: int, trials: int, scan
         result = scan(*families, plane=plane)
         outcomes.append(TrialOutcome(t, result.ok, result.witness))
     return SamplingRecord(
-        kind=kind,
         p=p,
         seed=seed,
         trials=trials,
@@ -583,11 +581,9 @@ def _trials(kind: str, ls: tuple[int, ...], p: int, seed: int, trials: int, scan
 
 def smoothness_trials(l: int, p: int, seed: int, trials: int) -> SamplingRecord:
     """Sample families, test discriminant smoothness, record the pass rate."""
-    return _trials("discriminant-smoothness", (l,), p, seed, trials, is_smooth_discriminant)
+    return _trials((l,), p, seed, trials, is_smooth_discriminant)
 
 
 def transversality_trials(l1: int, l2: int, p: int, seed: int, trials: int) -> SamplingRecord:
     """Sample two families and test that their discriminants meet transversally."""
-    return _trials(
-        "discriminant-transversality", (l1, l2), p, seed, trials, transversal_discriminants
-    )
+    return _trials((l1, l2), p, seed, trials, transversal_discriminants)

@@ -17,18 +17,7 @@ from abfib.classifier import (
     classify,
     split_pair,
 )
-from abfib.sheafcalc import (
-    BundleExpr,
-    Cotangent,
-    Det,
-    DirectSum,
-    Dual,
-    Line,
-    Sym,
-    Tangent,
-    TwistBy,
-    chern,
-)
+from abfib.sheafcalc import chern
 from abfib.torusquot import (
     CLOSURE_CAP,
     AffineAuto,
@@ -192,7 +181,7 @@ def element_order_by_powers(G, e) -> int:
     """Order of e in G by composing powers until the identity: the reference
     for the closed form in `FiniteGroup.element_orders`."""
     k, acc = 1, e
-    while not acc.is_identity():
+    while not acc.auto.is_identity() or any(acc.parities):
         acc = compose_by_fractions(acc, e)
         k += 1
         if k > G.order:
@@ -420,115 +409,6 @@ def format_poly(f: HomogPoly) -> str:
         body = "*".join([str(c)] + factors) if (c != 1 or not factors) else "*".join(factors)
         parts.append(("+ " if parts else "") + body)
     return " ".join(parts)
-
-
-# ---------------------------------------------------------------------------
-# the bundle text grammar that `abfib.sheafcalc.format_bundle` writes
-#
-#   expr    := term ('+' term)*
-#   term    := atom ( '(' int ')' )*          postfix twists
-#   atom    := 'O' ['(' int ')'] | 'Omega1' | 'T'
-#            | 'Dual' '(' expr ')' | 'Det' '(' expr ')'
-#            | 'Sym' digits '(' expr ')' | '(' expr ')'
-#
-# format_bundle and parse_bundle are mutually inverse on expression trees.
-
-_TOKEN = re.compile(r"\s*(Omega1|Dual|Det|Sym\d+|O|T|[()+]|-?\d+)")
-
-
-class BundleParseError(ValueError):
-    pass
-
-
-def _tokenize(s: str) -> list[str]:
-    out = []
-    pos = 0
-    while pos < len(s):
-        m = _TOKEN.match(s, pos)
-        if not m:
-            raise BundleParseError(f"bad token at offset {pos}: {s[pos:pos+12]!r}")
-        out.append(m.group(1))
-        pos = m.end()
-    return out
-
-
-class _Parser:
-    def __init__(self, tokens: list[str]):
-        self.toks = tokens
-        self.i = 0
-
-    def peek(self) -> str | None:
-        return self.toks[self.i] if self.i < len(self.toks) else None
-
-    def take(self, expected: str | None = None) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise BundleParseError("unexpected end of input")
-        if expected is not None and tok != expected:
-            raise BundleParseError(f"expected {expected!r}, got {tok!r}")
-        self.i += 1
-        return tok
-
-    def int_(self) -> int:
-        tok = self.take()
-        try:
-            return int(tok)
-        except ValueError:
-            raise BundleParseError(f"expected integer, got {tok!r}") from None
-
-    def expr(self) -> BundleExpr:
-        parts = [self.term()]
-        while self.peek() == "+":
-            self.take("+")
-            parts.append(self.term())
-        return parts[0] if len(parts) == 1 else DirectSum(tuple(parts))
-
-    def term(self) -> BundleExpr:
-        e = self.atom()
-        while self.peek() == "(":
-            self.take("(")
-            k = self.int_()
-            self.take(")")
-            e = TwistBy(e, k)
-        return e
-
-    def atom(self) -> BundleExpr:
-        tok = self.take()
-        if tok == "O":
-            if self.peek() == "(":
-                self.take("(")
-                k = self.int_()
-                self.take(")")
-                return Line(k)
-            return Line(0)
-        if tok == "Omega1":
-            return Cotangent()
-        if tok == "T":
-            return Tangent()
-        if tok in ("Dual", "Det"):
-            self.take("(")
-            inner = self.expr()
-            self.take(")")
-            return Dual(inner) if tok == "Dual" else Det(inner)
-        if tok.startswith("Sym"):
-            n = int(tok[3:])
-            self.take("(")
-            inner = self.expr()
-            self.take(")")
-            return Sym(inner, n)
-        if tok == "(":
-            inner = self.expr()
-            self.take(")")
-            return inner
-        raise BundleParseError(f"unexpected token {tok!r}")
-
-
-def parse_bundle(s: str) -> BundleExpr:
-    p = _Parser(_tokenize(s.strip()))
-    e = p.expr()
-    if p.peek() is not None:
-        raise BundleParseError(f"trailing input from token {p.peek()!r}")
-    return e
 
 
 def classify_all(window: tuple[int, int] = DEFAULT_C1_WINDOW) -> dict[str, list]:

@@ -99,7 +99,7 @@ def test_criterion_3_d8_example():
     assert res.free
     assert res.forms[1:] == (1, 0, 1, 1)
     assert res.hodge.h_q[1:4] == (1, 0, 1)
-    assert res.ok
+    assert all(c.ok for c in res.checks)
 
 
 @criterion(4, budget_s=1.0)

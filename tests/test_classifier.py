@@ -146,15 +146,12 @@ def test_inequality_000_window():
     w = inequality_verdict(CohVector(0, 0, 0))
     assert isinstance(w, C1Window)
     assert (w.lo, w.hi) == (-4, -3)
-    assert -3 in w and -4 in w and -5 not in w and -2 not in w
 
 
 def test_inequality_101_window():
     w = inequality_verdict(CohVector(1, 0, 1))
     assert isinstance(w, C1Window)
     assert (w.lo, w.hi) == (-6, -3)
-    assert all(c in w for c in range(-6, -2))
-    assert -7 not in w
 
 
 def test_inequality_depends_only_on_chi():

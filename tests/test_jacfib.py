@@ -1,5 +1,3 @@
-import pytest
-
 from abfib.jacfib import (
     GL3Weight,
     SectionSpace,
@@ -7,7 +5,6 @@ from abfib.jacfib import (
     admissible_cases,
     borel_weil_dim,
     branch_section_space,
-    case_ids,
     classify_jacobian_fibrations,
     repeated_root_verdict,
 )
@@ -15,6 +12,9 @@ from abfib.citations import cite
 from abfib.classifier import IMPOSSIBLE, POSSIBLE
 from abfib.leray import DirectImageData, total_coh
 from abfib.sheafcalc import Line, chern, coh_line, format_bundle
+
+CASE_IDS = ("O(0) + O(-3)", "O(-1) + O(-2)", "Omega1", "O(-2) + O(-2)")
+SPLIT_03, SPLIT_12, COTANGENT, SPLIT_22 = W_CANDIDATES
 
 
 # oracle: Gelfand-Tsetlin pattern count for GL(3) irreducible dimensions.
@@ -55,13 +55,11 @@ def test_borel_weil_symmetric_powers_match_plane_sections():
 
 
 def test_case_ids():
-    assert case_ids() == ("O(0) + O(-3)", "O(-1) + O(-2)", "Omega1", "O(-2) + O(-2)")
-    with pytest.raises(ValueError):
-        branch_section_space("O(7)")
+    assert tuple(map(format_bundle, W_CANDIDATES)) == CASE_IDS
 
 
 def test_section_space_0_minus3():
-    s = branch_section_space("O(0) + O(-3)")
+    s = branch_section_space(SPLIT_03)
     assert s.degrees == (-6, -3, 0, 3, 6, 9, 12)
     assert s.dims == tuple(h0_line(k) for k in s.degrees)
     assert s.dims == (0, 0, 1, 10, 28, 55, 91)
@@ -70,7 +68,7 @@ def test_section_space_0_minus3():
 
 
 def test_section_space_minus1_minus2():
-    s = branch_section_space("O(-1) + O(-2)")
+    s = branch_section_space(SPLIT_12)
     assert s.degrees == (0, 1, 2, 3, 4, 5, 6)
     assert s.dims == (1, 3, 6, 10, 15, 21, 28)
     assert s.dimension == 84
@@ -78,7 +76,7 @@ def test_section_space_minus1_minus2():
 
 
 def test_section_space_cotangent():
-    s = branch_section_space("Omega1")
+    s = branch_section_space(COTANGENT)
     assert s.degrees is None
     assert s.weight == GL3Weight(0, 0, 6)
     assert s.dimension == 28
@@ -86,24 +84,22 @@ def test_section_space_cotangent():
 
 
 def test_section_space_minus2_minus2():
-    s = branch_section_space("O(-2) + O(-2)")
+    s = branch_section_space(SPLIT_22)
     assert s.degrees == (6,) * 7
     assert s.dimension == 7 * 28
     assert s.forced_zero == ()
 
 
 def test_split_dimensions_have_single_arithmetic_path():
-    for case in ("O(0) + O(-3)", "O(-1) + O(-2)", "O(-2) + O(-2)"):
-        s = branch_section_space(case)
+    for w in (SPLIT_03, SPLIT_12, SPLIT_22):
+        s = branch_section_space(w)
         assert s.dimension == sum(coh_line(k).h0 for k in s.degrees)
 
 
 def test_repeated_root_verdicts():
-    assert repeated_root_verdict(branch_section_space("O(0) + O(-3)")).outcome == IMPOSSIBLE
-    assert repeated_root_verdict(branch_section_space("O(-1) + O(-2)")).outcome == POSSIBLE
+    assert repeated_root_verdict(branch_section_space(SPLIT_03)).outcome == IMPOSSIBLE
+    assert repeated_root_verdict(branch_section_space(SPLIT_12)).outcome == POSSIBLE
     only_s0 = SectionSpace(
-        case_id="synthetic",
-        description="one vanishing coefficient",
         degrees=(-1, 0, 1, 2, 3, 4, 5),
         weight=None,
         dims=(0, 1, 3, 6, 10, 15, 21),
@@ -115,7 +111,7 @@ def test_repeated_root_verdicts():
 
 
 def test_verdicts_carry_mild_degeneration_assumptions():
-    v = repeated_root_verdict(branch_section_space("O(0) + O(-3)"))
+    v = repeated_root_verdict(branch_section_space(SPLIT_03))
     assert len(v.assumptions) == 3
     assert all(a.startswith("mild degenerations:") for a in v.assumptions)
     assert v.machine_steps  # the forced-vanishing witness is checked here
@@ -123,7 +119,7 @@ def test_verdicts_carry_mild_degeneration_assumptions():
 
 def test_classification_table():
     rows = classify_jacobian_fibrations()
-    assert [r.case_id for r in rows] == list(case_ids())
+    assert tuple(r.case_id for r in rows) == CASE_IDS
     by_id = {r.case_id: r for r in rows}
 
     ruled_out = by_id["O(0) + O(-3)"]
@@ -176,8 +172,3 @@ def test_documented_annotations_present():
 
 def test_table_is_deterministic():
     assert classify_jacobian_fibrations() == classify_jacobian_fibrations()
-
-
-def test_stable_under_candidate_formatting():
-    for w in W_CANDIDATES:
-        assert branch_section_space(format_bundle(w)).case_id == format_bundle(w)

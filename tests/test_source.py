@@ -213,6 +213,46 @@ def test_every_top_level_name_is_read_in_src():
     assert sorted(set(unread) - set(EXTERNAL_READERS)) == []
 
 
+def _unconstructed_classes(modules) -> list[str]:
+    """module.Class for each top-level class that no call in any of the
+    (module, tree) pairs constructs, as Class(...), mod.Class(...) or
+    object.__new__(Class)."""
+    made = set()
+    for _, tree in modules:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Attribute) and func.attr == "__new__" and node.args:
+                func = node.args[0]
+            made.add(getattr(func, "id", getattr(func, "attr", None)))
+    return sorted(
+        f"{module}.{cls.name}"
+        for module, tree in modules
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and cls.name not in made
+    )
+
+
+def test_every_src_class_is_constructed_in_src():
+    # a class that src/ only isinstance-checks is test-only, although the
+    # top-level guard counts the isinstance read as a use
+    modules = [(path.stem, ast.parse(path.read_text())) for path in sorted(SRC.glob("*.py"))]
+    assert _unconstructed_classes(modules) == []
+    sample = (
+        "class Made: pass\n"
+        "class Qualified: pass\n"
+        "class Fresh: pass\n"
+        "class Raised(ValueError): pass\n"
+        "class OnlyChecked: pass\n"
+        "def f(x):\n"
+        "    if isinstance(x, OnlyChecked):\n"
+        "        raise Raised('bad')\n"
+        "    return Made(), m.Qualified(), object.__new__(Fresh)\n"
+    )
+    assert _unconstructed_classes([("m", ast.parse(sample))]) == ["m.OnlyChecked"]
+
+
 def test_externally_read_names_exist():
     missing = []
     for key in EXTERNAL_READERS:

@@ -399,7 +399,7 @@ def test_code_path_matches_decoded_fraction_path(oracle_groups):
             if any(e.parities) and (e.auto.is_identity() or not fixed_point_free(e.auto).free)
         ]
         assert list(delegated_elements(G)) == delegated
-        counted = [e for e in elems if not e.is_identity() and not any(e.parities)]
+        counted = [e for e in elems if not e.auto.is_identity() and not any(e.parities)]
         fixed = [e for e in counted if not fixed_point_free(e.auto).free]
         found = first_fixed(G)
         if fixed:
@@ -418,7 +418,8 @@ def test_first_entry_decodes_to_the_identity(oracle_groups):
     for G in oracle_groups:
         kind, t = G.entries[0]
         identity = G.decode(kind, t)
-        assert identity.is_identity() and not any(t) and kind == 0
+        assert identity.auto.is_identity() and not any(identity.parities)
+        assert not any(t) and kind == 0
         assert identity == elements(G)[0]
 
 
@@ -646,7 +647,7 @@ def test_d8_action_is_free():
     G = generate_group([g1, g2, g3])
     assert action_free(G)
     for e in elements(G):
-        if not e.is_identity():
+        if not e.auto.is_identity():
             assert fixed_point_free_brute(e.auto) is True
 
 
