@@ -97,7 +97,6 @@ class C1Window:
 class HolonomyClass:
     id: str
     name: str
-    cover: str
     triples: tuple[CohVector, ...]
 
 
@@ -105,37 +104,31 @@ HOLONOMY_CLASSES: tuple[HolonomyClass, ...] = (
     HolonomyClass(
         "trivial",
         "trivial",
-        "finite free quotient of an abelian four-fold",
         (CohVector(4, 6, 4), CohVector(3, 4, 3), CohVector(2, 2, 2), CohVector(1, 0, 1)),
     ),
     HolonomyClass(
         "su2",
         "SU(2)",
-        "finite free quotient of a product of an abelian surface and a K3 surface",
         (CohVector(2, 2, 2), CohVector(1, 0, 1)),
     ),
     HolonomyClass(
         "su2xsu2",
         "SU(2)xSU(2)",
-        "finite free quotient of a product of two K3 surfaces",
         (CohVector(0, 2, 0), CohVector(0, 0, 0)),
     ),
     HolonomyClass(
         "su3",
         "SU(3)",
-        "finite free quotient of a product of an elliptic curve and a Calabi-Yau three-fold",
         (CohVector(1, 0, 1),),
     ),
     HolonomyClass(
         "su4",
         "SU(4)",
-        "Calabi-Yau four-fold (simply connected, no proper cover)",
         (CohVector(0, 0, 0),),
     ),
     HolonomyClass(
         "sp2",
         "Sp(2)",
-        "irreducible holomorphic symplectic four-fold (no proper cover)",
         (CohVector(0, 1, 0),),
     ),
 )

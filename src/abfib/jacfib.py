@@ -96,11 +96,10 @@ class SectionSpace:
     For split W the space splits by sextic coefficient: degrees[i] is the
     line-bundle degree carrying the coefficient of z^i and dims[i] its h^0.
     For the cotangent bundle the space is a single irreducible GL(3)
-    representation and `weight` is set instead.
+    representation of highest weight (0,0,6), and degrees is None.
     """
 
     degrees: tuple[int, ...] | None
-    weight: GL3Weight | None
     dims: tuple[int, ...]
     dimension: int
     forced_zero: tuple[int, ...]  # coefficient indices i with s_i identically 0
@@ -111,11 +110,9 @@ def branch_section_space(w: BundleExpr) -> SectionSpace:
     if isinstance(w, Cotangent):
         # O(-6) tensor Sym^6 T is the irreducible representation of highest
         # weight (0,0,6); its sections do not split by coefficient
-        weight = GL3Weight(0, 0, 6)
-        dim = borel_weil_dim(weight)
+        dim = borel_weil_dim(GL3Weight(0, 0, 6))
         return SectionSpace(
             degrees=None,
-            weight=weight,
             dims=(dim,),
             dimension=dim,
             forced_zero=(),
@@ -126,7 +123,6 @@ def branch_section_space(w: BundleExpr) -> SectionSpace:
     forced = tuple(i for i, k in enumerate(degrees) if k < 0)
     return SectionSpace(
         degrees=degrees,
-        weight=None,
         dims=dims,
         dimension=sum(dims),
         forced_zero=forced,

@@ -206,16 +206,6 @@ def build_classify(selector: str, window=DEFAULT_C1_WINDOW, seed: int = 0) -> Re
 # ---------------------------------------------------------------------------
 # torus scenarios
 
-_EXPECT_CITATIONS = {
-    "order": "group-closure",
-    "abelian": "group-closure",
-    "max-order": "group-closure",
-    "free": "snf-fixed-point",
-    "forms": "invariant-forms",
-    "hodge": "hodge-quotient",
-}
-
-
 def build_torus(path, seed: int = 0) -> Report:
     sc = scenario.load_scenario(scenario.resolve_scenario(path))
     res = scenario.run_scenario(sc)
@@ -236,10 +226,10 @@ def build_torus(path, seed: int = 0) -> Report:
     if sc.model.n > 0:
         payload = {"free": res.free}
         if res.fixed is not None:
-            e, cert = res.fixed
+            L, shifts, cert = res.fixed
             payload["element"] = {
-                "linear_part": [list(row) for row in e.auto.L],
-                "shifts": [[str(a), str(b)] for a, b in e.auto.shifts],
+                "linear_part": [list(row) for row in L],
+                "shifts": [[str(a), str(b)] for a, b in shifts],
             }
             payload["snf_diag"] = list(cert.diag)
             z = [str(x) for x in cert.witness]
@@ -294,7 +284,7 @@ def build_torus(path, seed: int = 0) -> Report:
         records.append(
             _derived(
                 f"torus/{name}/expect/{c.key}",
-                _EXPECT_CITATIONS[c.key],
+                scenario.EXPECT_CITATIONS[c.key],
                 c.ok,
                 {"expected": _plain(c.expected), "actual": _plain(c.actual)},
             )

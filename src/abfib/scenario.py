@@ -25,17 +25,17 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from math import lcm
 from pathlib import Path
 
 from .torusquot import (
     FormalFactor,
     FreeCertificate,
-    GroupElement,
     HodgeData,
     NonTrivialCanonical,
     TorusModel,
+    _check_codes,
     action_free,
-    affine_auto,
     delegated_elements,
     first_fixed,
     generate_group,
@@ -45,7 +45,16 @@ from .torusquot import (
 
 SCHEMA_VERSION = 1
 
-_EXPECT_KEYS = ("order", "abelian", "max-order", "free", "forms", "hodge")
+# each expectation key, in the order the unknown-key message lists them,
+# with the citation id of the record that checks it
+EXPECT_CITATIONS = {
+    "order": "group-closure",
+    "abelian": "group-closure",
+    "max-order": "group-closure",
+    "free": "snf-fixed-point",
+    "forms": "invariant-forms",
+    "hodge": "hodge-quotient",
+}
 
 
 class ScenarioError(ValueError):
@@ -62,7 +71,8 @@ class Scenario:
     name: str
     model: TorusModel
     formal: tuple[FormalFactor, ...]  # K3 / CY3 factors in declaration order
-    generators: tuple[GroupElement, ...]
+    generators: tuple[tuple, ...]  # codes (perm, signs, t, parities) over D
+    D: int  # the lcm of the generators' shift denominators
     expectations: tuple[tuple[str, object], ...]
 
 
@@ -81,7 +91,7 @@ class ScenarioResult:
     abelian: bool
     max_order: int
     free: bool
-    fixed: tuple[GroupElement, FreeCertificate] | None  # first_fixed when not free
+    fixed: tuple[tuple, tuple, FreeCertificate] | None  # first_fixed when not free
     delegated: int
     dimension: int
     forms: tuple[int, ...]
@@ -150,6 +160,8 @@ def _parse_coord_field(field: str, coord: int, n: int, line: int):
 
 
 def _parse_generator(body: str, labels, formal_count: int, torus_positions, line: int):
+    """(code, d): the generator as a code (perm, signs, t, parities) over d,
+    the lcm of its shift denominators, checked by `_check_codes`."""
     fields = [f.strip() for f in body.split(",")]
     total_fields = len(torus_positions) + formal_count
     if len(fields) != total_fields:
@@ -157,15 +169,14 @@ def _parse_generator(body: str, labels, formal_count: int, torus_positions, line
             line, f"generator has {len(fields)} fields, scenario declares {total_fields} factors"
         )
     n = len(labels)
-    L = [[0] * n for _ in range(n)]
-    shifts = [(Fraction(0), Fraction(0))] * n
-    parities = []
+    perm, signs, shifts, parities = [], [], [], []
     coord = 0
     for pos, field in enumerate(fields):
         if pos in torus_positions:
             sign, src, re_shift, tau_shift = _parse_coord_field(field, coord, n, line)
-            L[coord][src] = sign
-            shifts[coord] = (re_shift, tau_shift)
+            perm += (2 * src, 2 * src + 1)
+            signs += (sign, sign)
+            shifts += (re_shift % 1, tau_shift % 1)
             coord += 1
         else:
             if field == "-":
@@ -176,12 +187,14 @@ def _parse_generator(body: str, labels, formal_count: int, torus_positions, line
                 raise ScenarioError(
                     line, f"field {pos + 1}: formal factor field must be + or -, got {field!r}"
                 )
-    model = TorusModel(tuple(labels))
+    d = lcm(1, *(x.denominator for x in shifts))
+    t = tuple(x.numerator * (d // x.denominator) for x in shifts)
+    code = (tuple(perm), tuple(signs), t, tuple(parities))
     try:
-        auto = affine_auto(model, L, shifts)
+        _check_codes([code], [t], labels, d, formal_count)
     except ValueError as e:
         raise ScenarioError(line, str(e)) from None
-    return GroupElement(auto, tuple(parities))
+    return code, d
 
 
 def _parse_expect(body: str, line: int):
@@ -189,8 +202,8 @@ def _parse_expect(body: str, line: int):
     if len(parts) != 2:
         raise ScenarioError(line, "expect needs a key and a value")
     key, value = parts[0], parts[1].strip()
-    if key not in _EXPECT_KEYS:
-        raise ScenarioError(line, f"unknown expectation {key!r} (one of {', '.join(_EXPECT_KEYS)})")
+    if key not in EXPECT_CITATIONS:
+        raise ScenarioError(line, f"unknown expectation {key!r} (one of {', '.join(EXPECT_CITATIONS)})")
     if key in ("order", "max-order"):
         try:
             return key, int(value)
@@ -257,15 +270,20 @@ def parse_scenario(text: str) -> Scenario:
             raise ScenarioError(line_no, f"unknown keyword {keyword!r}")
     if version is None:
         raise ScenarioError(1, "empty scenario: missing version line")
-    gens = tuple(
+    parsed = [
         _parse_generator(body, labels, len(formal), torus_positions, line_no)
         for line_no, body in generator_lines
-    )
+    ]
+    D = lcm(1, *(d for _, d in parsed))
     return Scenario(
         name=name,
         model=TorusModel(tuple(labels)),
         formal=tuple(formal),
-        generators=gens,
+        generators=tuple(
+            (perm, signs, tuple(x * (D // d) for x in t), parities)
+            for (perm, signs, t, parities), d in parsed
+        ),
+        D=D,
         expectations=tuple(expectations),
     )
 
@@ -292,7 +310,7 @@ def resolve_scenario(name_or_path) -> Path:
 
 
 def run_scenario(sc: Scenario) -> ScenarioResult:
-    group = generate_group(sc.generators, model=sc.model, parity_width=len(sc.formal))
+    group = generate_group(sc.generators, sc.D, sc.model, len(sc.formal))
     forms = invariant_form_dims(group)
     dimension = sc.model.n + sum(f.dim for f in sc.formal)
     hodge = None

@@ -16,9 +16,10 @@ translates, and each element is an entry (kind, t), t its translation
 over D.  The kinds are checked once and each translation once (a signed
 permutation of the lattice rows in (real, period) pairs, label-preserving,
 translation in [0, D)); element orders, the fixed-point obstruction and
-the character averages run on the entries.  An entry becomes an
-`AffineAuto` with Fraction translations only for the one element a report
-names, the fixed-point witness.
+the character averages run on the entries.  Generators arrive as codes
+too, checked by the same `_check_codes` before the closure; Fractions
+appear only in the one element a report names, the fixed-point witness,
+read off its entry as its linear part and its translation over D.
 Fixed-point analysis is exact: (L - I) z = -t over the torus is solved by
 Smith normal form; the tests back it with an independent exhaustive search
 over a torsion grid (solutions, when they exist, have denominator dividing
@@ -69,55 +70,6 @@ class TorusModel:
         return len(self.labels)
 
 
-def _numerators(v) -> tuple[list[int], int]:
-    """(D v, D) for rationals v, D the lcm of their denominators."""
-    D = lcm(1, *(x.denominator for x in v))
-    return [x.numerator * (D // x.denominator) for x in v], D
-
-
-@dataclass(frozen=True)
-class AffineAuto:
-    """z -> L z + t with L a signed permutation, t in lattice coordinates.
-
-    `that` interleaves (real, period) parts: coordinate i translates by
-    that[2i] + that[2i+1] * tau_i.  Entries are canonical representatives
-    in [0, 1).
-    """
-
-    model: TorusModel
-    L: tuple[tuple[int, ...], ...]
-    that: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        n, L = self.model.n, self.L
-        if len(L) != n or any(len(r) != n for r in L):
-            raise ValueError("linear part has wrong shape")
-        rows = [[j for j, x in enumerate(r) if x] for r in L]
-        cols = [j for row in rows for j in row]  # column i is hit cols.count(i) times
-        for i, row in enumerate(rows):
-            if len(row) != 1 or cols.count(i) != 1 or L[i][row[0]] not in (-1, 1):
-                raise ValueError("linear part is not a signed permutation")
-            j = row[0]
-            if self.model.labels[i] != self.model.labels[j]:
-                raise ValueError(
-                    f"coordinate {j} maps onto coordinate {i} but the curves differ"
-                )
-        if len(self.that) != 2 * n:
-            raise ValueError("translation has wrong shape")
-        for x in self.that:
-            if not 0 <= x.numerator < x.denominator:
-                raise ValueError("translation not reduced to [0,1)")
-
-    @property
-    def shifts(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        """Per-coordinate translation as (real, period-coefficient) pairs."""
-        return tuple((self.that[2 * i], self.that[2 * i + 1]) for i in range(self.model.n))
-
-    def is_identity(self) -> bool:
-        # a signed permutation with all diagonal entries 1 is I
-        return not any(self.that) and all(row[i] == 1 for i, row in enumerate(self.L))
-
-
 def _lhat(L) -> tuple[tuple[int, ...], ...]:
     """Induced 2n x 2n lattice map: each L entry becomes a scalar 2-block."""
     m = range(2 * len(L))
@@ -144,44 +96,6 @@ def _cycles(L):
             j, x = _entry(L[i])
             k, e, i = k + 1, e * x, j
         yield k, e
-
-
-def affine_auto(model: TorusModel, L, shifts) -> AffineAuto:
-    """Build an automorphism from per-coordinate (real, period) shifts."""
-    that = []
-    for re, tau in shifts:
-        that.append(Fraction(re) % 1)
-        that.append(Fraction(tau) % 1)
-    return AffineAuto(model, tuple(tuple(int(x) for x in row) for row in L), tuple(that))
-
-
-def identity_auto(model: TorusModel) -> AffineAuto:
-    n = range(model.n)
-    return affine_auto(model, [[int(i == j) for j in n] for i in n], [(0, 0) for _ in n])
-
-
-@dataclass(frozen=True)
-class GroupElement:
-    """Torus automorphism plus a parity bit per formal (K3/CY3) factor."""
-
-    auto: AffineAuto
-    parities: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if any(p not in (0, 1) for p in self.parities):
-            raise ValueError("parities must be 0 or 1")
-
-
-def _encode(elements) -> tuple[list, int]:
-    """(codes, D), D the lcm of the translation denominators; a code (perm, signs, t, parities)
-    has row k of Lhat = signs[k] at column perm[k], and t = D * that."""
-    D = lcm(1, *(x.denominator for e in elements for x in e.auto.that))
-    codes = []
-    for e in elements:
-        rows = [_entry(row) for row in _lhat(e.auto.L)]
-        t = tuple(x.numerator * (D // x.denominator) for x in e.auto.that)
-        codes.append((tuple(j for j, _ in rows), tuple(s for _, s in rows), t, e.parities))
-    return codes, D
 
 
 def _translate(rows, t, D: int) -> tuple[int, ...]:
@@ -212,15 +126,14 @@ def _linear_of(perm, signs, n: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _check_codes(kinds, entries, labels, D: int, width: int) -> None:
-    """Raise ValueError unless every element (kind, t) of `entries` over the
-    codes `kinds` is valid: a signed permutation of the 2n lattice rows in
+def _check_codes(kinds, translations, labels, D: int, width: int) -> None:
+    """Raise ValueError unless the codes `kinds` and the `translations` over
+    D are valid: each code a signed permutation of the 2n lattice rows in
     (real, period) pairs with equal signs, mapping each coordinate from one
-    with the same curve label, a translation t in [0, D) and `width` parity
-    bits of 0 or 1.  Each code's linear rows and parities are checked once,
-    and each entry's translation once."""
+    with the same curve label, with `width` parity bits of 0 or 1, and each
+    translation t in [0, D).  Checks generator input and the closed group."""
     m = 2 * len(labels)
-    for _, t in entries:
+    for t in translations:
         if len(t) != m:
             raise ValueError("translation has wrong shape")
         if t and (min(t) < 0 or max(t) >= D):
@@ -250,8 +163,7 @@ class FiniteGroup:
     (perm, signs, t, parities) over D.  Per kind the group keeps its linear part L
     (`linears`), whether it moves a formal factor (`moves`) and the
     `LinearPart` of L (`parts`), one per distinct L, so kinds that differ
-    only in parities share it.  `decode` builds the `GroupElement` of one
-    entry, for the element a report names.
+    only in parities share it.
     """
 
     def __init__(self, model: TorusModel, kinds, entries, D: int, generator_codes):
@@ -268,11 +180,6 @@ class FiniteGroup:
     @property
     def order(self) -> int:
         return len(self.entries)
-
-    def decode(self, kind: int, t) -> GroupElement:
-        """The element (kind, t) with Fraction translations."""
-        that = tuple(Fraction(k, self.D) for k in t)
-        return GroupElement(AffineAuto(self.model, self.linears[kind], that), self.kinds[kind][3])
 
     @property
     def is_abelian(self) -> bool:
@@ -320,28 +227,17 @@ class FiniteGroup:
         return False
 
 
-def generate_group(
-    gens, model: TorusModel | None = None, parity_width: int | None = None
-) -> FiniteGroup:
-    """BFS closure under composition mod lattice, capped at CLOSURE_CAP, on
-    (kind, t) over the generators' common denominator: the kind of g after e
-    comes from a product table kept only while closing, so a composition only
-    translates.  `_check_codes` checks every kind and translation before the
-    group is built; none is decoded here."""
-    gens = [g if isinstance(g, GroupElement) else GroupElement(g) for g in gens]
-    if model is None:
-        if not gens:
-            raise ValueError("empty generating set needs an explicit model")
-        model = gens[0].auto.model
-    if parity_width is None:
-        parity_width = len(gens[0].parities) if gens else 0
-    for g in gens:
-        if g.auto.model != model:
-            raise ValueError("generators live on different models")
-        if len(g.parities) != parity_width:
-            raise ValueError("generators carry different formal-factor counts")
-    unit = GroupElement(identity_auto(model), (0,) * parity_width)
-    (ident, *codes), D = _encode([unit, *gens])
+def generate_group(codes, D: int, model: TorusModel, parity_width: int) -> FiniteGroup:
+    """BFS closure under composition mod lattice, capped at CLOSURE_CAP, of
+    the generator codes (perm, signs, t, parities) over D, on (kind, t): the
+    kind of g after e comes from a product table kept only while closing, so
+    a composition only translates.  `_check_codes` checks the generators
+    before the closure and every kind and translation before the group is
+    built."""
+    codes = tuple(codes)
+    _check_codes(codes, (c[2] for c in codes), model.labels, D, parity_width)
+    m = 2 * model.n
+    ident = (tuple(range(m)), (1,) * m, (0,) * m, (0,) * parity_width)
     index, products = {}, {}  # kind code -> kind number, in order of appearance
 
     def kind(perm, signs, _t, parities) -> int:
@@ -365,7 +261,7 @@ def generate_group(
                     if len(seen) > CLOSURE_CAP:
                         raise ClosureError(f"group closure exceeded CLOSURE_CAP = {CLOSURE_CAP} elements")
         frontier = nxt
-    _check_codes(index, seen, model.labels, D, parity_width)
+    _check_codes(index, (t for _, t in seen), model.labels, D, parity_width)
     return FiniteGroup(model, index, seen, D, codes)
 
 
@@ -440,16 +336,12 @@ def smith_normal_form(mat):
 class FreeCertificate:
     """Outcome of the fixed-point test with the data that proves it.
 
-    free: no fixed point exists.  diag: SNF diagonal of Lhat - I.
-    residues: the transformed translation at the zero rows; any non-integer
-    entry obstructs solvability.  witness: a fixed point (lattice
-    coordinates, mod 1) when one exists.
+    free: no fixed point exists.  diag: SNF diagonal of Lhat - I.  witness:
+    a fixed point (lattice coordinates, mod 1) when one exists.
     """
 
     free: bool
     diag: tuple[int, ...]
-    residues: tuple[Fraction, ...]
-    obstructed_rows: tuple[int, ...]
     witness: tuple[Fraction, ...] | None
 
     def __bool__(self) -> bool:
@@ -513,31 +405,26 @@ def _mat_vec(M, v) -> list[int]:
     return [sum(map(mul, row, v)) for row in M]
 
 
-def fixed_point_free(f: AffineAuto, lp: LinearPart | None = None) -> FreeCertificate:
-    """Exact fixed-point test for (Lhat - I) z = -that on the torus.
+def fixed_point_free(t, D: int, lp: LinearPart) -> FreeCertificate:
+    """Exact fixed-point test for (Lhat - I) z = -t / D on the torus.
 
-    `lp` is the `LinearPart` of f.L when the caller holds it (a group keeps
-    one per kind), so the SNF of Lhat - I is not recomputed.  Integers over
-    D, the denominator of t, and E = D * lcm(nonzero diag); Fractions only
-    for the certificate.
+    t is the translation over D and `lp` the `LinearPart` of the linear part
+    (a group keeps one per kind), so the SNF of Lhat - I is not recomputed.
+    Integers over D and E = D * lcm(nonzero diag); Fractions only for the
+    witness, which does not depend on the choice of D.
     """
-    if f.is_identity():
+    if lp.order == 1 and not any(t):
         raise ValueError("identity fixes everything; test non-identity elements")
-    if lp is None:
-        lp = linear_part(f.L)
-    diag, (t, D) = lp.diag, _numerators(f.that)
+    diag = lp.diag
     Uc = _mat_vec(lp.U, [-x for x in t])  # U (-t), over D
-    zero_rows = [i for i, d in enumerate(diag) if d == 0]
-    residues = tuple(Fraction(Uc[i], D) for i in zero_rows)
-    obstructed = tuple(i for i in zero_rows if Uc[i] % D)
-    if obstructed:
-        return FreeCertificate(True, diag, residues, obstructed, None)
+    if any(x % D for x, d in zip(Uc, diag) if d == 0):
+        return FreeCertificate(True, diag, None)
     E = D * lcm(1, *(d for d in diag if d))
     w = [x * (E // (D * d)) if d else 0 for x, d in zip(Uc, diag)]
     z = [x % E for x in _mat_vec(lp.V, w)]
     if any((x + y * (E // D)) % E for x, y in zip(_mat_vec(lp.M, z), t)):
         raise AssertionError(f"SNF solution {z} / {E} does not solve (Lhat - I) z = -t")
-    return FreeCertificate(False, diag, residues, (), tuple(Fraction(x, E) for x in z))
+    return FreeCertificate(False, diag, tuple(Fraction(x, E) for x in z))
 
 
 def delegated_elements(G: FiniteGroup) -> tuple[tuple[int, tuple[int, ...]], ...]:
@@ -556,18 +443,20 @@ def _first_fixed_entry(G: FiniteGroup):
     return next((e for e in G.entries[1:] if not G.moves[e[0]] and not G.torus_free(*e)), None)
 
 
-def first_fixed(G: FiniteGroup) -> tuple[GroupElement, FreeCertificate] | None:
+def first_fixed(G: FiniteGroup):
     """The first non-identity element fixing the formal factors that has a
-    fixed point on the torus block, with its certificate; None if none has.
-    Only that element is decoded, and `fixed_point_free` certifies it."""
+    fixed point on the torus block, as its linear part L, its per-coordinate
+    (real, period) shifts and the certificate `fixed_point_free` gives it;
+    None if none has.  Only that entry is read with Fractions."""
     entry = _first_fixed_entry(G)
     if entry is None:
         return None
-    e = G.decode(*entry)
-    cert = fixed_point_free(e.auto, G.parts[entry[0]])
+    kind, t = entry
+    cert = fixed_point_free(t, G.D, G.parts[kind])
     if cert.free:
-        raise AssertionError(f"the code and the certificate disagree on the freeness of {e}")
-    return e, cert
+        raise AssertionError(f"the code and the certificate disagree on the freeness of {entry}")
+    shifts = tuple((Fraction(t[i], G.D), Fraction(t[i + 1], G.D)) for i in range(0, len(t), 2))
+    return G.linears[kind], shifts, cert
 
 
 def action_free(G: FiniteGroup) -> bool:

@@ -321,7 +321,6 @@ class ScanResult:
     ok: bool
     witness: tuple[int, int, int] | None
     points: int
-    caveat: str = CERT_CAVEAT
 
     def __bool__(self) -> bool:
         return self.ok

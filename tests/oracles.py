@@ -2,6 +2,7 @@
 
 import itertools
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -20,14 +21,11 @@ from abfib.classifier import (
 from abfib.sheafcalc import chern
 from abfib.torusquot import (
     CLOSURE_CAP,
-    AffineAuto,
     ClosureError,
-    GroupElement,
+    TorusModel,
     _compose_codes,
-    _encode,
     _lhat,
     _linear_of,
-    identity_auto,
 )
 from abfib.weierstrass import (
     HomogPoly,
@@ -38,89 +36,109 @@ from abfib.weierstrass import (
 )
 
 
-def element_key(e: GroupElement):
-    """A hashable identity of e: its linear part, Fraction translation and
-    parities."""
-    return (e.auto.L, e.auto.that, e.parities)
+@dataclass(frozen=True)
+class Element:
+    """z -> L z + t on a product of elliptic curves, with a parity bit per
+    formal factor: the Fraction reference for the lattice codes of
+    `torusquot`.  `that` interleaves (real, period) parts in [0, 1):
+    coordinate i translates by that[2i] + that[2i+1] * tau_i.  Nothing is
+    checked here; `generate_group` checks the codes it is given."""
+
+    model: TorusModel
+    L: tuple[tuple[int, ...], ...]
+    that: tuple[Fraction, ...]
+    parities: tuple[int, ...] = ()
+
+    @classmethod
+    def of(cls, model, L, shifts, parities=()) -> "Element":
+        """From per-coordinate (real, period) shifts, reduced mod 1."""
+        that = tuple(Fraction(x) % 1 for pair in shifts for x in pair)
+        return cls(model, tuple(tuple(int(x) for x in row) for row in L), that, tuple(parities))
+
+    @classmethod
+    def identity(cls, model, parity_width: int = 0) -> "Element":
+        n = range(model.n)
+        return cls.of(model, [[int(i == j) for j in n] for i in n], [(0, 0)] * model.n, (0,) * parity_width)
+
+    def is_identity(self) -> bool:
+        """Whether the torus part is the identity map."""
+        return not any(self.that) and all(row[i] == 1 for i, row in enumerate(self.L))
+
+    @property
+    def denominator(self) -> int:
+        return lcm(1, *(x.denominator for x in self.that))
+
+    def code(self, D: int):
+        """(perm, signs, t, parities) over D, a multiple of the denominator:
+        row k of Lhat is signs[k] at column perm[k], and t = D * that."""
+        rows = [next((2 * j, x) for j, x in enumerate(row) if x) for row in self.L]
+        perm = tuple(j + k for j, _ in rows for k in (0, 1))
+        signs = tuple(x for _, x in rows for _ in (0, 1))
+        return perm, signs, tuple(int(x * D) for x in self.that), self.parities
 
 
-def _decode(G, perm, signs, t, parities) -> GroupElement:
-    """The code (perm, signs, t, parities) over G.D as a GroupElement: L
-    read off the even lattice rows and t / D as Fractions, apart from
-    `FiniteGroup.decode`."""
+def _decode(G, perm, signs, t, parities) -> Element:
+    """The code (perm, signs, t, parities) over G.D as an Element: L read
+    off the even lattice rows and t / D as Fractions."""
     n = G.model.n
     L = tuple(tuple(signs[2 * i] if perm[2 * i] == 2 * j else 0 for j in range(n)) for i in range(n))
-    return GroupElement(AffineAuto(G.model, L, tuple(Fraction(x, G.D) for x in t)), parities)
+    return Element(G.model, L, tuple(Fraction(x, G.D) for x in t), parities)
 
 
-def elements(G) -> tuple[GroupElement, ...]:
+def elements(G) -> tuple[Element, ...]:
     """Every element of the group G from its entries (kind, t), in BFS order
     with the identity first."""
     return tuple(_decode(G, *G.kinds[k][:2], t, G.kinds[k][3]) for k, t in G.entries)
 
 
-def generators(G) -> tuple[GroupElement, ...]:
+def generators(G) -> tuple[Element, ...]:
     """The generators of G from its `generator_codes`."""
     return tuple(_decode(G, *code) for code in G.generator_codes)
 
 
-def lhat(f: AffineAuto) -> tuple[tuple[int, ...], ...]:
+def lhat(f: Element) -> tuple[tuple[int, ...], ...]:
     """The 2n x 2n lattice map of f: each entry of L becomes a scalar 2-block."""
     return _lhat(f.L)
 
 
-def compose_elements(f: GroupElement, g: GroupElement) -> GroupElement:
+def compose(f: Element, g: Element) -> Element:
     """f after g by one step of the integer-coded closure in `torusquot`,
     decoded back to Fractions."""
-    if len(f.parities) != len(g.parities):
-        raise ValueError("elements carry different formal-factor counts")
-    if f.auto.model != g.auto.model:
-        raise ValueError("automorphisms live on different models")
-    (fc, gc), D = _encode((f, g))
-    perm, signs, t, parities = _compose_codes(fc, gc, D)
-    model = f.auto.model
-    L = _linear_of(perm, signs, model.n)
-    return GroupElement(AffineAuto(model, L, tuple(Fraction(k, D) for k in t)), parities)
+    D = lcm(f.denominator, g.denominator)
+    perm, signs, t, parities = _compose_codes(f.code(D), g.code(D), D)
+    L = _linear_of(perm, signs, f.model.n)
+    return Element(f.model, L, tuple(Fraction(k, D) for k in t), parities)
 
 
-def compose(f: AffineAuto, g: AffineAuto) -> AffineAuto:
-    """f after g: z -> L_f L_g z + L_f t_g + t_f, translation reduced mod 1."""
-    return compose_elements(GroupElement(f), GroupElement(g)).auto
-
-
-def compose_by_fractions(f: GroupElement, g: GroupElement) -> GroupElement:
+def compose_by_fractions(f: Element, g: Element) -> Element:
     """f after g on Fraction translations, row by row: the reference for the
     integer-coded composition in `torusquot`."""
-    if len(f.parities) != len(g.parities):
-        raise ValueError("elements carry different formal-factor counts")
-    if f.auto.model != g.auto.model:
-        raise ValueError("automorphisms live on different models")
-    n = f.auto.model.n
+    n = f.model.n
     L, that = [], []
     for i in range(n):
-        j = next(c for c in range(n) if f.auto.L[i][c])  # (L_f z)_i = sign * z_j
-        sign = f.auto.L[i][j]
-        L.append(tuple(sign * x for x in g.auto.L[j]))
-        for x, y in zip(f.auto.that[2 * i : 2 * i + 2], g.auto.that[2 * j : 2 * j + 2]):
+        j = next(c for c in range(n) if f.L[i][c])  # (L_f z)_i = sign * z_j
+        sign = f.L[i][j]
+        L.append(tuple(sign * x for x in g.L[j]))
+        for x, y in zip(f.that[2 * i : 2 * i + 2], g.that[2 * j : 2 * j + 2]):
             that.append((x + sign * y) % 1)
-    parities = tuple(a ^ b for a, b in zip(f.parities, g.parities))
-    return GroupElement(AffineAuto(f.auto.model, tuple(L), tuple(that)), parities)
+    parities = tuple(a ^ b for a, b in zip(f.parities, g.parities, strict=True))
+    return Element(f.model, tuple(L), tuple(that), parities)
 
 
-def generate_group_by_compose(gens, model, parity_width) -> tuple[GroupElement, ...]:
-    """BFS closure composing Fraction-valued elements and hashing their
-    `element_key`: the reference for `torusquot.generate_group`."""
-    ident = GroupElement(identity_auto(model), (0,) * parity_width)
+def generate_group_by_compose(gens, model, parity_width) -> tuple[Element, ...]:
+    """BFS closure composing Fraction-valued elements: the reference for
+    `torusquot.generate_group`."""
+    ident = Element.identity(model, parity_width)
     elements = [ident]
-    seen = {element_key(ident)}
+    seen = {ident}
     frontier = [ident]
     while frontier:
         nxt = []
         for e in frontier:
             for g in gens:
                 h = compose_by_fractions(g, e)
-                if element_key(h) not in seen:
-                    seen.add(element_key(h))
+                if h not in seen:
+                    seen.add(h)
                     elements.append(h)
                     nxt.append(h)
                     if len(elements) > CLOSURE_CAP:
@@ -152,8 +170,7 @@ def fixed_point_free_brute(f) -> bool:
     """
     if f.is_identity():
         raise ValueError("identity fixes everything; test non-identity elements")
-    D = lcm(1, *(x.denominator for x in f.that))
-    G = 2 * D
+    G = 2 * f.denominator
     images = _grid_images(f.L, G)
 
     def solvable(part):
@@ -181,7 +198,7 @@ def element_order_by_powers(G, e) -> int:
     """Order of e in G by composing powers until the identity: the reference
     for the closed form in `FiniteGroup.element_orders`."""
     k, acc = 1, e
-    while not acc.auto.is_identity() or any(acc.parities):
+    while not acc.is_identity() or any(acc.parities):
         acc = compose_by_fractions(acc, e)
         k += 1
         if k > G.order:

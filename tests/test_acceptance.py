@@ -15,7 +15,7 @@ import time
 from fractions import Fraction
 
 from conftest import criterion_results
-from oracles import classify_all, fixed_point_free_brute
+from oracles import Element, classify_all, fixed_point_free_brute
 
 from abfib import report
 from abfib.classifier import (
@@ -27,11 +27,7 @@ from abfib.jacfib import borel_weil_dim, GL3Weight
 from abfib.report import DERIVED_PASS, DISCREPANCY, DOCUMENTED_RULE
 from abfib.scenario import bundled_scenario_path, load_scenario, run_scenario
 from abfib.sheafcalc import ChernPair, chern, coh, coh_cotangent_twist, coh_line, riemann_roch
-from abfib.torusquot import (
-    AffineAuto,
-    TorusModel,
-    fixed_point_free,
-)
+from abfib.torusquot import TorusModel, fixed_point_free, linear_part
 from abfib.weierstrass import smoothness_trials, transversality_trials
 import abfib.classifier as classifier
 
@@ -130,11 +126,12 @@ def test_criterion_5_snf_vs_brute_oracle():
         that = tuple(
             Fraction(rng.randrange(den), den) for _ in range(2 * n)
         )
-        f = AffineAuto(model, tuple(tuple(r) for r in L), that)
+        f = Element(model, tuple(tuple(r) for r in L), that)
         if f.is_identity():
             continue
         total += 1
-        if fixed_point_free(f).free == fixed_point_free_brute(f):
+        D = f.denominator
+        if fixed_point_free(f.code(D)[2], D, linear_part(f.L)).free == fixed_point_free_brute(f):
             agree += 1
     assert total == 200 and agree == total, f"{agree}/{total}"
 

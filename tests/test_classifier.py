@@ -347,6 +347,6 @@ def test_rule_table_routes_each_class_triple_exactly_once():
 
 
 def test_unroutable_triple_raises():
-    stray = HolonomyClass("stray", "stray", "none", (CohVector(5, 0, 5),))
+    stray = HolonomyClass("stray", "stray", (CohVector(5, 0, 5),))
     with pytest.raises(ValueError, match="no rule route"):
         classify(stray)

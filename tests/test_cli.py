@@ -117,12 +117,34 @@ def test_classify_window_without_forced_split_all(capsys):
     assert failed["classify/admissible-set"]["payload"]["got"] == ["sp2"]
 
 
+# generators checked as lattice codes, with the exact stderr of each rejection;
+# a shift is reduced mod 1 before the check
+GENERATOR_INPUTS = [
+    (
+        "factor torus e\nfactor torus e\ngenerator z1, z1\n",
+        2,
+        "abfib: scenario error: line 5: linear part is not a signed permutation\n",
+    ),
+    (
+        "factor torus e1\nfactor torus e2\ngenerator z2, z1\n",
+        2,
+        "abfib: scenario error: line 5: coordinate 1 maps onto coordinate 0 but the curves differ\n",
+    ),
+    ("factor torus e1\ngenerator z1+3/4+1/2\n", 0, ""),
+]
+
+
 def test_torus_malformed_exits_2_with_line(tmp_path, capsys):
     f = tmp_path / "broken.scn"
     f.write_text("version 1\nname broken\nfactor torus e1\ngenerator z2\n")
     code, out, err = run(["torus", str(f)], capsys)
     assert code == 2 and not out
     assert "line 4" in err
+    for body, want, message in GENERATOR_INPUTS:
+        f.write_text("version 1\nname broken\n" + body)
+        code, out, err = run(["torus", str(f)], capsys)
+        assert (code, err) == (want, message), body
+        assert bool(out) == (want == 0)
 
 
 @pytest.mark.parametrize("field", ["z1+1/0", "z1+t1/0", "z1+1/0*t1"])
@@ -242,6 +264,16 @@ expect forms 1,1,0,1,1
 expect hodge 1,1,0,1,1
 """
 
+# an elliptic curve times a Calabi-Yau three-fold, over the common denominator
+# D = 24: order 16, 8 delegated elements, free on the torus
+CY3MIX_SCN = """version 1
+name cy3mix
+factor torus e
+factor cy3 -1
+generator -z1+1/3, -
+generator z1+1/8, +
+"""
+
 
 @pytest.mark.parametrize(
     "scenario, code, md5",
@@ -251,6 +283,7 @@ expect hodge 1,1,0,1,1
         ("enriques", 0, "ed16a092feebc9652d3731701f332fb6"),
         ("nonfree.scn", 1, "d52930d6edae4a31203ef31daf97c4e8"),
         ("free512.scn", 0, "cee0ed862c6358c9bce1e61bd34cc340"),
+        ("cy3mix.scn", 0, "397ef0e81c41e8f7ca64b71443e45547"),
     ],
 )
 def test_torus_gate_commands_pinned(scenario, code, md5, tmp_path, monkeypatch, capsys):
@@ -259,6 +292,7 @@ def test_torus_gate_commands_pinned(scenario, code, md5, tmp_path, monkeypatch, 
     monkeypatch.delenv("ABFIB_SEED", raising=False)
     (tmp_path / "nonfree.scn").write_text(NONFREE_SCN)
     (tmp_path / "free512.scn").write_text(FREE512_SCN)
+    (tmp_path / "cy3mix.scn").write_text(CY3MIX_SCN)
     monkeypatch.chdir(tmp_path)
     got, out, err = run(["torus", scenario, "--format", "json"], capsys)
     assert got == code and not err

@@ -64,7 +64,6 @@ def test_section_space_0_minus3():
     assert s.dims == tuple(h0_line(k) for k in s.degrees)
     assert s.dims == (0, 0, 1, 10, 28, 55, 91)
     assert s.forced_zero == (0, 1)
-    assert s.weight is None
 
 
 def test_section_space_minus1_minus2():
@@ -78,7 +77,7 @@ def test_section_space_minus1_minus2():
 def test_section_space_cotangent():
     s = branch_section_space(COTANGENT)
     assert s.degrees is None
-    assert s.weight == GL3Weight(0, 0, 6)
+    assert s.dims == (borel_weil_dim(GL3Weight(0, 0, 6)),) == (28,)
     assert s.dimension == 28
     assert s.forced_zero == ()
 
@@ -101,7 +100,6 @@ def test_repeated_root_verdicts():
     assert repeated_root_verdict(branch_section_space(SPLIT_12)).outcome == POSSIBLE
     only_s0 = SectionSpace(
         degrees=(-1, 0, 1, 2, 3, 4, 5),
-        weight=None,
         dims=(0, 1, 3, 6, 10, 15, 21),
         dimension=56,
         forced_zero=(0,),

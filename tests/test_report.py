@@ -4,7 +4,7 @@ import json
 import pytest
 from test_acceptance import report_all
 
-from abfib import report
+from abfib import report, weierstrass
 from abfib.report import (
     DERIVED_FAIL,
     DERIVED_PASS,
@@ -109,7 +109,7 @@ def test_weierstrass_report_small():
     assert smooth.status == DERIVED_PASS  # rate is data; thresholds live in acceptance
     assert smooth.payload["rate"] == "3/5"
     assert len(smooth.payload["failures"]) == 2
-    assert "F_p" in smooth.payload["caveat"]
+    assert smooth.payload["caveat"] == weierstrass.CERT_CAVEAT and "F_p" in smooth.payload["caveat"]
     assert by_check["weierstrass/degrees"].payload["discriminant_degree"] == 12
     assert by_check["weierstrass/param-count"].payload["params"] == 15 + 28 - 1 - 8
 

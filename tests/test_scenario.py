@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from abfib.scenario import (
@@ -8,7 +10,8 @@ from abfib.scenario import (
     resolve_scenario,
     run_scenario,
 )
-from abfib.torusquot import AffineAuto, FormalFactor, identity_auto
+from abfib import torusquot
+from abfib.torusquot import FormalFactor
 
 BUNDLED = ["d8.scn", "bielliptic.scn", "enriques.scn", "empty.scn"]
 
@@ -80,35 +83,40 @@ generator -z1+1/2, -z2+t2/4
 """
 
 
-def autos_built_by(text, monkeypatch):
-    """(scenario, its result, the AffineAutos validated while parsing and
-    running it, in order)."""
-    built = []
-    post_init = AffineAuto.__post_init__
+def certified_by(text, monkeypatch):
+    """(scenario, its result, the translations over D that
+    `fixed_point_free` certified while it ran, in order)."""
+    certified = []
+    certify = torusquot.fixed_point_free
 
-    def counting(self):
-        post_init(self)
-        built.append(self)
+    def counting(t, D, lp):
+        certified.append((t, D))
+        return certify(t, D, lp)
 
-    monkeypatch.setattr(AffineAuto, "__post_init__", counting)
+    monkeypatch.setattr(torusquot, "fixed_point_free", counting)
     sc = parse_scenario(text)
-    res = run_scenario(sc)
-    return sc, res, list(built)
+    return sc, run_scenario(sc), certified
 
 
 def test_free_scenario_builds_only_generators_and_identity(monkeypatch):
-    # the engine works on integer codes: no element of a free group is decoded
-    sc, res, built = autos_built_by(FREE_256, monkeypatch)
+    # the engine works on integer codes: no element of a free group is
+    # decoded, and the generators stay codes over the common D
+    sc, res, certified = certified_by(FREE_256, monkeypatch)
     assert res.order == 256 and res.free and res.fixed is None
-    assert built == [g.auto for g in sc.generators] + [identity_auto(sc.model)]
+    assert certified == []
+    assert sc.D == 8 and all(type(x) is int for *_, t, _ in sc.generators for x in t)
 
 
 def test_non_free_scenario_builds_one_witness(monkeypatch):
-    sc, res, built = autos_built_by(NOT_FREE, monkeypatch)
+    # only the reported element is read with Fractions: its shifts are its
+    # translation over D, the one that `fixed_point_free` certified
+    sc, res, certified = certified_by(NOT_FREE, monkeypatch)
     assert res.order >= 2 and not res.free
-    witness = res.fixed[0].auto
-    assert built == [g.auto for g in sc.generators] + [identity_auto(sc.model), witness]
-    assert built[-1] is witness
+    [(t, D)] = certified
+    L, shifts, cert = res.fixed
+    assert D == sc.D == 12
+    assert sum(shifts, ()) == tuple(Fraction(x, D) for x in t)
+    assert not cert.free and cert.witness is not None
 
 
 def test_resolve_scenario_bundled_and_missing(tmp_path):

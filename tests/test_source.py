@@ -133,9 +133,10 @@ def test_exact_commands_never_import_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
-# Top-level `src/` names that may go unread inside `src/`, each with its reader
-# outside it.  perfbench calls or rebinds a name by its module attribute, so a
-# rename there breaks the benchmark, not tier-1; the second test catches it.
+# Top-level `src/` names and class members (module.Class.name) that may go
+# unread inside `src/`, each with its reader outside it.  perfbench calls or
+# rebinds a name by its module attribute, so a rename there breaks the
+# benchmark, not tier-1; test_externally_read_names_exist catches it.
 EXTERNAL_READERS = {
     "__init__.__version__": "package metadata, for importers of abfib",
     "cli.main": "the console script (pyproject.toml); perfbench worker.py and selfcheck.py call it, tracing.py rebinds it",
@@ -163,6 +164,7 @@ EXTERNAL_READERS = {
     "scenario.delegated_elements": "perfbench tracing.py rebinds it (imported from torusquot)",
     "torusquot.smith_normal_form": "perfbench tracing.py rebinds it",
     "torusquot.FiniteGroup": "perfbench tracing.py rebinds its element_orders and is_abelian",
+    "weierstrass.ScanResult.points": "perfbench tracing.py reads it to count the scanned points",
     "classifier.classify": "perfbench tracing.py rebinds it",
     "classifier.admissible_class_ids": "perfbench tracing.py rebinds it",
     "classifier.split_candidates": "perfbench tracing.py rebinds it",
@@ -254,19 +256,24 @@ def test_every_src_class_is_constructed_in_src():
 
 
 def test_externally_read_names_exist():
+    # a member may be a dataclass field without a default, which the class
+    # itself does not carry: it is found among the annotations
     missing = []
     for key in EXTERNAL_READERS:
-        module, name = key.split(".")
-        if not hasattr(importlib.import_module("abfib" if module == "__init__" else f"abfib.{module}"), name):
+        module, *path, name = key.split(".")
+        owner = importlib.import_module("abfib" if module == "__init__" else f"abfib.{module}")
+        for attr in path:
+            owner = getattr(owner, attr)
+        if not (hasattr(owner, name) or name in getattr(owner, "__annotations__", {})):
             missing.append(key)
     assert missing == []
 
 
 def _class_members(tree: ast.Module) -> list[str]:
     """Class.name for the public methods and properties of each top-level
-    class and the self.<name> attributes its __init__ sets.  Exceptions
-    (a base named *Error or *Exception) are skipped, and dataclass and
-    NamedTuple fields are class-level annotations, never collected."""
+    class, its class-level annotated fields (dataclass and NamedTuple
+    fields) and the self.<name> attributes its __init__ sets.  Exceptions
+    (a base named *Error or *Exception) are skipped."""
     found = []
     for cls in tree.body:
         if not isinstance(cls, ast.ClassDef) or any(
@@ -275,6 +282,8 @@ def _class_members(tree: ast.Module) -> list[str]:
         ):
             continue
         for node in cls.body:
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                found.append(f"{cls.name}.{node.target.id}")
             if not isinstance(node, ast.FunctionDef):
                 continue
             if not node.name.startswith("_"):
@@ -309,11 +318,17 @@ def _unread_members(modules) -> list[str]:
 
 
 def test_every_class_member_is_read_in_src():
-    # a method, property or instance attribute that only tests read belongs
-    # in tests/oracles.py; matched by attribute name like the top-level guard
+    # a method, property, field or instance attribute that only tests read
+    # belongs in tests/oracles.py or nowhere; matched by attribute name like
+    # the top-level guard
     modules = [(path.stem, ast.parse(path.read_text())) for path in sorted(SRC.glob("*.py"))]
-    assert _unread_members(modules) == []
+    assert sorted(set(_unread_members(modules)) - set(EXTERNAL_READERS)) == []
     sample = (
+        "@dataclass(frozen=True)\n"
+        "class Cert:\n"
+        "    free: bool\n"
+        "    unread: int = 0\n"
+        "    LIMIT = 3\n"
         "class G:\n"
         "    def __init__(self, x):\n"
         "        self.x = self.y = x\n"
@@ -325,7 +340,7 @@ def test_every_class_member_is_read_in_src():
         "class E(ValueError):\n"
         "    def __init__(self, h):\n"
         "        self.h = h\n"
-        "def size(g):\n"
-        "    return g.order\n"
+        "def size(g, c):\n"
+        "    return g.order if c.free else 0\n"
     )
-    assert _unread_members([("m", ast.parse(sample))]) == ["m.G.only_tests", "m.G.y"]
+    assert _unread_members([("m", ast.parse(sample))]) == ["m.Cert.unread", "m.G.only_tests", "m.G.y"]

@@ -4,7 +4,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from pathlib import Path
 
@@ -15,29 +15,25 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from abfib.scenario import bundled_scenario_path, load_scenario
 from abfib import torusquot
 from abfib.torusquot import (
-    AffineAuto,
     ClosureError,
     FormalFactor,
-    GroupElement,
     NonTrivialCanonical,
     TorusModel,
     action_free,
-    affine_auto,
     delegated_elements,
     first_fixed,
     fixed_point_free,
     generate_group,
     graded_character,
-    identity_auto,
     invariant_form_dims,
+    linear_part,
     quotient_hodge,
     smith_normal_form,
 )
 
 from oracles import (
+    Element,
     compose,
-    compose_elements,
-    element_key,
     element_order_by_powers,
     elements,
     fixed_point_free_brute,
@@ -88,6 +84,13 @@ def frac_det(mat):
     return det
 
 
+def certificate(f):
+    """`fixed_point_free` for the element f over its own denominator, with a
+    fresh `LinearPart`."""
+    D = f.denominator
+    return fixed_point_free(f.code(D)[2], D, linear_part(f.L))
+
+
 def mat_mul(A, B):
     return [
         [sum(A[i][k] * B[k][j] for k in range(len(B))) for j in range(len(B[0]))]
@@ -101,17 +104,17 @@ def mat_mul(A, B):
 
 def d8_setup():
     m = TorusModel(("e", "e", "e3", "e4"))
-    g1 = affine_auto(
+    g1 = Element.of(
         m,
         [[-1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]],
         [(0, 0), (0, 0), (F(1, 2), 0), (F(1, 4), 0)],
     )
-    g2 = affine_auto(
+    g2 = Element.of(
         m,
         [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]],
         [(0, 0), (0, 0), (F(1, 2), 0), (F(3, 4), 0)],
     )
-    g3 = affine_auto(
+    g3 = Element.of(
         m,
         [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]],
         [(0, 0), (0, 0), (0, F(1, 2)), (0, 0)],
@@ -121,7 +124,7 @@ def d8_setup():
 
 def test_compose_identity():
     m, g1, _, _ = d8_setup()
-    e = identity_auto(m)
+    e = Element.identity(m)
     assert compose(e, g1) == g1
     assert compose(g1, e) == g1
     assert compose(g1, g1) == e  # involution
@@ -137,9 +140,9 @@ def test_rotation_element():
     r = compose(g1, g3)
     # z1 -> -z2, z2 -> z1; z3 shifts by 1/2 + tau3/2; z4 by 1/4
     assert r.L[0] == (0, -1, 0, 0) and r.L[1] == (1, 0, 0, 0)
-    assert r.shifts[2] == (F(1, 2), F(1, 2))
-    assert r.shifts[3] == (F(1, 4), 0)
-    e = identity_auto(m)
+    assert r.that[4:6] == (F(1, 2), F(1, 2))
+    assert r.that[6:] == (F(1, 4), 0)
+    e = Element.identity(m)
     p = r
     orders = []
     for k in range(1, 6):
@@ -149,53 +152,63 @@ def test_rotation_element():
 
 
 def test_signed_permutation_validation():
+    # `generate_group` checks its generator codes before closing: a bad one
+    # is an input error, not a runaway or a wrong closure
     m = TorusModel(("a", "b"))
-    with pytest.raises(ValueError):
-        affine_auto(m, [[1, 1], [0, 1]], [(0, 0), (0, 0)])
-    with pytest.raises(ValueError):
-        affine_auto(m, [[2, 0], [0, 1]], [(0, 0), (0, 0)])
-    # swapping curves with different period labels is not an automorphism
-    with pytest.raises(ValueError):
-        affine_auto(m, [[0, 1], [1, 0]], [(0, 0), (0, 0)])
-    with pytest.raises(ValueError):
-        AffineAuto(m, ((1, 0), (0, 1)), (F(3, 2), F(0), F(0), F(0)))
+    perm, signs, t = (0, 1, 2, 3), (1, 1, 1, 1), (0, 0, 0, 0)
+    bad = [
+        (((0, 1, 0, 1), signs, t, ()), "linear part is not a signed permutation"),
+        ((perm, (2, 2, 1, 1), t, ()), "pairs alike"),
+        # swapping curves with different period labels is not an automorphism
+        (((2, 3, 0, 1), signs, t, ()), "coordinate 1 maps onto coordinate 0 but the curves differ"),
+        ((perm, signs, (6, 0, 0, 0), ()), "translation not reduced"),
+        ((perm, signs, t, (1,)), "parities must be 0 bits"),
+    ]
+    generate_group([(perm, signs, (3, 0, 0, 1), ())], 4, m, 0)
+    for code, message in bad:
+        with pytest.raises(ValueError, match=message):
+            generate_group([code], 4, m, 0)
 
 
 def test_group_d8_profile():
     m, g1, g2, g3 = d8_setup()
-    G = generate_group([g1, g2, g3])
-    assert generators(G) == tuple(GroupElement(g) for g in (g1, g2, g3))
+    G = closed([g1, g2, g3])
     assert G.order == 8
     assert not G.is_abelian
     assert G.max_element_order == 4
     assert sorted(G.element_orders) == [1, 2, 2, 2, 2, 2, 4, 4]
     # closure contains every inverse
     elems = elements(G)
-    keys = {element_key(e) for e in elems}
     for e, k in zip(elems, G.element_orders):
         inv = e
         for _ in range(max(0, k - 2)):
-            inv = compose_elements(inv, e)
-        assert element_key(compose_elements(inv, e)) == element_key(elems[0])
-        assert element_key(inv) in keys
+            inv = compose(inv, e)
+        assert compose(inv, e) == elems[0]
+        assert inv in elems
 
 
 def test_group_trivial_and_involution():
     m = TorusModel(("e1", "e2"))
-    G0 = generate_group([], model=m)
+    G0 = closed([], model=m)
     assert G0.order == 1 and G0.is_abelian
-    gamma = affine_auto(m, [[1, 0], [0, -1]], [(F(1, 2), 0), (0, 0)])
-    G = generate_group([gamma])
+    gamma = Element.of(m, [[1, 0], [0, -1]], [(F(1, 2), 0), (0, 0)])
+    G = closed([gamma])
     assert G.order == 2
     assert G.element_orders == (1, 2)
 
 
-def closed(gens, **kwargs):
-    """`generate_group(gens)`, checked to keep the given generators: the
-    closure oracles rebuild each group from `generators(G)`, so this ties
-    them to the inputs and `_encode` to the decoder."""
-    gens = tuple(g if isinstance(g, GroupElement) else GroupElement(g) for g in gens)
-    G = generate_group(gens, **kwargs)
+def closed(gens, model=None, parity_width=None):
+    """`generate_group` on the codes of the elements `gens` over their common
+    denominator, checked to keep them: the closure oracles rebuild each
+    group from `generators(G)`, so this ties them to the inputs and
+    `Element.code` to the decoder.  The model and the parity width default
+    to those of the first generator (no parities without one)."""
+    gens = tuple(gens)
+    model = gens[0].model if model is None else model
+    if parity_width is None:
+        parity_width = len(gens[0].parities) if gens else 0
+    D = lcm(1, *(g.denominator for g in gens))
+    G = generate_group([g.code(D) for g in gens], D, model, parity_width)
     assert generators(G) == gens
     return G
 
@@ -203,7 +216,9 @@ def closed(gens, **kwargs):
 def bundled_groups():
     for name in ("d8.scn", "bielliptic.scn", "enriques.scn", "empty.scn"):
         sc = load_scenario(bundled_scenario_path(name))
-        yield closed(sc.generators, model=sc.model, parity_width=len(sc.formal))
+        G = generate_group(sc.generators, sc.D, sc.model, len(sc.formal))
+        assert G.generator_codes == sc.generators
+        yield G
 
 
 def random_linear(rng, model):
@@ -241,7 +256,7 @@ def random_groups(seed, count):
                 (F(rng.randrange(denom), denom), F(rng.randrange(denom), denom)) for _ in range(n)
             ]
             parities = tuple(rng.randint(0, 1) for _ in range(width))
-            gens.append(GroupElement(affine_auto(model, L, shifts), parities))
+            gens.append(Element.of(model, L, shifts, parities))
         try:
             groups.append(closed(gens))
         except ClosureError:
@@ -269,7 +284,7 @@ def wide_groups(seed, count):
                 (F(rng.randrange(denom), denom), F(rng.randrange(denom), denom)) for _ in range(4)
             ]
             parities = tuple(0 if translation else rng.randint(0, 1) for _ in range(width))
-            gens.append(GroupElement(affine_auto(model, L, shifts), parities))
+            gens.append(Element.of(model, L, shifts, parities))
         try:
             G = closed(gens)
         except ClosureError:
@@ -298,7 +313,7 @@ def test_four_fold_groups_match_the_fraction_oracles(four_fold_groups):
     for G in four_fold_groups:
         elems = elements(G)
         ref = generate_group_by_compose(generators(G), G.model, len(elems[0].parities))
-        assert [element_key(e) for e in elems] == [element_key(e) for e in ref]
+        assert elems == ref
         for e, k in zip(elems, G.element_orders, strict=True):
             orders.add(k)
             assert k == element_order_by_powers(G, e)
@@ -350,9 +365,11 @@ def test_element_order_matches_powers(oracle_groups):
 
 def test_group_table_certificates_match_fresh_ones(oracle_groups):
     for G in oracle_groups:
-        for (kind, _), e in zip(G.entries, elements(G), strict=True):
-            if not e.auto.is_identity():
-                assert fixed_point_free(e.auto, G.parts[kind]) == fixed_point_free(e.auto)
+        # over the group's D and its kept LinearPart, against the element's
+        # own denominator and a fresh one: the same diagonal and witness
+        for (kind, t), e in zip(G.entries, elements(G), strict=True):
+            if not e.is_identity():
+                assert fixed_point_free(t, G.D, G.parts[kind]) == certificate(e)
 
 
 def test_snf_runs_once_per_distinct_linear_part(monkeypatch):
@@ -361,19 +378,19 @@ def test_snf_runs_once_per_distinct_linear_part(monkeypatch):
     # and the certificate of a reported element
     calls, snf = [], torusquot.smith_normal_form
     monkeypatch.setattr(torusquot, "smith_normal_form", lambda M: calls.append(M) or snf(M))
-    G = generate_group([GroupElement(identity_auto(TorusModel(())), (1, 1))])
+    G = closed([Element.of(TorusModel(()), [], [], (1, 1))])
     assert len(G.kinds) == 2 and G.linears[0] == G.linears[1]
     G.element_orders, delegated_elements(G), action_free(G)
     quotient_hodge((FormalFactor(2, -1), FormalFactor(2, -1)), G)
     assert len(calls) == 1
     calls.clear()
     _, g1, g2, g3 = d8_setup()
-    G = generate_group([g1, g2, g3])
+    G = closed([g1, g2, g3])
     G.element_orders, action_free(G), quotient_hodge((), G)
     assert len(calls) == len(set(G.linears)) == 8
     calls.clear()
-    neg = generate_group([affine_auto(one_curve(), [[-1]], [(0, 0)])])
-    assert first_fixed(neg)[1].witness is not None
+    neg = closed([Element.of(one_curve(), [[-1]], [(0, 0)])])
+    assert first_fixed(neg)[2].witness is not None
     assert len(calls) == len(set(neg.linears)) == 2
 
 
@@ -386,29 +403,30 @@ def test_code_path_matches_decoded_fraction_path(oracle_groups):
         assert G.order == len(elems)
         # orders: test_element_order_matches_powers
         for (k, t), e in zip(G.entries, elems, strict=True):
-            assert G.decode(k, t) == e
-            if e.auto.is_identity():
+            if e.is_identity():
                 assert not G.torus_free(k, t)  # the torus identity fixes every point
                 continue
             free = G.torus_free(k, t)
-            assert free == fixed_point_free(e.auto).free == fixed_point_free_brute(e.auto), e
+            assert free == certificate(e).free == fixed_point_free_brute(e), e
             outcomes.add(free)
         delegated = [
             entry
             for entry, e in zip(G.entries, elems)
-            if any(e.parities) and (e.auto.is_identity() or not fixed_point_free(e.auto).free)
+            if any(e.parities) and (e.is_identity() or not certificate(e).free)
         ]
         assert list(delegated_elements(G)) == delegated
-        counted = [e for e in elems if not e.auto.is_identity() and not any(e.parities)]
-        fixed = [e for e in counted if not fixed_point_free(e.auto).free]
+        counted = [e for e in elems if not e.is_identity() and not any(e.parities)]
+        fixed = [e for e in counted if not certificate(e).free]
         found = first_fixed(G)
         if fixed:
-            assert found == (fixed[0], fixed_point_free(fixed[0].auto))
+            L, shifts, cert = found
+            assert (L, sum(shifts, ())) == (fixed[0].L, fixed[0].that)
+            assert cert == certificate(fixed[0])
         else:
             assert found is None
         # the per-kind weighted average against one principal-minor
         # character per decoded element
-        totals = [sum(col) for col in zip(*(graded_character_minors(e.auto.L) for e in elems))]
+        totals = [sum(col) for col in zip(*(graded_character_minors(e.L) for e in elems))]
         assert all(x % G.order == 0 for x in totals)
         assert invariant_form_dims(G) == tuple(x // G.order for x in totals)
     assert outcomes == {True, False}
@@ -417,10 +435,8 @@ def test_code_path_matches_decoded_fraction_path(oracle_groups):
 def test_first_entry_decodes_to_the_identity(oracle_groups):
     for G in oracle_groups:
         kind, t = G.entries[0]
-        identity = G.decode(kind, t)
-        assert identity.auto.is_identity() and not any(identity.parities)
         assert not any(t) and kind == 0
-        assert identity == elements(G)[0]
+        assert elements(G)[0] == Element.identity(G.model, len(G.kinds[0][3]))
 
 
 def corrupted_codes():
@@ -445,8 +461,7 @@ CHECK_LABELS, CHECK_D, CHECK_WIDTH = ("e", "e", "f"), 4, 1
 
 def check_codes(codes):
     """`_check_codes` on codes that each carry their own translation."""
-    entries = [(k, code[2]) for k, code in enumerate(codes)]
-    torusquot._check_codes(codes, entries, CHECK_LABELS, CHECK_D, CHECK_WIDTH)
+    torusquot._check_codes(codes, [c[2] for c in codes], CHECK_LABELS, CHECK_D, CHECK_WIDTH)
 
 
 @pytest.mark.parametrize("name, code", corrupted_codes())
@@ -465,7 +480,7 @@ def test_check_codes_is_not_an_assert_statement():
         "for name, code in ast.literal_eval(sys.argv[1]):\n"
         "    try:\n"
         "        torusquot._check_codes(\n"
-        f"            [code], [(0, code[2])], {CHECK_LABELS!r}, {CHECK_D}, {CHECK_WIDTH}\n"
+        f"            [code], [code[2]], {CHECK_LABELS!r}, {CHECK_D}, {CHECK_WIDTH}\n"
         "        )\n"
         "    except ValueError:\n"
         "        continue\n"
@@ -487,7 +502,7 @@ def test_check_codes_is_not_an_assert_statement():
 def test_generate_group_checks_every_closed_code(monkeypatch):
     # a composition that leaves [0, D) is caught before the group is built
     m = TorusModel(("e",))
-    shift = affine_auto(m, [[1]], [(F(1, 4), 0)])
+    shift = Element.of(m, [[1]], [(F(1, 4), 0)])
     translate = torusquot._translate
 
     def off_by_d(rows, t, D):
@@ -495,7 +510,7 @@ def test_generate_group_checks_every_closed_code(monkeypatch):
 
     monkeypatch.setattr(torusquot, "_translate", off_by_d)
     with pytest.raises(ValueError, match="translation not reduced"):
-        generate_group([shift])
+        closed([shift])
 
 
 def test_closure_matches_fraction_oracle(oracle_groups):
@@ -504,17 +519,16 @@ def test_closure_matches_fraction_oracle(oracle_groups):
     for G in oracle_groups:
         elems = elements(G)
         ref = generate_group_by_compose(generators(G), G.model, len(elems[0].parities))
-        assert [element_key(e) for e in elems] == [element_key(e) for e in ref]
         assert elems == ref
 
 
 def test_closure_cap():
     m = TorusModel(("e",))
-    shift = affine_auto(m, [[1]], [(F(1, 2048), 0)])
+    shift = Element.of(m, [[1]], [(F(1, 2048), 0)])
     with pytest.raises(ClosureError):
-        generate_group([shift])
+        closed([shift])
     with pytest.raises(ClosureError):
-        generate_group_by_compose([GroupElement(shift)], m, 0)
+        generate_group_by_compose([shift], m, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +584,7 @@ def test_snf_diagonal_matches_sympy():
         for perm in itertools.permutations(range(n)):
             for signs in itertools.product((-1, 1), repeat=n):
                 L = [[signs[i] * (perm[i] == j) for j in range(n)] for i in range(n)]
-                Lhat = lhat(affine_auto(TorusModel(("e",) * n), L, [(0, 0)] * n))
+                Lhat = lhat(Element.of(TorusModel(("e",) * n), L, [(0, 0)] * n))
                 mats.append([[x - (i == j) for j, x in enumerate(r)] for i, r in enumerate(Lhat)])
     assert len(mats) == 60 + 2 + 8 + 48
     for M in mats:
@@ -588,8 +602,8 @@ def one_curve(label="e"):
 
 def test_negation_has_fixed_points():
     m = one_curve()
-    neg = affine_auto(m, [[-1]], [(0, 0)])
-    cert = fixed_point_free(neg)
+    neg = Element.of(m, [[-1]], [(0, 0)])
+    cert = certificate(neg)
     assert not cert.free and not cert
     assert cert.witness is not None
     # the 2-torsion points, found independently on the half-integer grid
@@ -599,18 +613,18 @@ def test_negation_has_fixed_points():
 
 def test_half_shift_is_free():
     m = one_curve()
-    shift = affine_auto(m, [[1]], [(F(1, 2), 0)])
-    cert = fixed_point_free(shift)
+    shift = Element.of(m, [[1]], [(F(1, 2), 0)])
+    cert = certificate(shift)
     assert cert.free and cert
-    assert cert.obstructed_rows
+    assert cert.witness is None
     assert grid_fixed_points(shift, 8) == []
     assert fixed_point_free_brute(shift) is True
 
 
 def test_period_shift_is_free():
     m = one_curve()
-    shift = affine_auto(m, [[1]], [(0, F(1, 2))])
-    assert fixed_point_free(shift).free
+    shift = Element.of(m, [[1]], [(0, F(1, 2))])
+    assert certificate(shift).free
     assert fixed_point_free_brute(shift) is True
 
 
@@ -618,8 +632,8 @@ def test_negation_with_quarter_shift():
     # fixed points exist but only at denominator 8 = 2 * 4: the grid must be
     # twice as fine as the translation denominator
     m = one_curve()
-    f = affine_auto(m, [[-1]], [(F(1, 4), 0)])
-    cert = fixed_point_free(f)
+    f = Element.of(m, [[-1]], [(F(1, 4), 0)])
+    cert = certificate(f)
     assert not cert.free
     assert cert.witness[0].denominator == 8
     assert grid_fixed_points(f, 4) == []
@@ -630,25 +644,25 @@ def test_negation_with_quarter_shift():
 def test_identity_rejected():
     m = one_curve()
     with pytest.raises(ValueError):
-        fixed_point_free(identity_auto(m))
+        certificate(Element.identity(m))
     with pytest.raises(ValueError):
-        fixed_point_free_brute(identity_auto(m))
+        fixed_point_free_brute(Element.identity(m))
 
 
 def test_gamma1_on_e3_e4():
     m = TorusModel(("e3", "e4"))
-    f = affine_auto(m, [[1, 0], [0, -1]], [(F(1, 2), 0), (F(1, 4), 0)])
-    assert fixed_point_free(f).free
+    f = Element.of(m, [[1, 0], [0, -1]], [(F(1, 2), 0), (F(1, 4), 0)])
+    assert certificate(f).free
     assert fixed_point_free_brute(f) is True
 
 
 def test_d8_action_is_free():
     m, g1, g2, g3 = d8_setup()
-    G = generate_group([g1, g2, g3])
+    G = closed([g1, g2, g3])
     assert action_free(G)
     for e in elements(G):
-        if not e.auto.is_identity():
-            assert fixed_point_free_brute(e.auto) is True
+        if not e.is_identity():
+            assert fixed_point_free_brute(e) is True
 
 
 def random_auto(rng, n, max_label_groups=2):
@@ -666,7 +680,7 @@ def random_auto(rng, n, max_label_groups=2):
         L[i][perm[i]] = rng.choice([-1, 1])
     denom = rng.choice([1, 2, 4, 8])
     shifts = [(F(rng.randrange(denom), denom), F(rng.randrange(denom), denom)) for _ in range(n)]
-    return affine_auto(TorusModel(labels), L, shifts)
+    return Element.of(TorusModel(labels), L, shifts)
 
 
 def test_snf_agrees_with_brute_force_sample():
@@ -676,7 +690,7 @@ def test_snf_agrees_with_brute_force_sample():
         auto = random_auto(rng, rng.randint(1, 3))
         if auto.is_identity():
             continue
-        assert fixed_point_free(auto).free == fixed_point_free_brute(auto)
+        assert certificate(auto).free == fixed_point_free_brute(auto)
         checked += 1
 
 
@@ -685,10 +699,10 @@ def test_group_certificates_match_brute_force():
     # denominators 1-4), against the grid search rather than a second SNF
     outcomes = []
     for G in random_groups(47, 12):
-        for (kind, _), e in zip(G.entries, elements(G), strict=True):
-            if not e.auto.is_identity():
-                free = fixed_point_free(e.auto, G.parts[kind]).free
-                assert free == fixed_point_free_brute(e.auto), e
+        for (kind, t), e in zip(G.entries, elements(G), strict=True):
+            if not e.is_identity():
+                free = fixed_point_free(t, G.D, G.parts[kind]).free
+                assert free == fixed_point_free_brute(e), e
                 outcomes.append(free)
     assert True in outcomes and False in outcomes
 
@@ -698,7 +712,7 @@ def test_brute_force_matches_grid_oracle_on_curves():
     for _ in range(40):
         denom = rng.choice([1, 2, 4])
         m = one_curve()
-        auto = affine_auto(
+        auto = Element.of(
             m,
             [[rng.choice([-1, 1])]],
             [(F(rng.randrange(denom), denom), F(rng.randrange(denom), denom))],
@@ -707,7 +721,7 @@ def test_brute_force_matches_grid_oracle_on_curves():
             continue
         pts = grid_fixed_points(auto, 2 * denom)
         assert fixed_point_free_brute(auto) == (not pts)
-        assert fixed_point_free(auto).free == (not pts)
+        assert certificate(auto).free == (not pts)
 
 
 # ---------------------------------------------------------------------------
@@ -736,29 +750,29 @@ def test_graded_character_matches_principal_minors():
 
 def test_invariant_forms_d8():
     m, g1, g2, g3 = d8_setup()
-    G = generate_group([g1, g2, g3])
+    G = closed([g1, g2, g3])
     assert invariant_form_dims(G) == (1, 1, 0, 1, 1)
 
 
 def test_invariant_forms_trivial_group():
     m = TorusModel(("a", "b", "c", "d"))
-    G = generate_group([], model=m)
+    G = closed([], model=m)
     assert invariant_form_dims(G) == (1, 4, 6, 4, 1)
 
 
 def test_invariant_forms_bielliptic_torus():
     m = TorusModel(("e1", "e2"))
-    gamma = affine_auto(m, [[1, 0], [0, -1]], [(F(1, 2), 0), (0, 0)])
-    G = generate_group([gamma])
+    gamma = Element.of(m, [[1, 0], [0, -1]], [(F(1, 2), 0), (0, 0)])
+    G = closed([gamma])
     assert invariant_form_dims(G) == (1, 1, 0)
 
 
 def test_invariant_forms_ignore_translations():
     m, g1, g2, g3 = d8_setup()
     zeroed = [
-        affine_auto(m, g.L, [(0, 0)] * 4) for g in (g1, g2, g3)
+        Element.of(m, g.L, [(0, 0)] * 4) for g in (g1, g2, g3)
     ]
-    G = generate_group(zeroed)
+    G = closed(zeroed)
     assert invariant_form_dims(G) == (1, 1, 0, 1, 1)
 
 
@@ -768,15 +782,13 @@ def test_invariant_forms_ignore_translations():
 
 def bielliptic_group():
     m = TorusModel(("e1", "e2"))
-    gamma = GroupElement(
-        affine_auto(m, [[1, 0], [0, -1]], [(F(1, 2), 0), (0, 0)]), (1,)
-    )
-    return generate_group([gamma])
+    gamma = Element.of(m, [[1, 0], [0, -1]], [(F(1, 2), 0), (0, 0)], (1,))
+    return closed([gamma])
 
 
 def test_hodge_d8():
     m, g1, g2, g3 = d8_setup()
-    G = generate_group([g1, g2, g3])
+    G = closed([g1, g2, g3])
     h = quotient_hodge((), G)
     assert h.h_q == (1, 1, 0, 1, 1)
     assert h.h_q[1:4] == (1, 0, 1)
@@ -792,8 +804,7 @@ def test_hodge_bielliptic():
 
 def test_hodge_enriques_pair():
     m = TorusModel(())
-    gamma = GroupElement(identity_auto(m), (1, 1))
-    G = generate_group([gamma])
+    G = closed([Element.of(m, [], [], (1, 1))])
     assert G.order == 2
     assert len(delegated_elements(G)) == 1
     assert action_free(G)  # vacuous on the torus block; freeness is delegated
@@ -803,14 +814,14 @@ def test_hodge_enriques_pair():
 
 def test_hodge_trivial_four_torus():
     m = TorusModel(("a", "b", "c", "d"))
-    G = generate_group([], model=m)
+    G = closed([], model=m)
     h = quotient_hodge((), G)
     assert h.h_q == (1, 4, 6, 4, 1)
 
 
 def test_hodge_elliptic_times_cy3():
     m = one_curve()
-    G = generate_group([], model=m, parity_width=1)
+    G = closed([], model=m, parity_width=1)
     h = quotient_hodge((FormalFactor(3, -1),), G)
     assert h.h_q == (1, 1, 0, 1, 1)
 

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 import abfib
 from abfib import weierstrass
 from abfib.weierstrass import (
-    CERT_CAVEAT,
     MAX_L,
     MAX_SCAN_PRIME,
     _eval_plane,
@@ -953,7 +952,6 @@ def test_fermat_cubic_smooth_over_f7():
     scan = is_smooth_curve(f)
     assert scan.ok and scan.witness is None
     assert scan.points == 57  # 7^2 + 7 + 1 normalized representatives
-    assert scan.caveat == CERT_CAVEAT
 
 
 def test_double_line_singular():
