@@ -12,10 +12,12 @@ Three layers, kept separate on purpose:
    the literature rather than re-derived.  Each such verdict is flagged and
    carries whatever side conditions the engine CAN check.
 
-`RULES` is the holonomy table: one row per cohomology triple (and class,
-where the triple's fate depends on it) naming the decisive rule, the
-expected outcome and the builder that runs these layers.  `classify` looks
-each triple of a class up in it and returns structured verdicts.
+`CLASS_IDS` lists the six holonomy classes in report order.  `RULES` is the
+holonomy table and the only place that says which triples a class has: one
+row per cohomology triple (and class, where the triple's fate depends on
+it) naming the classes it applies to, the decisive rule, the expected
+outcome and the builder that runs these layers.  `classify` runs the rows
+of one class, in table order, and returns each with its verdict.
 """
 
 from __future__ import annotations
@@ -93,47 +95,8 @@ class C1Window:
     steps: tuple[RuleStep, ...] = field(default=(), compare=False)
 
 
-@dataclass(frozen=True)
-class HolonomyClass:
-    id: str
-    name: str
-    triples: tuple[CohVector, ...]
-
-
-HOLONOMY_CLASSES: tuple[HolonomyClass, ...] = (
-    HolonomyClass(
-        "trivial",
-        "trivial",
-        (CohVector(4, 6, 4), CohVector(3, 4, 3), CohVector(2, 2, 2), CohVector(1, 0, 1)),
-    ),
-    HolonomyClass(
-        "su2",
-        "SU(2)",
-        (CohVector(2, 2, 2), CohVector(1, 0, 1)),
-    ),
-    HolonomyClass(
-        "su2xsu2",
-        "SU(2)xSU(2)",
-        (CohVector(0, 2, 0), CohVector(0, 0, 0)),
-    ),
-    HolonomyClass(
-        "su3",
-        "SU(3)",
-        (CohVector(1, 0, 1),),
-    ),
-    HolonomyClass(
-        "su4",
-        "SU(4)",
-        (CohVector(0, 0, 0),),
-    ),
-    HolonomyClass(
-        "sp2",
-        "Sp(2)",
-        (CohVector(0, 1, 0),),
-    ),
-)
-
-CLASSES_BY_ID = {h.id: h for h in HOLONOMY_CLASSES}
+# the holonomy classes in report order; RULES says which triples each has
+CLASS_IDS = ("trivial", "su2", "su2xsu2", "su3", "su4", "sp2")
 
 
 def split_pair(a: int, b: int) -> DirectSum:
@@ -241,7 +204,8 @@ def _bound(t: CohVector) -> C1Window:
 @dataclass(frozen=True)
 class Rule:
     """One row of the holonomy table: a triple, the classes it applies to,
-    its decisive rule, the outcome expected of it, and the verdict builder.
+    its decisive rule, the outcome expected of it, the verdict builder and,
+    for a forced split, the split types it forces.
 
     The expected outcome is data, not read off the verdict: the report
     compares it against what `build` returns.
@@ -252,6 +216,7 @@ class Rule:
     rule_id: str
     outcome: str
     build: Callable[[Rule, tuple[int, int]], Verdict]
+    branches: tuple[SplitBranch, ...] = ()
 
     def verdict(self, window: tuple[int, int]) -> Verdict:
         return self.build(self, window)
@@ -309,61 +274,38 @@ def _enriques_picard(row: Rule, window) -> Verdict:
     return Verdict(IMPOSSIBLE, documented=True, steps=steps)
 
 
-def _window_misses_split_types(bound: C1Window, t: CohVector, eff, found) -> Verdict:
-    """Verdict when the c1 window leaves out a forced split type: nothing is
-    forced there, and the enumeration shows what the window does contain."""
-    steps = bound.steps + (_enumeration_step(t, eff, found),)
-    return Verdict(POSSIBLE, documented=False, steps=steps)
-
-
-def _forced_split_101(row: Rule, window) -> Verdict:
+def _forced_split(row: Rule, window) -> Verdict:
+    """The row's split types are forced when the c1 window holds exactly
+    them; a window that misses one forces nothing, and the enumeration
+    shows what it does contain."""
     t = row.triple
     bound = _bound(t)
     eff = (max(window[0], bound.lo), min(window[1], bound.hi))
     found = split_candidates(t, eff)
-    if found != [(0, -3)]:
-        return _window_misses_split_types(bound, t, eff, found)
-    steps = bound.steps + (
-        _enumeration_step(t, eff, found),
-        RuleStep(
-            row.rule_id,
-            "V with cohomology (1,0,1) splits; the unique split type is the enumerated one",
-            checked=False,
-        ),
-        _rr_step(0, -3, t),
+    enumeration = _enumeration_step(t, eff, found)
+    if found != [(br.a, br.b) for br in row.branches]:
+        return Verdict(POSSIBLE, documented=False, steps=bound.steps + (enumeration,))
+    claim = (
+        "; the unique split type is the enumerated one"
+        if len(found) == 1
+        else " as one of the enumerated types"
     )
-    return Verdict(FORCED_SPLIT, documented=True, steps=steps, branches=(SplitBranch(0, -3),))
-
-
-def _forced_split_000(row: Rule, window) -> Verdict:
-    t = row.triple
-    bound = _bound(t)
-    eff = (max(window[0], bound.lo), min(window[1], bound.hi))
-    found = split_candidates(t, eff)
-    if found != [(-1, -2), (-2, -2)]:
-        return _window_misses_split_types(bound, t, eff, found)
-    exclusion = "nodal-c1: under either equality hypothesis c1 = -3, but c1(O(-2)+O(-2)) = -4"
-    steps = bound.steps + (
-        _enumeration_step(t, eff, found),
-        RuleStep(
-            row.rule_id,
-            "V with cohomology (0,0,0) splits as one of the enumerated types",
-            checked=False,
-        ),
-        _rr_step(-1, -2, t),
-        _rr_step(-2, -2, t),
-        RuleStep(
-            "nodal-c1",
-            "the (-2,-2) branch survives only if neither equality hypothesis holds",
-            checked=False,
+    steps = (
+        *bound.steps,
+        enumeration,
+        RuleStep(row.rule_id, "V with cohomology ({},{},{}) splits".format(*t) + claim, checked=False),
+        *(_rr_step(a, b, t) for a, b in found),
+        *(
+            RuleStep(
+                "nodal-c1",
+                f"the ({br.a},{br.b}) branch survives only if neither equality hypothesis holds",
+                checked=False,
+            )
+            for br in row.branches
+            if br.excluded_if
         ),
     )
-    return Verdict(
-        FORCED_SPLIT,
-        documented=True,
-        steps=steps,
-        branches=(SplitBranch(-1, -2), SplitBranch(-2, -2, excluded_if=exclusion)),
-    )
+    return Verdict(FORCED_SPLIT, documented=True, steps=steps, branches=row.branches)
 
 
 def _forced_cotangent(row: Rule, window) -> Verdict:
@@ -398,37 +340,39 @@ def _inequality_refutation(row: Rule, window) -> Verdict:
     return v
 
 
-# The holonomy table: the single place where a triple is routed to the rule
-# that decides it.  (0,0,0) is the one triple whose rule depends on the class.
+_NODAL_EXCLUSION = "nodal-c1: under either equality hypothesis c1 = -3, but c1(O(-2)+O(-2)) = -4"
+
+# The holonomy table: the one place that says which triples a class has and
+# which rule decides each.  (0,0,0) is the one triple whose rule depends on
+# the class.
 RULES: tuple[Rule, ...] = (
     Rule(CohVector(4, 6, 4), ("trivial",), "abelian-albanese", ABELIAN_BASE_OBSTRUCTION, _abelian_albanese),
     Rule(CohVector(3, 4, 3), ("trivial",), "triple-343", IMPOSSIBLE, _no_split_type),
     Rule(CohVector(2, 2, 2), ("trivial", "su2"), "triple-222", IMPOSSIBLE, _no_split_type),
-    Rule(CohVector(1, 0, 1), ("trivial", "su2", "su3"), "split-forced-101", FORCED_SPLIT, _forced_split_101),
+    Rule(
+        CohVector(1, 0, 1), ("trivial", "su2", "su3"), "split-forced-101", FORCED_SPLIT, _forced_split,
+        (SplitBranch(0, -3),),
+    ),
     Rule(CohVector(0, 2, 0), ("su2xsu2",), "inequality-engine", IMPOSSIBLE, _inequality_refutation),
     Rule(CohVector(0, 0, 0), ("su2xsu2",), "enriques-picard", IMPOSSIBLE, _enriques_picard),
-    Rule(CohVector(0, 0, 0), ("su4",), "split-forced-000", FORCED_SPLIT, _forced_split_000),
+    Rule(
+        CohVector(0, 0, 0), ("su4",), "split-forced-000", FORCED_SPLIT, _forced_split,
+        (SplitBranch(-1, -2), SplitBranch(-2, -2, excluded_if=_NODAL_EXCLUSION)),
+    ),
     Rule(CohVector(0, 1, 0), ("sp2",), "matsushita-cotangent", FORCED_COTANGENT, _forced_cotangent),
 )
 
 
-def rule_for(h: HolonomyClass, t: CohVector) -> Rule:
-    """The row of RULES that decides triple t for class h."""
-    for row in RULES:
-        if row.triple == t and h.id in row.classes:
-            return row
-    raise ValueError(f"no rule route for triple {tuple(t)} in class {h.id!r}")
-
-
 def classify(
-    h: HolonomyClass, window: tuple[int, int] = DEFAULT_C1_WINDOW
-) -> list[tuple[CohVector, Verdict]]:
-    """One verdict per admissible triple of the class."""
-    return [(t, rule_for(h, t).verdict(window)) for t in h.triples]
+    class_id: str, window: tuple[int, int] = DEFAULT_C1_WINDOW
+) -> list[tuple[Rule, Verdict]]:
+    """(row, verdict) for each row of RULES that applies to the class, in
+    table order."""
+    return [(row, row.verdict(window)) for row in RULES if class_id in row.classes]
 
 
 def admissible_class_ids(table: dict[str, list]) -> set[str]:
-    """Classes of a {class id: `classify` verdicts} table with at least one
+    """Classes of a {class id: `classify` pairs} table with at least one
     admissible direct image."""
     return {
         class_id

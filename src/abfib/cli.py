@@ -33,7 +33,7 @@ import os
 import sys
 
 from . import report as rpt
-from .classifier import CLASSES_BY_ID, DEFAULT_C1_WINDOW
+from .classifier import CLASS_IDS, DEFAULT_C1_WINDOW
 from .scenario import ScenarioError
 
 # input budgets: `report all` samples 20 families per run; MAX_WINDOW_WIDTH
@@ -57,8 +57,8 @@ def _classify_arguments(p: argparse.ArgumentParser) -> None:
 
 def _classify(ns: argparse.Namespace, seed: int) -> rpt.Report:
     selector = ns.klass.lower()
-    if selector != "all" and selector not in CLASSES_BY_ID:
-        known = ", ".join(sorted(CLASSES_BY_ID))
+    if selector != "all" and selector not in CLASS_IDS:
+        known = ", ".join(sorted(CLASS_IDS))
         raise ValueError(f"unknown holonomy class {ns.klass!r} (known: {known}, or 'all')")
     lo, hi = ns.window
     if lo > hi:
@@ -187,7 +187,7 @@ def main(argv=None) -> int:
     except ScenarioError as e:
         print(f"abfib: scenario error: {e}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, ValueError) as e:
+    except (OSError, ValueError) as e:
         print(f"abfib: error: {e}", file=sys.stderr)
         return 2
     except AssertionError as e:  # an engine check fired: a fault in abfib, not in the input

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from . import classifier, jacfib, scenario
 from .citations import cite
-from .classifier import DEFAULT_C1_WINDOW, HOLONOMY_CLASSES
+from .classifier import CLASS_IDS, DEFAULT_C1_WINDOW
 from .sheafcalc import (
     ChernPair,
     chern,
@@ -127,6 +127,12 @@ def _derived(check: str, rule: str, ok: bool, payload: dict) -> Record:
     return Record(check, cite(rule), DERIVED_PASS if ok else DERIVED_FAIL, payload)
 
 
+def _documented(check: str, rule: str, payload: dict) -> Record:
+    """Record of an imported rule, flagged as asserted without derivation."""
+    payload = {**payload, "asserted_without_derivation": True}
+    return Record(check, cite(rule), DOCUMENTED_RULE, payload)
+
+
 # ---------------------------------------------------------------------------
 # classify
 
@@ -147,10 +153,10 @@ def _verdict_payload(v: classifier.Verdict) -> dict:
     }
 
 
-def _classify_records(h: classifier.HolonomyClass, verdicts) -> list[Record]:
+def _classify_records(class_id: str, pairs) -> list[Record]:
     out = []
-    for t, v in verdicts:
-        row = classifier.rule_for(h, t)
+    for row, v in pairs:
+        t = row.triple
         payload = _verdict_payload(v)
         payload["triple"] = list(t)
         payload["expected_outcome"] = row.outcome
@@ -164,24 +170,20 @@ def _classify_records(h: classifier.HolonomyClass, verdicts) -> list[Record]:
             )
         else:
             status = DERIVED_PASS
-        check = "classify/{}/({},{},{})".format(h.id, *t)
+        check = "classify/{}/({},{},{})".format(class_id, *t)
         out.append(Record(check, cite(row.rule_id), status, payload))
     return out
 
 
 def build_classify(selector: str, window=DEFAULT_C1_WINDOW, seed: int = 0) -> Report:
     """Report for one holonomy class (by id) or for the whole table."""
-    classes = (
-        HOLONOMY_CLASSES
-        if selector == "all"
-        else tuple(h for h in HOLONOMY_CLASSES if h.id == selector)
-    )
-    if not classes:
+    if selector != "all" and selector not in CLASS_IDS:
         raise ValueError(f"unknown holonomy class {selector!r}")
-    table = {h.id: classifier.classify(h, window) for h in classes}
+    class_ids = CLASS_IDS if selector == "all" else (selector,)
+    table = {c: classifier.classify(c, window) for c in class_ids}
     records: list[Record] = []
-    for h in classes:
-        records.extend(_classify_records(h, table[h.id]))
+    for c in class_ids:
+        records.extend(_classify_records(c, table[c]))
     if selector == "all":
         got = classifier.admissible_class_ids(table)
         records.append(
@@ -237,12 +239,7 @@ def build_torus(path, seed: int = 0) -> Report:
         records.append(_derived(f"torus/{name}/free", "snf-fixed-point", res.free, payload))
     if res.delegated:
         records.append(
-            Record(
-                f"torus/{name}/delegated",
-                cite("formal-factor-action"),
-                DOCUMENTED_RULE,
-                {"elements": res.delegated, "asserted_without_derivation": True},
-            )
+            _documented(f"torus/{name}/delegated", "formal-factor-action", {"elements": res.delegated})
         )
     records.append(
         Record(
@@ -508,13 +505,11 @@ def build_jacfib(seed: int = 0) -> Report:
         elif row.verdict.documented:
             c = chern(row.w)
             records.append(
-                Record(
+                _documented(
                     check,
-                    cite("nodal-c1"),
-                    DOCUMENTED_RULE,
+                    "nodal-c1",
                     {
                         "outcome": row.verdict.outcome,
-                        "asserted_without_derivation": True,
                         "checked_side_conditions": [
                             s.rule for s in row.verdict.machine_steps
                         ],
@@ -552,22 +547,8 @@ def build_jacfib(seed: int = 0) -> Report:
             {"admissible": {k: admissible[k] for k in sorted(admissible)}},
         )
     )
-    records.append(
-        Record(
-            "jacfib/beauville-mukai",
-            cite("beauville-mukai"),
-            DOCUMENTED_RULE,
-            {"case": "Omega1", "asserted_without_derivation": True},
-        )
-    )
-    records.append(
-        Record(
-            "jacfib/kummer-example",
-            cite("kummer-13"),
-            DOCUMENTED_RULE,
-            {"polarization": [1, 3], "asserted_without_derivation": True},
-        )
-    )
+    records.append(_documented("jacfib/beauville-mukai", "beauville-mukai", {"case": "Omega1"}))
+    records.append(_documented("jacfib/kummer-example", "kummer-13", {"polarization": [1, 3]}))
     return Report("jacfib", {}, seed, tuple(records))
 
 
@@ -649,12 +630,10 @@ def build_report_all(seed: int = 0) -> Report:
     records.append(fibre_product_discrepancy())
     records.extend(build_jacfib(seed=seed).records)
     records.append(
-        Record(
+        _documented(
             "scope/substituted-checks",
-            cite("scope-note"),
-            DOCUMENTED_RULE,
+            "scope-note",
             {
-                "asserted_without_derivation": True,
                 "not_recomputable": [
                     "moduli of K3 surfaces",
                     "hyperkahler metrics",

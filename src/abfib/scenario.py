@@ -86,7 +86,6 @@ class ExpectationCheck:
 
 @dataclass(frozen=True)
 class ScenarioResult:
-    scenario: Scenario
     order: int
     abelian: bool
     max_order: int
@@ -334,7 +333,6 @@ def run_scenario(sc: Scenario) -> ScenarioResult:
         for key, expected in sc.expectations
     )
     return ScenarioResult(
-        scenario=sc,
         order=group.order,
         abelian=computed["abelian"],
         max_order=computed["max-order"],

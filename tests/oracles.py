@@ -9,8 +9,8 @@ from math import lcm
 import numpy as np
 
 from abfib.classifier import (
+    CLASS_IDS,
     DEFAULT_C1_WINDOW,
-    HOLONOMY_CLASSES,
     IMPOSSIBLE,
     RULES,
     RuleStep,
@@ -429,8 +429,9 @@ def format_poly(f: HomogPoly) -> str:
 
 
 def classify_all(window: tuple[int, int] = DEFAULT_C1_WINDOW) -> dict[str, list]:
-    """`classify` over every holonomy class, keyed by class id."""
-    return {h.id: classify(h, window) for h in HOLONOMY_CLASSES}
+    """(triple, verdict) pairs of `classify` for every holonomy class, keyed
+    by class id."""
+    return {c: [(row.triple, v) for row, v in classify(c, window)] for c in CLASS_IDS}
 
 
 def _nodal_c1() -> Verdict:

@@ -6,20 +6,17 @@ import pytest
 from abfib.classifier import (
     ABELIAN_BASE_OBSTRUCTION,
     C1Window,
-    CLASSES_BY_ID,
+    CLASS_IDS,
     DEFAULT_C1_WINDOW,
     FORCED_COTANGENT,
     FORCED_SPLIT,
-    HOLONOMY_CLASSES,
     IMPOSSIBLE,
     RULES,
-    HolonomyClass,
     RuleStep,
     Verdict,
     admissible_class_ids,
     classify,
     inequality_verdict,
-    rule_for,
     split_candidates,
 )
 from abfib.citations import CITATIONS
@@ -238,7 +235,7 @@ def test_impossibility_needs_witness_or_documentation():
 
 
 def outcomes(class_id):
-    return [(tuple(t), v.outcome) for t, v in classify(CLASSES_BY_ID[class_id])]
+    return [(tuple(row.triple), v.outcome) for row, v in classify(class_id)]
 
 
 def test_classify_trivial():
@@ -248,20 +245,20 @@ def test_classify_trivial():
         ((2, 2, 2), IMPOSSIBLE),
         ((1, 0, 1), FORCED_SPLIT),
     ]
-    split = classify(CLASSES_BY_ID["trivial"])[-1][1]
+    split = classify("trivial")[-1][1]
     assert [(br.a, br.b) for br in split.branches] == [(0, -3)]
 
 
 def test_classify_su2xsu2():
-    results = classify(CLASSES_BY_ID["su2xsu2"])
+    results = classify("su2xsu2")
     assert [v.outcome for _, v in results] == [IMPOSSIBLE, IMPOSSIBLE]
-    by_triple = {tuple(t): v for t, v in results}
+    by_triple = {tuple(row.triple): v for row, v in results}
     assert not by_triple[(0, 2, 0)].documented  # machine inequality
     assert by_triple[(0, 0, 0)].documented  # geometric obstruction
 
 
 def test_classify_su4_branches():
-    [(t, v)] = classify(CLASSES_BY_ID["su4"])
+    [(row, v)] = classify("su4")
     assert v.outcome == FORCED_SPLIT
     assert [(br.a, br.b) for br in v.branches] == [(-1, -2), (-2, -2)]
     assert v.branches[0].excluded_if is None
@@ -270,7 +267,7 @@ def test_classify_su4_branches():
 
 
 def test_classify_sp2():
-    [(t, v)] = classify(CLASSES_BY_ID["sp2"])
+    [(row, v)] = classify("sp2")
     assert v.outcome == FORCED_COTANGENT
     assert tuple(coh(Cotangent())) == (0, 1, 0)
 
@@ -282,9 +279,11 @@ def test_classify_su2_su3():
 
 def test_classify_all_covers_every_class():
     table = classify_all()
-    assert set(table) == {h.id for h in HOLONOMY_CLASSES}
-    for h in HOLONOMY_CLASSES:
-        assert [t for t, _ in table[h.id]] == list(h.triples)
+    assert list(table) == list(CLASS_IDS)
+    for class_id in CLASS_IDS:
+        assert [t for t, _ in table[class_id]] == [
+            row.triple for row in RULES if class_id in row.classes
+        ]
 
 
 def test_admissible_classes():
@@ -292,21 +291,21 @@ def test_admissible_classes():
 
 
 def test_forced_split_riemann_roch_consistency():
-    for h in HOLONOMY_CLASSES:
-        for t, v in classify(h):
+    for class_id in CLASS_IDS:
+        for row, v in classify(class_id):
             if v.outcome != FORCED_SPLIT:
                 continue
             assert v.branches
             for br in v.branches:
                 c = chern(DirectSum((Line(br.a), Line(br.b))))
-                assert riemann_roch(c) == t.chi
+                assert riemann_roch(c) == row.triple.chi
             # and the decisive arithmetic is recorded as checked steps
             assert any(s.rule == "riemann-roch" and s.checked for s in v.steps)
 
 
 def test_every_impossibility_is_backed():
-    for h in HOLONOMY_CLASSES:
-        for _, v in classify(h):
+    for class_id in CLASS_IDS:
+        for _, v in classify(class_id):
             if v.outcome == IMPOSSIBLE:
                 assert v.documented or any(s.checked for s in v.steps)
 
@@ -315,8 +314,8 @@ def test_every_rule_step_names_a_citation():
     verdicts = [
         v
         for window in (DEFAULT_C1_WINDOW, (-800, 0))
-        for h in HOLONOMY_CLASSES
-        for _, v in classify(h, window)
+        for class_id in CLASS_IDS
+        for _, v in classify(class_id, window)
     ]
     verdicts += [row.verdict for row in classify_jacobian_fibrations()]
     rules = {s.rule for v in verdicts for s in v.steps}
@@ -325,8 +324,8 @@ def test_every_rule_step_names_a_citation():
 
 
 def test_holonomy_table_shape():
-    assert [h.id for h in HOLONOMY_CLASSES] == ["trivial", "su2", "su2xsu2", "su3", "su4", "sp2"]
-    triples = {h.id: [tuple(t) for t in h.triples] for h in HOLONOMY_CLASSES}
+    assert CLASS_IDS == ("trivial", "su2", "su2xsu2", "su3", "su4", "sp2")
+    triples = {c: [tuple(row.triple) for row in RULES if c in row.classes] for c in CLASS_IDS}
     assert triples["trivial"] == [(4, 6, 4), (3, 4, 3), (2, 2, 2), (1, 0, 1)]
     assert triples["su2"] == [(2, 2, 2), (1, 0, 1)]
     assert triples["su2xsu2"] == [(0, 2, 0), (0, 0, 0)]
@@ -336,17 +335,6 @@ def test_holonomy_table_shape():
 
 
 def test_rule_table_routes_each_class_triple_exactly_once():
-    reached = set()
-    for h in HOLONOMY_CLASSES:
-        for t in h.triples:
-            rows = [i for i, row in enumerate(RULES) if row.triple == t and h.id in row.classes]
-            assert len(rows) == 1, (h.id, tuple(t))
-            assert RULES[rows[0]] is rule_for(h, t)
-            reached.add(rows[0])
-    assert reached == set(range(len(RULES)))
-
-
-def test_unroutable_triple_raises():
-    stray = HolonomyClass("stray", "stray", (CohVector(5, 0, 5),))
-    with pytest.raises(ValueError, match="no rule route"):
-        classify(stray)
+    pairs = [(c, tuple(row.triple)) for row in RULES for c in row.classes]
+    assert len(pairs) == len(set(pairs))
+    assert {c for c, _ in pairs} == set(CLASS_IDS)

@@ -67,6 +67,12 @@ def test_torus_bundled_and_missing(capsys):
     assert "torus/bielliptic/hodge" in out
     code, _, err = run(["torus", "no-such.scn"], capsys)
     assert code == 2 and "no scenario file" in err
+    # names too long for the file system: the direct path and the bundled lookup
+    for name in ("b" * 300, "a/" + "b" * 300):
+        code, out, err = run(["torus", name], capsys)
+        assert code == 2 and not out, name[:3]
+        assert err.startswith("abfib: error: ") and err.count("\n") == 1, name[:3]
+        assert "File name too long" in err and "Traceback" not in err, name[:3]
 
 
 def test_torus_directory_exits_2(tmp_path, capsys):
@@ -115,6 +121,25 @@ def test_classify_window_without_forced_split_all(capsys):
         if check != "classify/admissible-set":
             assert _enumeration(record)[0].endswith(": []"), check
     assert failed["classify/admissible-set"]["payload"]["got"] == ["sp2"]
+
+
+@pytest.mark.parametrize(
+    "argv, code, md5",
+    [
+        ("classify all --window -2 0", 1, "11097572479cdb6bad8c2dbc4d40923a"),
+        ("classify all --window -800 0", 0, "d4907f82ebad0aa3dc0468aed352fb9a"),
+        # the window c1 = -4 holds (-2,-2) alone, so nothing is forced
+        ("classify su4 --window -4 -4", 1, "44eae641e433f131f4bf01471248f546"),
+        ("classify trivial --window -3 -3", 0, "f313aef7a96cd1ee6b1d9f0a909a2562"),
+        ("classify sp2 --window -2 0", 0, "87488ad028e727e764a6ba31eacf5333"),
+    ],
+)
+def test_classify_gate_commands_pinned(argv, code, md5, monkeypatch, capsys):
+    # the byte-identical gate for classifier changes, text renderer
+    monkeypatch.delenv("ABFIB_SEED", raising=False)
+    got, out, err = run(argv.split(), capsys)
+    assert got == code and not err
+    assert hashlib.md5(out.encode()).hexdigest() == md5
 
 
 # generators checked as lattice codes, with the exact stderr of each rejection;

@@ -40,19 +40,21 @@ def test_d8_scenario_details():
 
 
 def test_bielliptic_scenario_details():
-    r = run_bundled("bielliptic.scn")
+    sc = load_scenario(bundled_scenario_path("bielliptic.scn"))
+    r = run_scenario(sc)
     assert r.order == 2
     assert r.free
     assert r.hodge.h_q == (1, 1, 0, 1, 1)
-    assert r.scenario.formal == (FormalFactor(2, -1),)
+    assert sc.formal == (FormalFactor(2, -1),)
 
 
 def test_enriques_scenario_details():
-    r = run_bundled("enriques.scn")
+    sc = load_scenario(bundled_scenario_path("enriques.scn"))
+    r = run_scenario(sc)
     assert r.order == 2
     assert r.delegated == 1
     assert r.hodge.h_q == (1, 0, 0, 0, 1)
-    assert r.scenario.model.n == 0
+    assert sc.model.n == 0
 
 
 def test_empty_scenario_details():
