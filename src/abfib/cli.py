@@ -33,7 +33,7 @@ import os
 import sys
 
 from . import report as rpt
-from .classifier import CLASS_IDS, DEFAULT_C1_WINDOW
+from .classifier import DEFAULT_C1_WINDOW
 from .scenario import ScenarioError
 
 # input budgets: `report all` samples 20 families per run; MAX_WINDOW_WIDTH
@@ -56,16 +56,12 @@ def _classify_arguments(p: argparse.ArgumentParser) -> None:
 
 
 def _classify(ns: argparse.Namespace, seed: int) -> rpt.Report:
-    selector = ns.klass.lower()
-    if selector != "all" and selector not in CLASS_IDS:
-        known = ", ".join(sorted(CLASS_IDS))
-        raise ValueError(f"unknown holonomy class {ns.klass!r} (known: {known}, or 'all')")
     lo, hi = ns.window
     if lo > hi:
         raise ValueError(f"--window LO HI needs LO <= HI, got {lo} {hi}")
     if hi - lo > MAX_WINDOW_WIDTH:
         raise ValueError(f"--window width {hi - lo} exceeds the budget {MAX_WINDOW_WIDTH}")
-    return rpt.build_classify(selector, tuple(ns.window), seed=seed)
+    return rpt.build_classify(ns.klass, tuple(ns.window), seed=seed)
 
 
 def _weierstrass_arguments(p: argparse.ArgumentParser) -> None:

@@ -7,12 +7,16 @@ forward to the plane, the section lives in
 
     H^0(P^2, O(-6) tensor Sym^6 W*).
 
-Four candidates for W survive the direct-image analysis.  This module
-computes the section space for each (line-bundle cohomology for split W,
-the Weyl dimension formula for the cotangent bundle), converts forced
-vanishing of the two lowest sextic coefficients into exclusions, and
-assembles the final table: exactly two admissible families, with 75 and
-19 parameters.
+`CASES` is the one table of the four candidates for W that survive the
+direct-image analysis: each row names W, the rule that decides it
+(`repeated-root`, `genus-two-branch` or `nodal-c1`), the outcome expected
+of it and every value the report compares.  `classify_jacobian_fibrations`
+derives each row in one pass: the section space (line-bundle cohomology
+for split W, the Weyl dimension formula for the cotangent bundle), the
+first Chern class against the canonical degree, forced vanishing of the
+two lowest sextic coefficients, and, for a row that survives, its Leray
+totals and parameter count.  Exactly two admissible families remain, with
+75 and 19 parameters.
 """
 
 from __future__ import annotations
@@ -78,17 +82,6 @@ def borel_weil_dim(w: GL3Weight) -> int:
     return num // 2
 
 
-# ---------------------------------------------------------------------------
-# the four candidates
-
-W_CANDIDATES: tuple[BundleExpr, ...] = (
-    DirectSum((Line(0), Line(-3))),
-    DirectSum((Line(-1), Line(-2))),
-    Cotangent(),
-    DirectSum((Line(-2), Line(-2))),
-)
-
-
 @dataclass(frozen=True)
 class SectionSpace:
     """The branch-divisor section space H^0(O(-6) tensor Sym^6 W*).
@@ -111,26 +104,17 @@ def branch_section_space(w: BundleExpr) -> SectionSpace:
         # O(-6) tensor Sym^6 T is the irreducible representation of highest
         # weight (0,0,6); its sections do not split by coefficient
         dim = borel_weil_dim(GL3Weight(0, 0, 6))
-        return SectionSpace(
-            degrees=None,
-            dims=(dim,),
-            dimension=dim,
-            forced_zero=(),
-        )
+        return SectionSpace(None, (dim,), dim, forced_zero=())
     a, b = (s.k for s in w.summands)
     degrees = tuple(sym6_dual_twist(a, b, BRANCH_TWIST))
     dims = tuple(coh_line(k).h0 for k in degrees)
     forced = tuple(i for i, k in enumerate(degrees) if k < 0)
-    return SectionSpace(
-        degrees=degrees,
-        dims=dims,
-        dimension=sum(dims),
-        forced_zero=forced,
-    )
+    return SectionSpace(degrees, dims, sum(dims), forced)
 
 
-def repeated_root_verdict(space: SectionSpace) -> Verdict:
-    """Impossible when the two lowest sextic coefficients are forced to 0.
+def repeated_root(space: SectionSpace) -> tuple[bool, RuleStep]:
+    """Whether the two lowest sextic coefficients are forced to 0, with the
+    checked step that says so.
 
     The six branch points of a fibre are the roots of the sextic
     s_6 z^6 + ... + s_1 z + s_0; if s_0 and s_1 vanish identically then
@@ -146,12 +130,7 @@ def repeated_root_verdict(space: SectionSpace) -> Verdict:
         ),
         checked=True,
     )
-    return Verdict(
-        outcome=IMPOSSIBLE if forced_pair else POSSIBLE,
-        documented=False,
-        steps=(step,),
-        assumptions=MILD_DEGENERATIONS,
-    )
+    return forced_pair, step
 
 
 # ---------------------------------------------------------------------------
@@ -159,91 +138,100 @@ def repeated_root_verdict(space: SectionSpace) -> Verdict:
 
 
 @dataclass(frozen=True)
-class JacobianCase:
-    """One row of the final table."""
+class Case:
+    """One row of the Jacobian table: a candidate W, the rule that decides
+    it, the outcome expected of it and the values the report compares.
 
-    case_id: str
+    The expected values are data, not read off the verdict: the report
+    compares them against what `classify_jacobian_fibrations` derives.  An
+    admissible row names its family type, the documented rule behind it,
+    its section dimension, parameter count and Leray totals; a row ruled out
+    by a repeated root names the degrees of its forced-zero coefficients.
+    """
+
     w: BundleExpr
+    rule_id: str
+    outcome: str
+    family_type: str | None = None
+    family_rule: str | None = None
+    dimension: int | None = None
+    params: int | None = None
+    leray_h: tuple[int, int, int, int, int] | None = None
+    forced_zero_degrees: tuple[int, ...] = ()
+
+
+# The Jacobian table: the one place that names each candidate W, the rule
+# that decides it and every value the report compares.
+CASES: tuple[Case, ...] = (
+    Case(DirectSum((Line(0), Line(-3))), "repeated-root", IMPOSSIBLE, forced_zero_degrees=(-6, -3)),
+    Case(
+        DirectSum((Line(-1), Line(-2))), "genus-two-branch", POSSIBLE,
+        "Calabi-Yau four-fold", "mild-degenerations",
+        dimension=84, params=75, leray_h=(1, 0, 0, 0, 1),
+    ),
+    Case(
+        Cotangent(), "genus-two-branch", POSSIBLE,
+        "irreducible holomorphic symplectic four-fold", "beauville-mukai",
+        dimension=28, params=19, leray_h=(1, 0, 1, 0, 1),
+    ),
+    Case(DirectSum((Line(-2), Line(-2))), "nodal-c1", IMPOSSIBLE),
+)
+
+
+@dataclass(frozen=True)
+class JacobianCase:
+    """What `classify_jacobian_fibrations` derives for one row of CASES."""
+
+    case: Case
+    case_id: str
     d: int  # branch-twist degree; normalizing W to the direct image forces d = c1(W)
     space: SectionSpace
     verdict: Verdict
-    family_type: str | None  # set only for admissible rows
     param_count: int | None  # dimension - rescaling - dim PGL(3)
     leray_h: tuple[int, int, int, int, int] | None
 
 
-def _leray_check(w: BundleExpr) -> tuple[int, int, int, int, int]:
-    data = DirectImageData(Line(0), w, Line(CANONICAL_R2_DEGREE))
-    return total_coh(data)
-
-
 def classify_jacobian_fibrations() -> tuple[JacobianCase, ...]:
-    """The final table over the four candidates for W.
+    """The derived table, one row per row of CASES.
 
     Exactly two admissible rows survive: the split (-1,-2) case (a
     Calabi-Yau four-fold, 75 parameters) and the cotangent case (an
     irreducible holomorphic symplectic four-fold, 19 parameters).
     """
     rows = []
-    for w in W_CANDIDATES:
-        case_id = format_bundle(w)
-        c = chern(w)
-        space = branch_section_space(w)
-        if c.c1 != CANONICAL_R2_DEGREE:
+    for case in CASES:
+        case_id = format_bundle(case.w)
+        d = chern(case.w).c1
+        space = branch_section_space(case.w)
+        documented = d != CANONICAL_R2_DEGREE
+        if documented:
             # the direct image has c1 = -3 whenever the generic singular
             # fibre is integral with a single node; this candidate is ruled
             # out by arithmetic once that documented input is granted
-            step_doc = RuleStep(
-                rule="nodal-c1",
-                detail="generic singular fibre irreducible with one node",
-                checked=False,
+            impossible = True
+            node = "generic singular fibre irreducible with one node"
+            mismatch = f"c1({case_id}) = {d} != {CANONICAL_R2_DEGREE}"
+            steps = (
+                RuleStep("nodal-c1", node, checked=False),
+                RuleStep("first-chern-mismatch", mismatch, checked=True),
             )
-            step_arith = RuleStep(
-                rule="first-chern-mismatch",
-                detail=f"c1({case_id}) = {c.c1} != {CANONICAL_R2_DEGREE}",
-                checked=True,
-            )
-            verdict = Verdict(
-                outcome=IMPOSSIBLE,
-                documented=True,
-                steps=(step_doc, step_arith),
-                assumptions=MILD_DEGENERATIONS,
-            )
-            rows.append(
-                JacobianCase(case_id, w, c.c1, space, verdict, None, None, None)
-            )
-            continue
-        verdict = repeated_root_verdict(space)
-        if verdict.outcome == IMPOSSIBLE:
-            rows.append(
-                JacobianCase(case_id, w, c.c1, space, verdict, None, None, None)
-            )
-            continue
-        h = _leray_check(w)
-        if isinstance(w, Cotangent):
-            family_type = "irreducible holomorphic symplectic four-fold"
-            doc_rule = "beauville-mukai"
         else:
-            family_type = "Calabi-Yau four-fold"
-            doc_rule = "mild-degenerations"
-        annotated = Verdict(
-            outcome=verdict.outcome,
-            documented=False,
-            steps=verdict.steps
-            + (
-                RuleStep(
-                    rule=doc_rule,
-                    detail=f"h^k(O_X) = {h} via the degenerate direct-image bookkeeping",
-                    checked=False,
-                ),
-            ),
-            assumptions=verdict.assumptions,
+            impossible, step = repeated_root(space)
+            steps = (step,)
+        h = params = None
+        if not impossible:
+            h = total_coh(DirectImageData(Line(0), case.w, Line(CANONICAL_R2_DEGREE)))
+            # projectivise the section (one rescaling), quotient by PGL(3)
+            params = param_count([space.dimension], 1)
+            detail = f"h^k(O_X) = {h} via the degenerate direct-image bookkeeping"
+            steps += (RuleStep(case.family_rule, detail, checked=False),)
+        verdict = Verdict(
+            outcome=IMPOSSIBLE if impossible else POSSIBLE,
+            documented=documented,
+            steps=steps,
+            assumptions=MILD_DEGENERATIONS,
         )
-        # projectivise the section (one rescaling), quotient by PGL(3)
-        params = param_count([space.dimension], 1)
-        rows.append(
-            JacobianCase(case_id, w, c.c1, space, annotated, family_type, params, h)
-        )
+        rows.append(JacobianCase(case, case_id, d, space, verdict, params, h))
     return tuple(rows)
 
 

@@ -303,8 +303,11 @@ def resolve_scenario(name_or_path) -> Path:
     names = [p.name] if p.suffix else [p.name + ".scn", p.name]
     for name in names:
         bundled = bundled_scenario_path(name)
-        if bundled.is_file():
-            return bundled
+        try:
+            if bundled.is_file():
+                return bundled
+        except OSError as e:  # name the path given, not the install directory
+            raise OSError(e.errno, e.strerror, str(name_or_path)) from None
     raise FileNotFoundError(f"no scenario file {name_or_path!r} (and no bundled {p.name!r})")
 
 

@@ -20,7 +20,7 @@ from abfib.classifier import (
     split_candidates,
 )
 from abfib.citations import CITATIONS
-from abfib.jacfib import classify_jacobian_fibrations
+from abfib.jacfib import CASES, classify_jacobian_fibrations
 from abfib.sheafcalc import CohVector, Cotangent, DirectSum, Line, chern, coh, riemann_roch
 from oracles import classify_all, documented_rule
 
@@ -318,8 +318,8 @@ def test_every_rule_step_names_a_citation():
         for _, v in classify(class_id, window)
     ]
     verdicts += [row.verdict for row in classify_jacobian_fibrations()]
-    rules = {s.rule for v in verdicts for s in v.steps}
-    assert "first-chern-mismatch" in rules
+    rules = {s.rule for v in verdicts for s in v.steps} | {case.rule_id for case in CASES}
+    assert {"first-chern-mismatch", "genus-two-branch"} <= rules
     assert sorted(rules - CITATIONS.keys()) == []
 
 

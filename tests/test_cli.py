@@ -33,9 +33,12 @@ def test_classify_case_insensitive(capsys):
 
 
 def test_classify_bogus_exits_2(capsys):
-    code, out, err = run(["classify", "bogus"], capsys)
+    code, out, err = run(["classify", "Bogus"], capsys)
     assert code == 2 and not out
-    assert "unknown holonomy class" in err
+    assert err == (
+        "abfib: error: unknown holonomy class 'Bogus'"
+        " (known: sp2, su2, su2xsu2, su3, su4, trivial, or 'all')\n"
+    )
 
 
 def test_usage_errors_exit_2(capsys):
@@ -73,6 +76,8 @@ def test_torus_bundled_and_missing(capsys):
         assert code == 2 and not out, name[:3]
         assert err.startswith("abfib: error: ") and err.count("\n") == 1, name[:3]
         assert "File name too long" in err and "Traceback" not in err, name[:3]
+        # the message names the argument, not the bundled scenarios directory
+        assert "scenarios/" not in err, name[:3]
 
 
 def test_torus_directory_exits_2(tmp_path, capsys):
@@ -139,6 +144,21 @@ def test_classify_gate_commands_pinned(argv, code, md5, monkeypatch, capsys):
     monkeypatch.delenv("ABFIB_SEED", raising=False)
     got, out, err = run(argv.split(), capsys)
     assert got == code and not err
+    assert hashlib.md5(out.encode()).hexdigest() == md5
+
+
+@pytest.mark.parametrize(
+    "argv, md5",
+    [
+        ("jacfib", "ae25ed84fa86b512ab568e022ad9966b"),
+        ("jacfib --format json", "366d4b2cff1706b00c47a647d8353d2e"),
+    ],
+)
+def test_jacfib_gate_commands_pinned(argv, md5, monkeypatch, capsys):
+    # the byte-identical gate for changes to the Jacobian table
+    monkeypatch.delenv("ABFIB_SEED", raising=False)
+    got, out, err = run(argv.split(), capsys)
+    assert got == 0 and not err
     assert hashlib.md5(out.encode()).hexdigest() == md5
 
 

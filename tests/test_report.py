@@ -47,6 +47,12 @@ def test_classify_single_class():
     assert payload["branches"][1]["excluded_if"] is not None
     with pytest.raises(ValueError):
         build_classify("so5")
+    # the one class-id check: case-insensitive, with the CLI's message
+    assert build_classify("SU4") == rep
+    known = "sp2, su2, su2xsu2, su3, su4, trivial, or 'all'"
+    with pytest.raises(ValueError) as e:
+        build_classify("nope")
+    assert str(e.value) == f"unknown holonomy class 'nope' (known: {known})"
 
 
 def test_every_record_carries_a_citation():
