@@ -2,10 +2,12 @@
 
 A family of genus-two curves C -> P^2 sits inside the projectivisation
 of a rank-2 bundle W as a double cover, and its branch divisor is the
-zero locus of a section of O_P(W)(6) twisted down by O(-6); pushing
-forward to the plane, the section lives in
+zero locus of a section of O_P(W)(6) twisted by (det W)^2 = O(2 c1(W));
+pushing forward to the plane, the section lives in
 
-    H^0(P^2, O(-6) tensor Sym^6 W*).
+    H^0(P^2, O(2 c1(W)) tensor Sym^6 W*),
+
+which is O(-6) tensor Sym^6 W* for every W with c1(W) = -3.
 
 `CASES` is the one table of the four candidates for W that survive the
 direct-image analysis: each row names W, the rule that decides it
@@ -36,9 +38,6 @@ from .sheafcalc import (
     sym6_dual_twist,
 )
 from .classifier import IMPOSSIBLE, POSSIBLE, RuleStep, Verdict
-
-# the branch divisor is a sextic in the fibre coordinate twisted by this
-BRANCH_TWIST = -6
 
 # twist degree of R^2, fixed by triviality of the canonical bundle
 CANONICAL_R2_DEGREE = -3
@@ -84,7 +83,7 @@ def borel_weil_dim(w: GL3Weight) -> int:
 
 @dataclass(frozen=True)
 class SectionSpace:
-    """The branch-divisor section space H^0(O(-6) tensor Sym^6 W*).
+    """The branch-divisor section space H^0(O(2 c1(W)) tensor Sym^6 W*).
 
     For split W the space splits by sextic coefficient: degrees[i] is the
     line-bundle degree carrying the coefficient of z^i and dims[i] its h^0.
@@ -101,12 +100,14 @@ class SectionSpace:
 def branch_section_space(w: BundleExpr) -> SectionSpace:
     """Section space of the branch divisor for one candidate W."""
     if isinstance(w, Cotangent):
-        # O(-6) tensor Sym^6 T is the irreducible representation of highest
-        # weight (0,0,6); its sections do not split by coefficient
+        # (det Omega^1)^2 = O(-6), and O(-6) tensor Sym^6 T is the irreducible
+        # representation of highest weight (0,0,6); its sections do not split
+        # by coefficient
         dim = borel_weil_dim(GL3Weight(0, 0, 6))
         return SectionSpace(None, (dim,), dim, forced_zero=())
     a, b = (s.k for s in w.summands)
-    degrees = tuple(sym6_dual_twist(a, b, BRANCH_TWIST))
+    # the branch sextic is twisted by (det W)^2 = O(2 c1(W)) = O(2(a + b))
+    degrees = tuple(sym6_dual_twist(a, b, 2 * (a + b)))
     dims = tuple(coh_line(k).h0 for k in degrees)
     forced = tuple(i for i, k in enumerate(degrees) if k < 0)
     return SectionSpace(degrees, dims, sum(dims), forced)
@@ -184,7 +185,7 @@ class JacobianCase:
 
     case: Case
     case_id: str
-    d: int  # branch-twist degree; normalizing W to the direct image forces d = c1(W)
+    d: int  # c1(W), compared with the canonical degree; the branch twist is O(2d)
     space: SectionSpace
     verdict: Verdict
     param_count: int | None  # dimension - rescaling - dim PGL(3)

@@ -15,6 +15,10 @@ Statuses:
                    payload carries both sides, and each side's own
                    arithmetic is reproduced exactly
 
+Every record is built by `_derived` (its status follows from whether the
+recomputation matched), `_documented` or `discrepancy_record`; no other
+builder writes a status.
+
 Sampling records report pass rates and verified degrees; rate thresholds
 are regression guards that live in the acceptance tests, not here.
 """
@@ -153,26 +157,17 @@ def _verdict_payload(v: classifier.Verdict) -> dict:
     }
 
 
-def _classify_records(class_id: str, pairs) -> list[Record]:
-    out = []
-    for row, v in pairs:
-        t = row.triple
-        payload = _verdict_payload(v)
-        payload["triple"] = list(t)
-        payload["expected_outcome"] = row.outcome
-        if v.outcome != row.outcome:
-            status = DERIVED_FAIL
-        elif v.documented:
-            status = DOCUMENTED_RULE
-            payload["asserted_without_derivation"] = True
-            payload["checked_side_conditions"] = list(
-                dict.fromkeys(s.rule for s in v.machine_steps)
-            )
-        else:
-            status = DERIVED_PASS
-        check = "classify/{}/({},{},{})".format(class_id, *t)
-        out.append(Record(check, cite(row.rule_id), status, payload))
-    return out
+def _classify_record(class_id: str, row: classifier.Rule, v: classifier.Verdict) -> Record:
+    """A row's record: documented while a documented verdict matches the
+    row's outcome, else derived from whether it matches."""
+    t = row.triple
+    check = "classify/{}/({},{},{})".format(class_id, *t)
+    payload = _verdict_payload(v) | {"triple": list(t), "expected_outcome": row.outcome}
+    ok = v.outcome == row.outcome
+    if ok and v.documented:
+        payload["checked_side_conditions"] = list(dict.fromkeys(s.rule for s in v.machine_steps))
+        return _documented(check, row.rule_id, payload)
+    return _derived(check, row.rule_id, ok, payload)
 
 
 def build_classify(selector: str, window=DEFAULT_C1_WINDOW, seed: int = 0) -> Report:
@@ -183,9 +178,7 @@ def build_classify(selector: str, window=DEFAULT_C1_WINDOW, seed: int = 0) -> Re
         raise ValueError(f"unknown holonomy class {given!r} (known: {known}, or 'all')")
     class_ids = CLASS_IDS if selector == "all" else (selector,)
     table = {c: classifier.classify(c, window) for c in class_ids}
-    records: list[Record] = []
-    for c in class_ids:
-        records.extend(_classify_records(c, table[c]))
+    records = [_classify_record(c, row, v) for c in class_ids for row, v in table[c]]
     if selector == "all":
         got = classifier.admissible_class_ids(table)
         records.append(
@@ -214,19 +207,13 @@ def build_torus(path, seed: int = 0) -> Report:
     sc = scenario.load_scenario(scenario.resolve_scenario(path))
     res = scenario.run_scenario(sc)
     name = sc.name
-    records = [
-        Record(
-            f"torus/{name}/group",
-            cite("group-closure"),
-            DERIVED_PASS,
-            {
-                "order": res.order,
-                "abelian": res.abelian,
-                "max_order": res.max_order,
-                "generators": len(sc.generators),
-            },
-        )
-    ]
+    group = {
+        "order": res.order,
+        "abelian": res.abelian,
+        "max_order": res.max_order,
+        "generators": len(sc.generators),
+    }
+    records = [_derived(f"torus/{name}/group", "group-closure", True, group)]
     if sc.model.n > 0:
         payload = {"free": res.free}
         if res.fixed is not None:
@@ -243,42 +230,19 @@ def build_torus(path, seed: int = 0) -> Report:
         records.append(
             _documented(f"torus/{name}/delegated", "formal-factor-action", {"elements": res.delegated})
         )
-    records.append(
-        Record(
-            f"torus/{name}/forms",
-            cite("invariant-forms"),
-            DERIVED_PASS,
-            {"dims": list(res.forms)},
-        )
-    )
-    if res.canonical_failure is not None:
-        records.append(
-            Record(
-                f"torus/{name}/hodge",
-                cite("canonical-triviality"),
-                DERIVED_FAIL,
-                {"h40": res.canonical_failure, "expected_h40": 1},
-            )
-        )
-    elif res.hodge is not None:
-        # schema 1 also carries h^{p,0}, which equals h^q(O_X) for these quotients
-        records.append(
-            Record(
-                f"torus/{name}/hodge",
-                cite("hodge-quotient"),
-                DERIVED_PASS,
-                {"h_q": list(res.hodge.h_q), "h_p0": list(res.hodge.h_q)},
-            )
-        )
-    elif res.dimension != 4:
-        records.append(
-            Record(
-                f"torus/{name}/dimension",
-                cite("four-fold-dimension"),
-                DERIVED_PASS,
-                {"dimension": res.dimension, "hodge": "not computed: not a four-fold"},
-            )
-        )
+    forms = {"dims": list(res.forms)}
+    records.append(_derived(f"torus/{name}/forms", "invariant-forms", True, forms))
+    if res.hodge is None:
+        not_four = {"dimension": res.dimension, "hodge": "not computed: not a four-fold"}
+        records.append(_derived(f"torus/{name}/dimension", "four-fold-dimension", True, not_four))
+    else:
+        h_q = list(res.hodge.h_q)
+        if h_q[4] == 1:
+            # schema 1 also carries h^{p,0}, which equals h^q(O_X) for these quotients
+            rule, payload = "hodge-quotient", {"h_q": h_q, "h_p0": h_q}
+        else:
+            rule, payload = "canonical-triviality", {"h40": h_q[4], "expected_h40": 1}
+        records.append(_derived(f"torus/{name}/hodge", rule, h_q[4] == 1, payload))
     for c in res.checks:
         records.append(
             _derived(
@@ -300,10 +264,13 @@ def _plain(value):
 # ---------------------------------------------------------------------------
 # Weierstrass sampling and parameter counts
 
-# the two fixed configurations whose recorded dimension counts disagree
-# with the plane cohomology recomputation
-STATED_SINGLE = {"l": 3, "dims": (13, 19), "params": 23}
-STATED_PRODUCT = {"l": 1, "l2": 2, "dims": (5, 7, 9, 13), "params": 24}
+# the two configurations whose stated section-space dimensions disagree with
+# the plane cohomology recomputation, keyed by the twists l of their families:
+# (check id, stated dims, stated parameter count)
+STATED = {
+    (3,): ("weierstrass/param-count/elliptic-times-cy3", (13, 19), 23),
+    (1, 2): ("weierstrass/param-count/fibre-product", (5, 7, 9, 13), 24),
+}
 
 
 def _h0_via_rr(k: int) -> int:
@@ -313,34 +280,44 @@ def _h0_via_rr(k: int) -> int:
     return riemann_roch(ChernPair(1, k, 0))
 
 
-def _param_record(check: str, degrees: tuple[int, ...], rescalings: int) -> Record:
+def _coefficient_degrees(ls: tuple[int, ...]) -> list[int]:
+    """Degrees 4l, 6l of the coefficients a, b of each family, one per twist l."""
+    return [d for l in ls for d in (4 * l, 6 * l)]
+
+
+def _param_record(check: str, ls: tuple[int, ...]) -> Record:
+    """Parameter count of the families with twists ls, one rescaling each."""
+    degrees = _coefficient_degrees(ls)
     dims = [coh_line(k).h0 for k in degrees]
     cross = [_h0_via_rr(k) for k in degrees]
-    params = param_count(dims, rescalings)
     return _derived(
         check,
         "param-count",
         dims == cross,
         {
-            "degrees": list(degrees),
+            "degrees": degrees,
             "dims": dims,
             "dims_via_riemann_roch": cross,
-            "rescalings": rescalings,
-            "params": params,
+            "rescalings": len(ls),
+            "params": param_count(dims, len(ls)),
         },
     )
 
 
-def _discrepancy_record(check: str, degrees, stated_dims, stated_params, rescalings) -> Record:
+def discrepancy_record(ls: tuple[int, ...]) -> Record:
+    """The DISCREPANCY record of the STATED row for twists ls: the stated
+    and the recomputed counts, each side's arithmetic reproduced exactly."""
+    check, stated_dims, stated_params = STATED[ls]
+    degrees = _coefficient_degrees(ls)
+    rescalings = len(ls)
     recomputed_dims = [coh_line(k).h0 for k in degrees]
     stated_total = param_count(list(stated_dims), rescalings)
-    recomputed_total = param_count(recomputed_dims, rescalings)
     return Record(
         check,
         cite("stated-dimension-count"),
         DISCREPANCY,
         {
-            "degrees": list(degrees),
+            "degrees": degrees,
             "rescalings": rescalings,
             "stated": {
                 "dims": list(stated_dims),
@@ -350,33 +327,11 @@ def _discrepancy_record(check: str, degrees, stated_dims, stated_params, rescali
             "recomputed": {
                 "dims": recomputed_dims,
                 "sum": sum(recomputed_dims),
-                "params": recomputed_total,
+                "params": param_count(recomputed_dims, rescalings),
                 "citation": cite("recomputed-dimension-count"),
             },
             "stated_arithmetic_ok": stated_total == stated_params,
         },
-    )
-
-
-def single_family_discrepancy() -> Record:
-    l = STATED_SINGLE["l"]
-    return _discrepancy_record(
-        "weierstrass/param-count/elliptic-times-cy3",
-        (4 * l, 6 * l),
-        STATED_SINGLE["dims"],
-        STATED_SINGLE["params"],
-        rescalings=1,
-    )
-
-
-def fibre_product_discrepancy() -> Record:
-    l, l2 = STATED_PRODUCT["l"], STATED_PRODUCT["l2"]
-    return _discrepancy_record(
-        "weierstrass/param-count/fibre-product",
-        (4 * l, 6 * l, 4 * l2, 6 * l2),
-        STATED_PRODUCT["dims"],
-        STATED_PRODUCT["params"],
-        rescalings=2,
     )
 
 
@@ -438,10 +393,10 @@ def build_weierstrass(
             smooth.degree_ok,
             _sampling_payload(smooth),
         ),
-        _param_record("weierstrass/param-count", (4 * l, 6 * l), 1),
+        _param_record("weierstrass/param-count", (l,)),
     ]
-    if l == STATED_SINGLE["l"]:
-        records.append(single_family_discrepancy())
+    if (l,) in STATED:
+        records.append(discrepancy_record((l,)))
     if fibre_product:
         trans = weierstrass.transversality_trials(l, l2, p, seed, trials)
         payload = _sampling_payload(trans)
@@ -449,13 +404,9 @@ def build_weierstrass(
         records.append(
             _derived("weierstrass/transversality", "finite-field-scan", trans.degree_ok, payload)
         )
-        records.append(
-            _param_record(
-                "weierstrass/param-count/product", (4 * l, 6 * l, 4 * l2, 6 * l2), 2
-            )
-        )
-        if (l, l2) == (STATED_PRODUCT["l"], STATED_PRODUCT["l2"]):
-            records.append(fibre_product_discrepancy())
+        records.append(_param_record("weierstrass/param-count/product", (l, l2)))
+        if (l, l2) in STATED:
+            records.append(discrepancy_record((l, l2)))
     args = {"l": l, "p": p, "trials": trials}
     if fibre_product:
         args["fibre_product"] = True
@@ -594,8 +545,7 @@ def build_report_all(seed: int = 0) -> Report:
     records.extend(
         build_weierstrass(1, 101, seed, 20, fibre_product=True, l2=1).records
     )
-    records.append(single_family_discrepancy())
-    records.append(fibre_product_discrepancy())
+    records.extend(discrepancy_record(ls) for ls in STATED)
     records.extend(build_jacfib(seed=seed).records)
     records.append(
         _documented(

@@ -51,14 +51,6 @@ class ClosureError(ValueError):
     """Group closure exceeded the element cap; an input error, so the CLI exits 2."""
 
 
-class NonTrivialCanonical(ValueError):
-    """Quotient has h^{4,0} != 1; carries the offending value."""
-
-    def __init__(self, h40):
-        super().__init__(f"quotient canonical bundle is non-trivial: h^(4,0) = {h40}")
-        self.h40 = h40
-
-
 @dataclass(frozen=True)
 class TorusModel:
     """Product of elliptic curves; equal labels mean the same curve."""
@@ -539,7 +531,8 @@ def quotient_hodge(formal, G: FiniteGroup) -> HodgeData:
     h^{p,0} is the invariant dimension in degree p of the product of the
     torus character det(I + tL) with 1 + sign^parity t^dim per formal factor.
     All characters here are real (signed permutations and literal signs), so
-    h^q(O_X) = conj h^{q,0} = h^{q,0}.
+    h^q(O_X) = conj h^{q,0} = h^{q,0}.  The numbers are returned whatever
+    h^{4,0} is; whether the canonical bundle is trivial is the report's call.
     """
     formal = tuple(formal)
     total = G.model.n + sum(f.dim for f in formal)
@@ -554,7 +547,4 @@ def quotient_hodge(formal, G: FiniteGroup) -> HodgeData:
             char = _poly_mult(char, [1] + [0] * (f.dim - 1) + [f.sign**parity])
         return char
 
-    dims = _average(G, character)
-    if dims[4] != 1:
-        raise NonTrivialCanonical(dims[4])
-    return HodgeData(dims)
+    return HodgeData(_average(G, character))

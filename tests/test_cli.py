@@ -399,6 +399,46 @@ def test_torus_non_four_fold_says_why_no_hodge(tmp_path, capsys):
     assert record["payload"] == {"dimension": 3, "hodge": "not computed: not a four-fold"}
 
 
+# a free quotient of a four-torus whose canonical bundle is not trivial:
+# h^(4,0) = 0, so its hodge record fails and `expect hodge` reads null
+CANON_SCN = """version 1
+name canon
+factor torus e1
+factor torus e2
+factor torus e3
+factor torus e4
+generator z1+1/2, z2, z3, -z4
+expect hodge 1,0,0,0,1
+"""
+
+
+def test_torus_nontrivial_canonical_pinned(tmp_path, monkeypatch, capsys):
+    # the byte-identical gate for a four-fold whose canonical bundle is not
+    # trivial: the report decides that from the Hodge numbers it is given
+    monkeypatch.delenv("ABFIB_SEED", raising=False)
+    (tmp_path / "canon.scn").write_text(CANON_SCN)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(["torus", "canon.scn", "--format", "json"], capsys)
+    assert code == 1 and not err
+    assert hashlib.md5(out.encode()).hexdigest() == "a42d238cc50fc1f7c54af013e3c86942"
+    by_check = {r["check"]: r for r in json.loads(out)["records"]}
+    assert by_check["torus/canon/hodge"]["payload"] == {"expected_h40": 1, "h40": 0}
+    assert by_check["torus/canon/expect/hodge"]["payload"]["actual"] is None
+
+
+def test_weierstrass_help_names_the_budgets(capsys):
+    # cli.py writes these budgets as literals: importing weierstrass there
+    # would load numpy for every command
+    from abfib import weierstrass
+
+    with pytest.raises(SystemExit) as e:
+        main(["weierstrass", "-h"])
+    assert e.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert text.count(f"1 to {weierstrass.MAX_L}") == 2  # --l and --l2
+    assert f"at most {weierstrass.MAX_SCAN_PRIME}" in text
+
+
 def test_weierstrass_small_run(capsys):
     code, out, _ = run(
         ["weierstrass", "--l", "1", "--p", "101", "--trials", "3", "--seed", "0"],

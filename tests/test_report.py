@@ -16,10 +16,9 @@ from abfib.report import (
     build_report_all,
     build_torus,
     build_weierstrass,
-    fibre_product_discrepancy,
+    discrepancy_record,
     render_json,
     render_text,
-    single_family_discrepancy,
 )
 
 
@@ -127,7 +126,7 @@ def test_weierstrass_report_l3_adds_discrepancy():
 
 
 def test_single_family_discrepancy_record():
-    r = single_family_discrepancy()
+    r = discrepancy_record((3,))
     assert r.status == DISCREPANCY
     assert r.payload["stated"] == {"dims": [13, 19], "sum": 32, "params": 23}
     assert r.payload["recomputed"]["dims"] == [91, 190]
@@ -137,7 +136,7 @@ def test_single_family_discrepancy_record():
 
 
 def test_fibre_product_discrepancy_record():
-    r = fibre_product_discrepancy()
+    r = discrepancy_record((1, 2))
     assert r.status == DISCREPANCY
     assert r.payload["stated"] == {"dims": [5, 7, 9, 13], "sum": 34, "params": 24}
     assert r.payload["recomputed"]["dims"] == [15, 28, 45, 91]

@@ -148,10 +148,13 @@ def test_canonical_failure_surfaced():
         "version 1\n"
         "factor torus a\nfactor torus b\nfactor torus c\nfactor torus d\n"
         "generator z1+1/2, z2, z3, -z4\n"
+        "expect hodge 1,0,0,0,1\n"
     )
     r = run_scenario(parse_scenario(text))
-    assert r.hodge is None
-    assert r.canonical_failure == 0
+    assert r.hodge.h_q[4] == 0
+    # a quotient without trivial canonical bundle has no Hodge numbers to expect
+    [check] = r.checks
+    assert check.actual is None and not check.ok
 
 
 def parse_error(text):

@@ -344,3 +344,35 @@ def test_every_class_member_is_read_in_src():
         "    return g.order if c.free else 0\n"
     )
     assert _unread_members([("m", ast.parse(sample))]) == ["m.Cert.unread", "m.G.only_tests", "m.G.y"]
+
+
+def _record_builders(tree: ast.Module) -> list[str]:
+    """Name of the top-level function (or `<module>`) around each call of
+    Record(...) or mod.Record(...), one entry per call."""
+    found = []
+    for stmt in tree.body:
+        owner = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        found += [
+            owner
+            for node in ast.walk(stmt)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "Record"
+        ]
+    return found
+
+
+def test_report_statuses_come_from_three_helpers():
+    # a record's status is decided by _derived (from whether a recomputation
+    # matched), _documented, or the one DISCREPANCY builder; no other builder
+    # writes a status
+    tree = ast.parse((SRC / "report.py").read_text())
+    allowed = {"_derived", "_documented", "discrepancy_record"}
+    assert sorted(set(_record_builders(tree)) - allowed) == []
+    sample = (
+        "def _derived(c, ok):\n"
+        "    return Record(c, PASS if ok else FAIL)\n"
+        "def build(c):\n"
+        "    return [_derived(c, True), Record(c, PASS), report.Record(c, FAIL)]\n"
+        "EXTRA = Record('x', PASS)\n"
+    )
+    assert _record_builders(ast.parse(sample)) == ["_derived", "build", "build", "<module>"]
