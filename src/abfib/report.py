@@ -339,8 +339,8 @@ def _sampling_payload(rec) -> dict:
     from . import weierstrass
 
     failures = [
-        {"trial": o.index, "witness": list(o.witness)}
-        for o in rec.outcomes
+        {"trial": t, "witness": list(o.witness)}
+        for t, o in enumerate(rec.outcomes)
         if not o.ok
     ]
     return {
@@ -372,7 +372,6 @@ def build_weierstrass(
     for name, value in (("l", l), ("l2", l2)):
         if not 1 <= value <= max_l:
             raise ValueError(f"{name} = {value} is outside the twist budget 1..{max_l}")
-    bundle, coeff = weierstrass.weierstrass_bundle_degrees(l)
     smooth = weierstrass.smoothness_trials(l, p, seed, trials)
     records = [
         _derived(
@@ -381,8 +380,8 @@ def build_weierstrass(
             smooth.degree_ok,
             {
                 "l": l,
-                "bundle_degrees": list(bundle),
-                "coefficient_degrees": list(coeff),
+                "bundle_degrees": [2 * l, 3 * l, 0],
+                "coefficient_degrees": _coefficient_degrees((l,)),
                 "discriminant_degree": smooth.degree,
                 "degree_verified_on_samples": smooth.degree_ok,
             },

@@ -336,9 +336,6 @@ class FreeCertificate:
     diag: tuple[int, ...]
     witness: tuple[Fraction, ...] | None
 
-    def __bool__(self) -> bool:
-        return self.free
-
 
 @dataclass(frozen=True)
 class LinearPart:

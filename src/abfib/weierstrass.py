@@ -7,8 +7,10 @@ plane, exact but explicitly NOT a statement about the algebraic closure.
 Scans run in lexicographic order over normalized representatives, so a
 reported witness is always the lexicographically smallest one.
 
-Every scan asks where a composite of forms fails to be smooth.  A
-composite is its forms f_i, the sorted plane indices of its F_p-zeros and
+Three scans, `is_smooth_curve`, `transversal_intersection` and
+`scan_discriminants`, ask where one composite of forms, or the meeting of
+two, fails to be smooth.  A composite is its forms f_i (`HomogPoly`, an
+int64 coefficient matrix), the sorted plane indices of its F_p-zeros and
 one gradient weight w_i per form at each zero, its gradient there being
 sum_i w_i grad f_i: (f,) with weight 1 for a plain curve, (a, b) with
 12a^2 and 54b for 4a^3 + 27b^2, whose values follow from those of a and b
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 
@@ -55,24 +57,11 @@ class HomogPoly:
 
     coeffs[j, k] is the coefficient of x0^(d-j-k)*x1^j*x2^k (zero if
     j + k > d), an int64 in [0, p).  terms lists the nonzero ((i, j, k), c)
-    in reverse-lex order of the exponents; HomogPoly(degree, terms, p)
-    checks every term.
+    in reverse-lex order of the exponents.
     """
 
-    def __init__(self, degree: int, terms, p: int):
-        coeffs = np.zeros((degree + 1, degree + 1), dtype=np.int64)
-        for (i, j, k), c in terms:
-            if min(i, j, k) < 0 or i + j + k != degree:
-                raise ValueError(f"term x0^{i}*x1^{j}*x2^{k} breaks homogeneity")
-            if not isinstance(c, int) or c == 0:
-                raise ValueError("coefficients must be nonzero ints")
-            if not 0 <= c < p:  # before the int64 store, which overflows past 2^63
-                raise ValueError(f"F_p coefficients must lie in [0, {p})")
-            coeffs[j, k] = c
-        self._set(degree, coeffs, p)
-
-    def _set(self, degree: int, coeffs: np.ndarray, p: int) -> HomogPoly:
-        """The invariant check every form passes, then the fields.
+    def __init__(self, degree: int, coeffs: np.ndarray, p: int):
+        """Checks the int64 matrix, then makes it read-only; no copy.
 
         A degree-d form has at most (d+1)(d+2)/2 terms; bounding that many
         products of two entries below 2^63 keeps every int64 sum of products
@@ -90,7 +79,6 @@ class HomogPoly:
         coeffs.flags.writeable = False
         for name, value in (("degree", degree), ("coeffs", coeffs), ("p", p)):
             object.__setattr__(self, name, value)
-        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("HomogPoly is immutable")
@@ -119,21 +107,9 @@ class HomogPoly:
         return not self.coeffs.any()
 
 
-def _from_coeffs(degree: int, coeffs: np.ndarray, p: int) -> HomogPoly:
-    return object.__new__(HomogPoly)._set(degree, coeffs, p)
-
-
 def _same_field(f: HomogPoly, g: HomogPoly):
     if f.p != g.p:
         raise ValueError("mixed coefficient fields")
-
-
-def poly_add(f: HomogPoly, g: HomogPoly) -> HomogPoly:
-    """Entrywise sum mod p; below 2p, so int64 holds it."""
-    _same_field(f, g)
-    if f.degree != g.degree:
-        raise ValueError("cannot add forms of different degrees")
-    return _from_coeffs(f.degree, (f.coeffs + g.coeffs) % f.p, f.p)
 
 
 def poly_mul(f: HomogPoly, g: HomogPoly) -> HomogPoly:
@@ -151,18 +127,7 @@ def poly_mul(f: HomogPoly, g: HomogPoly) -> HomogPoly:
     for row, h in zip(rows, (f, g)):
         row[:, : h.degree + 1] = h.coeffs
     prod = np.convolve(rows[0].ravel(), rows[1].ravel())[: w * w].reshape(w, w)
-    return _from_coeffs(w - 1, prod % p, p)
-
-
-def poly_scale(c: int, f: HomogPoly) -> HomogPoly:
-    """c * f with c reduced first, so int64 holds each product."""
-    return _from_coeffs(f.degree, f.coeffs * (c % f.p) % f.p, f.p)
-
-
-def poly_pow(f: HomogPoly, n: int) -> HomogPoly:
-    if n < 1:
-        raise ValueError("exponent must be positive")
-    return reduce(poly_mul, [f] * n)
+    return HomogPoly(w - 1, prod % p, p)
 
 
 # ---------------------------------------------------------------------------
@@ -183,21 +148,16 @@ class WeierstrassFamily:
         _same_field(self.a, self.b)
 
 
-def weierstrass_bundle_degrees(l: int) -> tuple[tuple[int, int, int], tuple[int, int]]:
-    """Dual-bundle summand degrees (2l, 3l, 0) and section degrees (4l, 6l)."""
-    if l < 1:
-        raise ValueError("l must be >= 1")
-    return (2 * l, 3 * l, 0), (4 * l, 6 * l)
-
-
 _CHAR_ERROR = "discriminant arithmetic needs characteristic outside {2, 3}"
 
 
 def discriminant(w: WeierstrassFamily) -> HomogPoly:
     """4 a^3 + 27 b^2, degree 12l; needs characteristic outside {2, 3}."""
-    if w.a.p in (2, 3):
+    p = w.a.p
+    if p in (2, 3):
         raise ValueError(_CHAR_ERROR)
-    return poly_add(poly_scale(4, poly_pow(w.a, 3)), poly_scale(27, poly_pow(w.b, 2)))
+    a3, b2 = poly_mul(poly_mul(w.a, w.a), w.a), poly_mul(w.b, w.b)
+    return HomogPoly(12 * w.l, (4 * a3.coeffs + 27 * b2.coeffs) % p, p)
 
 
 # ---------------------------------------------------------------------------
@@ -322,9 +282,6 @@ class ScanResult:
     witness: tuple[int, int, int] | None
     points: int
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def _scan_result(bad: np.ndarray, p: int) -> ScanResult:
     """bad holds the sorted lex indices of the failing points."""
@@ -448,7 +405,7 @@ def _discriminant_curve(w: WeierstrassFamily, plane: _Plane):
 
 
 # ---------------------------------------------------------------------------
-# the four scans
+# the three scans
 
 
 def is_smooth_curve(f: HomogPoly) -> ScanResult:
@@ -465,22 +422,14 @@ def transversal_intersection(f: HomogPoly, g: HomogPoly) -> ScanResult:
     return _scan_result(_singular(plane, _curve(f, plane), _curve(g, plane)), p)
 
 
-def is_smooth_discriminant(w: WeierstrassFamily, plane: _Plane | None = None) -> ScanResult:
-    """is_smooth_curve(discriminant(w)), without the degree-12l product.
-    plane, if given, is reused; otherwise the scan builds its own."""
-    p = _check_pair_args(w.a.p, w)
-    plane = plane or _Plane(p, w.b.degree)
-    return _scan_result(_singular(plane, _discriminant_curve(w, plane)), p)
-
-
-def transversal_discriminants(
-    w1: WeierstrassFamily, w2: WeierstrassFamily, plane: _Plane | None = None
-) -> ScanResult:
-    """transversal_intersection(discriminant(w1), discriminant(w2)), without
-    the degree-12l products.  plane, if given, is reused for both families."""
-    p = _check_pair_args(w1.a.p, w1, w2)
-    plane = plane or _Plane(p, max(w1.b.degree, w2.b.degree))
-    curves = [_discriminant_curve(w, plane) for w in (w1, w2)]
+def scan_discriminants(*families: WeierstrassFamily, plane: _Plane | None = None) -> ScanResult:
+    """is_smooth_curve(discriminant(w)) for one family and
+    transversal_intersection(discriminant(w1), discriminant(w2)) for two,
+    without the degree-12l products.  plane, if given, is reused for every
+    family; otherwise the scan builds its own."""
+    p = _check_pair_args(families[0].a.p, *families)
+    plane = plane or _Plane(p, max(w.b.degree for w in families))
+    curves = [_discriminant_curve(w, plane) for w in families]
     return _scan_result(_singular(plane, *curves), p)
 
 
@@ -518,7 +467,7 @@ def _homog_from_draws(degree: int, values: np.ndarray, p: int) -> HomogPoly:
     i, j = np.nonzero(np.add.outer(r, r) <= degree)  # exponents of x0 and x1, in draw order
     coeffs = np.zeros((degree + 1, degree + 1), dtype=np.int64)
     coeffs[j, degree - i - j] = values
-    return _from_coeffs(degree, coeffs, p)
+    return HomogPoly(degree, coeffs, p)
 
 
 def random_family(l: int, p: int, rng: random.Random) -> WeierstrassFamily:
@@ -531,15 +480,9 @@ def random_family(l: int, p: int, rng: random.Random) -> WeierstrassFamily:
 
 
 @dataclass(frozen=True)
-class TrialOutcome:
-    index: int
-    ok: bool
-    witness: tuple[int, int, int] | None
-
-
-@dataclass(frozen=True)
 class SamplingRecord:
-    """Pass rate of a seeded sampling run; failures are resampled, not fatal."""
+    """Pass rate of a seeded sampling run; failures are resampled, not fatal.
+    outcomes holds each trial's scan, in trial order."""
 
     p: int
     seed: int
@@ -547,26 +490,26 @@ class SamplingRecord:
     passes: int
     degree: int
     degree_ok: bool
-    outcomes: tuple[TrialOutcome, ...]
+    outcomes: tuple[ScanResult, ...]
 
     @property
     def rate(self) -> str:
         return f"{self.passes}/{self.trials}"
 
 
-def _trials(ls: tuple[int, ...], p: int, seed: int, trials: int, scan):
+def _trials(ls: tuple[int, ...], p: int, seed: int, trials: int):
     """Per trial, sample one family per twist in ls and scan their
     discriminants, every family in one plane context."""
     rng = random.Random(seed)
-    # p passes the checks the scan makes before anything is sampled
-    plane = _Plane(_check_pair_args(p), 6 * max(ls)) if trials else None
+    # p passes the scan's checks before anything is sampled, for any trials
+    _check_pair_args(p)
+    plane = _Plane(p, 6 * max(ls)) if trials else None
     outcomes, degree_ok = [], True
-    for t in range(trials):
+    for _ in range(trials):
         families = [random_family(l, p, rng) for l in ls]
         # deg(4a^3 + 27b^2) = 3 deg a = 2 deg b
         degree_ok &= all(3 * w.a.degree == 2 * w.b.degree == 12 * l for w, l in zip(families, ls))
-        result = scan(*families, plane=plane)
-        outcomes.append(TrialOutcome(t, result.ok, result.witness))
+        outcomes.append(scan_discriminants(*families, plane=plane))
     return SamplingRecord(
         p=p,
         seed=seed,
@@ -580,9 +523,9 @@ def _trials(ls: tuple[int, ...], p: int, seed: int, trials: int, scan):
 
 def smoothness_trials(l: int, p: int, seed: int, trials: int) -> SamplingRecord:
     """Sample families, test discriminant smoothness, record the pass rate."""
-    return _trials((l,), p, seed, trials, is_smooth_discriminant)
+    return _trials((l,), p, seed, trials)
 
 
 def transversality_trials(l1: int, l2: int, p: int, seed: int, trials: int) -> SamplingRecord:
     """Sample two families and test that their discriminants meet transversally."""
-    return _trials((l1, l2), p, seed, trials, transversal_discriminants)
+    return _trials((l1, l2), p, seed, trials)

@@ -232,13 +232,19 @@ def graded_character_minors(L) -> list[int]:
 
 
 def zero_poly(degree: int, p: int) -> HomogPoly:
-    return HomogPoly(degree, (), p)
+    return HomogPoly(degree, np.zeros((degree + 1, degree + 1), dtype=np.int64), p)
 
 
 def poly(degree: int, coeffs: dict, p: int) -> HomogPoly:
-    """Build a form over F_p from {(i,j,k): coefficient}; reduces and validates."""
-    reduced = ((e, c % p) for e, c in coeffs.items())
-    return HomogPoly(degree, tuple((e, c) for e, c in reduced if c), p)
+    """Build a form over F_p from {(i,j,k): coefficient}: each coefficient is
+    reduced mod p and stored at [j, k] of the int64 matrix `HomogPoly`
+    checks."""
+    matrix = np.zeros((degree + 1, degree + 1), dtype=np.int64)
+    for (i, j, k), c in coeffs.items():
+        if min(i, j, k) < 0 or i + j + k != degree:
+            raise ValueError(f"term x0^{i}*x1^{j}*x2^{k} breaks homogeneity")
+        matrix[j, k] = c % p
+    return HomogPoly(degree, matrix, p)
 
 
 def randranges(rng, p: int, n: int) -> list[int]:
@@ -269,7 +275,7 @@ def poly_mul_dict(f, g):
 
 
 def poly_add_dict(f, g):
-    """Term-by-term sum: the reference for `weierstrass.poly_add`."""
+    """Term-by-term sum of two forms of one degree, for hand-built families."""
     if f.p != g.p or f.degree != g.degree:
         raise ValueError("forms of different fields or degrees")
     acc = dict(f.terms)
@@ -279,7 +285,7 @@ def poly_add_dict(f, g):
 
 
 def poly_scale_dict(c, f):
-    """Term-by-term multiple: the reference for `weierstrass.poly_scale`."""
+    """Term-by-term multiple, for hand-built families."""
     return poly(f.degree, {e: c * v for e, v in f.terms}, f.p)
 
 

@@ -269,6 +269,10 @@ def test_weierstrass_twist_budget(capsys):
         # deep-shaped: many terms at small primes; p = 5 rejects 3 of its 8 shifted words
         ("weierstrass --l 4 --p 47 --trials 2", "e81cbb437b70375dcdca59334595fc41"),
         ("weierstrass --l 3 --p 5 --trials 3", "9fb284fdd3e4fbd928c97b5571ca854b"),
+        # mixed twists share one plane sized for the larger: the paper's
+        # (1, 2) fibre product, then the larger family first with witnesses
+        ("weierstrass --l 1 --p 101 --trials 5 --fibre-product --l2 2", "feb65c709c201a244addf7f537c49d3f"),
+        ("weierstrass --l 2 --p 5 --trials 6 --fibre-product --l2 1", "122340dd089fa37d8d55d54a7c2194ab"),
     ],
 )
 def test_scan_gate_commands_pinned(argv, md5, monkeypatch, capsys):

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -376,3 +377,139 @@ def test_report_statuses_come_from_three_helpers():
         "EXTRA = Record('x', PASS)\n"
     )
     assert _record_builders(ast.parse(sample)) == ["_derived", "build", "build", "<module>"]
+
+
+# The commands the reachability guard runs in one process, with their exit
+# codes: every subcommand, `report all` in both formats, every bundled
+# scenario, the hand-written scenarios below and the exit-2 paths.
+HAND_WRITTEN_SCENARIOS = {
+    "neg.scn": "version 1\nname neg\nfactor torus e1\ngenerator -z1\n",
+    "ecy.scn": "version 1\nname ecy\nfactor torus e1\nfactor cy3 -1\ngenerator -z1+1/2, -\n",
+    "ek3.scn": "version 1\nname ek3\nfactor torus e1\nfactor k3 -1\ngenerator z1+1/2, -\n",
+    "canon.scn": (
+        "version 1\nname canon\nfactor torus e1\nfactor torus e2\nfactor torus e3\n"
+        "factor torus e4\ngenerator z1+1/2, z2, z3, -z4\nexpect hodge 1,0,0,0,1\n"
+    ),
+    "broken.scn": "version 1\nname broken\nfactor torus e1\ngenerator z2\n",
+}
+REACH_COMMANDS = [
+    ("classify all", 0),
+    ("classify SU2xSU2 --format json", 0),
+    *((f"torus {path.stem}", 0) for path in sorted((SRC / "scenarios").glob("*.scn"))),
+    ("torus neg.scn", 1),
+    ("torus ecy.scn", 0),
+    ("torus ek3.scn --format json", 0),
+    ("torus canon.scn", 1),
+    ("weierstrass --l 1 --p 101 --trials 5", 0),
+    ("weierstrass --l 2 --p 5 --trials 6 --fibre-product --l2 1 --format json", 0),
+    ("jacfib", 0),
+    ("report all", 0),
+    ("report all --format json", 0),
+    # exit 2: a usage error, a bad scenario, a missing file, inputs past a budget
+    ("nope", 2),
+    ("torus broken.scn", 2),
+    ("torus missing.scn", 2),
+    ("classify all --window 5 1", 2),
+    ("weierstrass --trials 0", 2),
+    ("weierstrass --l 9 --trials 1", 2),
+    ("weierstrass --p 4 --trials 1", 2),
+]
+
+# Functions and methods in `src/` that no command above runs, each with why
+# it stays; names perfbench reads take their reason from EXTERNAL_READERS.
+ZERO_ON_THE_PLANE = "only a discriminant that vanishes on every F_p-point reaches it"
+PLAIN_CURVE = "the tests' plain-curve reference"
+PLAIN_SCANS_ONLY = "runs only under is_smooth_curve and transversal_intersection"
+VALUE_SEMANTICS = "value semantics that the tests compare forms by"
+UNREACHED = {
+    "weierstrass.poly_mul": ZERO_ON_THE_PLANE,
+    "weierstrass.discriminant": ZERO_ON_THE_PLANE,
+    "weierstrass.HomogPoly.is_zero": ZERO_ON_THE_PLANE,
+    **{
+        name: f"{EXTERNAL_READERS[name]}; {PLAIN_CURVE}"
+        for name in ("weierstrass.is_smooth_curve", "weierstrass.transversal_intersection")
+    },
+    "weierstrass._curve": PLAIN_SCANS_ONLY,
+    "weierstrass._check_scan_args": PLAIN_SCANS_ONLY,
+    "weierstrass.HomogPoly.terms": "perfbench checks.py and tracing.py read it",
+    "weierstrass.HomogPoly.__setattr__": "runs only on a mutation attempt",
+    "weierstrass.HomogPoly.__eq__": VALUE_SEMANTICS,
+    "weierstrass.HomogPoly.__hash__": VALUE_SEMANTICS,
+    "weierstrass.HomogPoly.__repr__": VALUE_SEMANTICS,
+}
+
+# runs each command through cli.main with sys.settrace on, recording the
+# qualified name of every code object in `src/` that is called
+TRACE_SCRIPT = """
+import contextlib, io, json, sys
+from pathlib import Path
+src, commands = sys.argv[1], json.loads(sys.argv[2])
+ran = set()
+
+def called(frame, event, arg):
+    code = frame.f_code
+    if code.co_filename.startswith(src):
+        ran.add(Path(code.co_filename).stem + "." + code.co_qualname)
+
+sys.settrace(called)
+from abfib.cli import main
+codes = []
+for argv in commands:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            codes.append(main(argv.split()))
+        except SystemExit as e:
+            codes.append(e.code)
+sys.settrace(None)
+print(json.dumps([codes, sorted(ran)]))
+"""
+
+
+def _function_names(tree: ast.AST, prefix: str = "") -> list[str]:
+    """The __qualname__ of every def in tree, nested ones included."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found.append(prefix + node.name)
+            found += _function_names(node, f"{prefix}{node.name}.<locals>.")
+        elif isinstance(node, ast.ClassDef):
+            found += _function_names(node, f"{prefix}{node.name}.")
+        else:
+            found += _function_names(node, prefix)
+    return found
+
+
+def test_every_src_function_runs_under_some_command(tmp_path):
+    # code that no command runs is kept only for tests, unless UNREACHED
+    # names it with a reason
+    for name, text in HAND_WRITTEN_SCENARIOS.items():
+        (tmp_path / name).write_text(text)
+    commands = [argv for argv, _ in REACH_COMMANDS]
+    path = os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])
+    env = {k: v for k, v in os.environ.items() if k != "ABFIB_SEED"} | {"PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACE_SCRIPT, f"{SRC}{os.sep}", json.dumps(commands)],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    codes, ran = json.loads(proc.stdout)
+    assert dict(zip(commands, codes)) == dict(REACH_COMMANDS)
+    defined = {
+        f"{path.stem}.{name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name in _function_names(ast.parse(path.read_text()))
+    }
+    assert sorted(defined - set(ran)) == sorted(UNREACHED)
+    sample = (
+        "def f():\n"
+        "    def g():\n"
+        "        pass\n"
+        "class C:\n"
+        "    @property\n"
+        "    def p(self):\n"
+        "        return [lambda: 0]\n"
+        "    if True:\n"
+        "        async def h(self):\n"
+        "            pass\n"
+    )
+    assert _function_names(ast.parse(sample)) == ["f", "f.<locals>.g", "C.p", "C.h"]

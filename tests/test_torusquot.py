@@ -603,7 +603,7 @@ def test_negation_has_fixed_points():
     m = one_curve()
     neg = Element.of(m, [[-1]], [(0, 0)])
     cert = certificate(neg)
-    assert not cert.free and not cert
+    assert not cert.free
     assert cert.witness is not None
     # the 2-torsion points, found independently on the half-integer grid
     assert len(grid_fixed_points(neg, 2)) == 4
@@ -614,7 +614,7 @@ def test_half_shift_is_free():
     m = one_curve()
     shift = Element.of(m, [[1]], [(F(1, 2), 0)])
     cert = certificate(shift)
-    assert cert.free and cert
+    assert cert.free
     assert cert.witness is None
     assert grid_fixed_points(shift, 8) == []
     assert fixed_point_free_brute(shift) is True

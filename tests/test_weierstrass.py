@@ -12,29 +12,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import abfib
-from abfib import weierstrass
+from abfib import report, weierstrass
 from abfib.weierstrass import (
     MAX_L,
     MAX_SCAN_PRIME,
     _eval_plane,
-    _from_coeffs,
     _pow_table,
     HomogPoly,
     ScanResult,
     WeierstrassFamily,
     discriminant,
     is_smooth_curve,
-    is_smooth_discriminant,
-    poly_add,
     poly_mul,
-    poly_pow,
-    poly_scale,
     random_family,
+    scan_discriminants,
     smoothness_trials,
-    transversal_discriminants,
     transversal_intersection,
     transversality_trials,
-    weierstrass_bundle_degrees,
 )
 from abfib.sheafcalc import param_count
 from oracles import (
@@ -245,27 +239,24 @@ def assert_canonical_terms(f):
 def test_array_ops_match_dict_oracles(p, data):
     f = data.draw(forms(p))
     g = data.draw(forms(p, f.degree))
-    scalar = data.draw(st.integers(-2 * p, 2 * p))
-    results = [
-        (poly_add(f, g), poly_add_dict(f, g)),
-        (poly_scale(scalar, f), poly_scale_dict(scalar, f)),
-        (poly_mul(f, g), poly_mul_dict(f, g)),
-    ]
-    for got, want in results:
-        assert got == want
-        assert got.terms == want.terms and hash(got) == hash(want)
-        assert_canonical_terms(got)
+    got, want = poly_mul(f, g), poly_mul_dict(f, g)
+    assert got == want
+    assert got.terms == want.terms and hash(got) == hash(want)
+    assert_canonical_terms(got)
     assert_canonical_terms(f)
 
 
 @pytest.mark.parametrize("p", MUL_FIELDS)
 def test_array_ops_on_zero_and_constant_forms(p):
+    # the constructor and the product on 1 x 1 and all-zero matrices
     const = poly(0, {(0, 0, 0): p - 1}, p)
+    assert const.terms == (((0, 0, 0), p - 1),)
     for f in (const, zero_poly(0, p), zero_poly(4, p)):
-        assert poly_add(f, f) == poly_add_dict(f, f)
-        assert poly_scale(0, f).is_zero() and poly_scale(0, f).degree == f.degree
-    assert poly_add(const, poly_scale(-1, const)) == zero_poly(0, p)
-    assert poly_scale(3, const) == poly_scale_dict(3, const)
+        again = HomogPoly(f.degree, f.coeffs.copy(), p)
+        assert again == f and again.terms == f.terms and hash(again) == hash(f)
+        assert poly_mul(f, f) == poly_mul_dict(f, f)
+        assert poly_mul(zero_poly(0, p), f).is_zero() and poly_mul(const, f).degree == f.degree
+    assert poly_mul(const, const) == poly(0, {(0, 0, 0): 1}, p)  # (p - 1)^2 = 1 mod p
 
 
 @pytest.mark.parametrize("p", MUL_FIELDS)
@@ -412,7 +403,7 @@ def test_internal_matrix_invariant_raises():
     p, d = 7, 2
     good = np.zeros((d + 1, d + 1), dtype=np.int64)
     good[0, 2] = good[2, 0] = 6  # x2^2 and x1^2, on the anti-diagonal
-    assert _from_coeffs(d, good.copy(), p) == poly(d, {(0, 0, 2): 6, (0, 2, 0): 6}, p)
+    assert HomogPoly(d, good.copy(), p) == poly(d, {(0, 0, 2): 6, (0, 2, 0): 6}, p)
 
     def changed(j, k, value, base=good):
         m = base.copy()
@@ -433,8 +424,8 @@ def test_internal_matrix_invariant_raises():
     ]
     for degree, m, field in bad:
         with pytest.raises(ValueError):
-            _from_coeffs(degree, m, field)
-    f = _from_coeffs(d, good.copy(), p)
+            HomogPoly(degree, m, field)
+    f = HomogPoly(d, good.copy(), p)
     with pytest.raises(AttributeError):
         f.degree = 3
     with pytest.raises(ValueError):
@@ -446,18 +437,18 @@ def test_internal_matrix_invariant_raises_under_optimize():
     script = (
         "import sys\n"
         "import numpy as np\n"
-        "from abfib.weierstrass import _from_coeffs\n"
+        "from abfib.weierstrass import HomogPoly\n"
         "raised = []\n"
         "for value, j, k in ((7, 0, 0), (-1, 0, 0), (1, 2, 1)):\n"
         "    m = np.zeros((3, 3), dtype=np.int64)\n"
         "    m[j, k] = value\n"
         "    try:\n"
-        "        _from_coeffs(2, m, 7)\n"
+        "        HomogPoly(2, m, 7)\n"
         "    except ValueError:\n"
         "        raised.append(value)\n"
         "for m, p in ((np.zeros((3, 4), dtype=np.int64), 7), (np.zeros((3, 3), dtype=np.int64), 2**31)):\n"
         "    try:\n"
-        "        _from_coeffs(2, m, p)\n"
+        "        HomogPoly(2, m, p)\n"
         "    except ValueError:\n"
         "        raised.append(p)\n"
         "print(sys.flags.optimize, raised)\n"
@@ -479,10 +470,10 @@ def test_p_bound_is_the_int64_edge():
         edge = largest_modulus(degree)
         m = np.zeros((degree + 1, degree + 1), dtype=np.int64)
         m[0, degree] = edge - 1
-        assert _from_coeffs(degree, m.copy(), edge).terms == (((0, 0, degree), edge - 1),)
+        assert HomogPoly(degree, m.copy(), edge).terms == (((0, 0, degree), edge - 1),)
         with pytest.raises(ValueError, match=f"^p = {edge + 1} is beyond exact int64 products"):
-            _from_coeffs(degree, m, edge + 1)
-    assert HomogPoly(0, (((0, 0, 0), 1),), largest_modulus(0)).p == largest_modulus(0)
+            HomogPoly(degree, m, edge + 1)
+    assert poly(0, {(0, 0, 0): 1}, largest_modulus(0)).p == largest_modulus(0)
     with pytest.raises(ValueError, match="beyond exact int64 products at degree 4"):
         random_family(1, 2**61 - 1, random.Random(0))
 
@@ -498,7 +489,7 @@ def test_int64_edge_discriminant_full_coefficients():
 
     w = WeierstrassFamily(l, full(4 * l), full(6 * l))
     a3 = poly_mul_dict(poly_mul_dict(w.a, w.a), w.a)
-    expected = poly_add(poly_scale(4, a3), poly_scale(27, poly_mul_dict(w.b, w.b)))
+    expected = poly_add_dict(poly_scale_dict(4, a3), poly_scale_dict(27, poly_mul_dict(w.b, w.b)))
     assert discriminant(w) == expected
     assert expected.degree == 12 * l
 
@@ -535,11 +526,11 @@ def test_pair_scans_match_discriminant_scans(p):
         families = [random_family(l, p, rng) for _ in range(2 if l < 5 else 1)]
         families.append(random_family(1 + l % 3, p, rng))  # a second twist
         for w in families[:-1]:
-            scan = is_smooth_discriminant(w)
+            scan = scan_discriminants(w)
             assert scan == reference_smooth(w), (l, p)
             smooth.add(scan.ok)
             for other in (families[-1], w):
-                scan = transversal_discriminants(w, other)
+                scan = scan_discriminants(w, other)
                 assert scan == reference_transversal(w, other), (l, p)
                 transversal.add(scan.ok)
     assert False in smooth and False in transversal
@@ -560,19 +551,20 @@ def test_pair_scans_at_the_largest_size():
     tab, plane = _pow_table(p, 96), weierstrass._Plane(p, 48)
     at = (p + 1) + 1 * p + 235  # lex index of (1:1:235)
     for w in (w1, full):
-        assert is_smooth_discriminant(w) == reference_smooth(w)
+        assert scan_discriminants(w) == reference_smooth(w)
         # the zero set itself, not only the scan's verdict
         _, zeros, _ = weierstrass._discriminant_curve(w, plane)
         assert zeros.tolist() == np.flatnonzero(eval_plane(discriminant(w), tab, p) == 0).tolist()
     assert at in zeros
-    assert transversal_discriminants(w1, w2) == reference_transversal(w1, w2)
-    assert transversal_discriminants(full, w1) == reference_transversal(full, w1)
+    assert scan_discriminants(w1, w2) == reference_transversal(w1, w2)
+    assert scan_discriminants(full, w1) == reference_transversal(full, w1)
 
 
 def cusp_family(q, r):
     """a = -3q^2, b = 2q^3 + r: 4a^3 + 27b^2 = 27r(4q^3 + r)."""
+    q2 = poly_mul_dict(q, q)
     return WeierstrassFamily(
-        1, poly_scale(-3, poly_mul(q, q)), poly_add(poly_scale(2, poly_pow(q, 3)), r)
+        1, poly_scale_dict(-3, q2), poly_add_dict(poly_scale_dict(2, poly_mul_dict(q2, q)), r)
     )
 
 
@@ -595,14 +587,14 @@ def test_pair_scans_on_hand_built_families(p):
     assert not discriminant(cusp).is_zero()
     tab = _pow_table(p, 6)
     for w in (cusp, pure_b, pure_a):
-        scan = is_smooth_discriminant(w)
+        scan = scan_discriminants(w)
         assert scan == reference_smooth(w)
         for other in (cusp, pure_b, pure_a):
-            assert transversal_discriminants(w, other) == reference_transversal(w, other)
+            assert scan_discriminants(w, other) == reference_transversal(w, other)
     # 27b^2 and 4a^3 are singular exactly at the F_p-zeros of b and of a
     for w, f in ((pure_b, pure_b.b), (pure_a, pure_a.a)):
         zeros = np.flatnonzero(eval_plane(f, tab, p) == 0)
-        scan = is_smooth_discriminant(w)
+        scan = scan_discriminants(w)
         assert scan.ok == (zeros.size == 0)
         if zeros.size:
             assert scan.witness == weierstrass._plane_point(int(zeros[0]), p)
@@ -617,10 +609,10 @@ def test_pair_scans_find_a_node_away_from_a_and_b(p):
     node = cusp_family(q, poly(6, {(4, 1, 1): 1}, p))
     tab = _pow_table(p, 6)
     assert [int(eval_plane(f, tab, p)[0]) for f in (node.a, node.b)] == [p - 3, 2]
-    scan = is_smooth_discriminant(node)
+    scan = scan_discriminants(node)
     assert (scan.ok, scan.witness) == (False, (0, 0, 1))
     assert scan == reference_smooth(node)
-    assert transversal_discriminants(node, node) == reference_transversal(node, node)
+    assert scan_discriminants(node, node) == reference_transversal(node, node)
 
 
 @pytest.mark.parametrize("p", (7, 31, 101))
@@ -667,8 +659,8 @@ def test_kernel_returns_every_singular_index(p):
             (is_smooth_curve, (d1,), [weierstrass._curve(d1, plane)], (d1,)),
             (transversal_intersection, (d1, d2),
              [weierstrass._curve(d1, plane), weierstrass._curve(d2, plane)], (d1, d2)),
-            (is_smooth_discriminant, (w,), [weierstrass._discriminant_curve(w, plane)], (d1,)),
-            (transversal_discriminants, (w, other),
+            (scan_discriminants, (w,), [weierstrass._discriminant_curve(w, plane)], (d1,)),
+            (scan_discriminants, (w, other),
              [weierstrass._discriminant_curve(v, plane) for v in (w, other)], (d1, d2)),
         ]
         for scan, args, curves, built in cases:
@@ -686,16 +678,13 @@ def test_pair_scans_reject_the_zero_discriminant():
     # a = -3q^2, b = 2q^3: 4a^3 + 27b^2 = -108q^6 + 108q^6 = 0
     p, rng = 101, random.Random(4)
     q = random_homog(2, p, rng)
-    zero = WeierstrassFamily(1, poly_scale(-3, poly_mul(q, q)), poly_scale(2, poly_pow(q, 3)))
+    q2 = poly_mul_dict(q, q)
+    zero = WeierstrassFamily(1, poly_scale_dict(-3, q2), poly_scale_dict(2, poly_mul_dict(q2, q)))
     assert discriminant(zero).is_zero()
     smooth = random_family(1, p, rng)
-    for scan, args in (
-        (is_smooth_discriminant, (zero,)),
-        (transversal_discriminants, (zero, smooth)),
-        (transversal_discriminants, (smooth, zero)),
-    ):
+    for families in ((zero,), (zero, smooth), (smooth, zero)):
         with pytest.raises(ValueError, match="^zero polynomial$"):
-            scan(*args)
+            scan_discriminants(*families)
     assert reference_smooth(zero) == "ValueError: zero polynomial"
     assert reference_transversal(smooth, zero) == "ValueError: zero polynomial"
 
@@ -709,7 +698,7 @@ def test_pair_scan_of_a_nonzero_discriminant_vanishing_on_every_point(monkeypatc
     built = []
     build = weierstrass.discriminant
     monkeypatch.setattr(weierstrass, "discriminant", lambda f: built.append(f) or build(f))
-    scan = is_smooth_discriminant(w)
+    scan = scan_discriminants(w)
     assert built == [w]
     assert (scan.ok, scan.points) == (False, 31)
     assert scan == reference_smooth(w)
@@ -723,8 +712,8 @@ def test_pair_scans_with_no_zero_build_no_partial(monkeypatch):
     w = WeierstrassFamily(1, a, zero_poly(6, p))
     partials = []
     monkeypatch.setattr(weierstrass, "_partials", lambda *args: partials.append(args))
-    assert is_smooth_discriminant(w) == ScanResult(True, None, 31)
-    assert transversal_discriminants(w, random_family(1, p, random.Random(0))).ok
+    assert scan_discriminants(w) == ScanResult(True, None, 31)
+    assert scan_discriminants(w, random_family(1, p, random.Random(0))).ok
     assert partials == []
 
 
@@ -741,10 +730,10 @@ def test_pair_scans_evaluate_a_and_b_once_on_the_whole_plane(monkeypatch):
     for l, p in ((1, 101), (3, 31)):
         w1, w2 = random_family(l, p, rng), random_family(l, p, rng)
         calls.clear()
-        is_smooth_discriminant(w1)
+        scan_discriminants(w1)
         assert calls == [w1.a, w1.b]
         calls.clear()
-        transversal_discriminants(w1, w2)
+        scan_discriminants(w1, w2)
         assert calls == [w1.a, w1.b, w2.a, w2.b]
 
 
@@ -755,7 +744,7 @@ def test_trials_never_build_the_discriminant(monkeypatch):
         (transversality_trials, (1, 2, 101, 0, 4)),
     ]
     records = [trials(*args) for trials, args in expected]
-    for name in ("discriminant", "poly_pow", "poly_mul"):
+    for name in ("discriminant", "poly_mul"):
         monkeypatch.setattr(weierstrass, name, lambda *args, name=name: pytest.fail(name))
     assert [trials(*args) for trials, args in expected] == records
     assert all(rec.degree_ok for rec in records)
@@ -771,13 +760,13 @@ def test_pair_scan_argument_validation():
         (263, "p = 263 exceeds the scan budget 257"),
     ):
         w = random_family(1, p, rng)
-        for scan, args in ((is_smooth_discriminant, (w,)), (transversal_discriminants, (w, w))):
+        for families in ((w,), (w, w)):
             with pytest.raises(ValueError) as e:
-                scan(*args)
+                scan_discriminants(*families)
             assert str(e.value) == message
             assert reference_smooth(w) == f"ValueError: {message}"
     with pytest.raises(ValueError, match="mixed coefficient fields"):
-        transversal_discriminants(random_family(1, 7, rng), random_family(1, 11, rng))
+        scan_discriminants(random_family(1, 7, rng), random_family(1, 11, rng))
 
 
 def test_float64_plane_products_exact_at_the_largest_size():
@@ -898,7 +887,7 @@ def test_plane_rejects_a_form_it_was_not_sized_for():
         with pytest.raises(ValueError, match="does not fit the plane buffers"):
             _eval_plane(f, plane, plane.a)
     with pytest.raises(ValueError, match="does not fit the plane buffers"):
-        is_smooth_discriminant(random_family(2, 31, rng), weierstrass._Plane(31, 6))
+        scan_discriminants(random_family(2, 31, rng), plane=weierstrass._Plane(31, 6))
 
 
 def test_second_family_reuses_the_plane_buffers():
@@ -915,10 +904,10 @@ def test_second_family_reuses_the_plane_buffers():
     try:
         for scan in (
             lambda: weierstrass._discriminant_curve(w2, plane),
-            lambda: is_smooth_discriminant(w2, plane),
-            lambda: transversal_discriminants(w2, w3, plane),
+            lambda: scan_discriminants(w2, plane=plane),
+            lambda: scan_discriminants(w2, w3, plane=plane),
         ):
-            is_smooth_discriminant(w1, plane)
+            scan_discriminants(w1, plane=plane)
             tracemalloc.reset_peak()
             current = tracemalloc.get_traced_memory()[0]
             scan()
@@ -941,6 +930,15 @@ def test_trials_build_one_plane_per_run(monkeypatch):
     built.clear()
     smoothness_trials(1, 101, 0, 0)
     assert built == []
+
+
+def test_trials_check_p_whatever_the_trial_count():
+    # zero trials build no plane and sample nothing, but p is checked first
+    for trials in (0, 1):
+        with pytest.raises(ValueError, match="^p = 4 must be a prime outside"):
+            smoothness_trials(1, 4, 0, trials)
+        with pytest.raises(ValueError, match="^p = 263 exceeds the scan budget 257$"):
+            transversality_trials(1, 2, 263, 0, trials)
 
 
 # ---------------------------------------------------------------------------
@@ -1009,11 +1007,18 @@ def test_scan_argument_validation():
 
 
 def test_bundle_degrees():
-    assert weierstrass_bundle_degrees(3) == ((6, 9, 0), (12, 18))
-    assert weierstrass_bundle_degrees(1) == ((2, 3, 0), (4, 6))
-    assert weierstrass_bundle_degrees(2) == ((4, 6, 0), (8, 12))
-    with pytest.raises(ValueError):
-        weierstrass_bundle_degrees(0)
+    # the dual-bundle summands (2l, 3l, 0) and the sections (4l, 6l), as the
+    # weierstrass/degrees record states them
+    for l, bundle, coefficients in (
+        (3, [6, 9, 0], [12, 18]),
+        (1, [2, 3, 0], [4, 6]),
+        (2, [4, 6, 0], [8, 12]),
+    ):
+        degrees = report.build_weierstrass(l, 7, 0, 1).records[0]
+        assert degrees.payload["bundle_degrees"] == bundle
+        assert degrees.payload["coefficient_degrees"] == coefficients
+    with pytest.raises(ValueError, match="twist budget"):
+        report.build_weierstrass(0, 7, 0, 1)
 
 
 def test_family_degree_validation():
@@ -1060,10 +1065,10 @@ def test_scaling_covariance():
     base_ok = is_smooth_curve(base).ok
     for lam in (2, 3, 50):
         scaled = WeierstrassFamily(
-            1, poly_scale(pow(lam, 4, p), fam.a), poly_scale(pow(lam, 6, p), fam.b)
+            1, poly_scale_dict(pow(lam, 4, p), fam.a), poly_scale_dict(pow(lam, 6, p), fam.b)
         )
         d = discriminant(scaled)
-        assert d == poly_scale(pow(lam, 12, p), base)
+        assert d == poly_scale_dict(pow(lam, 12, p), base)
         assert is_smooth_curve(d).ok == base_ok
 
 
@@ -1074,28 +1079,18 @@ def test_scaling_covariance():
 def test_poly_arithmetic_basics():
     x0 = poly(1, {(1, 0, 0): 1}, p=7)
     x1 = poly(1, {(0, 1, 0): 1}, p=7)
-    s = poly_add(x0, x1)
+    s = poly(1, {(1, 0, 0): 1, (0, 1, 0): 1}, p=7)
     assert poly_mul(s, s) == poly(2, {(2, 0, 0): 1, (1, 1, 0): 2, (0, 2, 0): 1}, p=7)
-    assert poly_pow(x0, 3).terms == (((3, 0, 0), 1),)
-    assert poly_scale(-1, s) == poly(1, {(1, 0, 0): 6, (0, 1, 0): 6}, p=7)
-    assert derivative_dict(poly_pow(s, 2), 0) == poly(1, {(1, 0, 0): 2, (0, 1, 0): 2}, p=7)
-    with pytest.raises(ValueError):
-        poly_add(x0, poly(2, {(2, 0, 0): 1}, p=7))
-    with pytest.raises(ValueError):
-        poly_add(x0, poly(1, {(1, 0, 0): 1}, p=11))
+    assert poly_mul(poly_mul(x0, x0), x0).terms == (((3, 0, 0), 1),)
+    assert poly_mul(x0, x1).terms == (((1, 1, 0), 1),)
+    assert derivative_dict(poly_mul(s, s), 0) == poly(1, {(1, 0, 0): 2, (0, 1, 0): 2}, p=7)
+    with pytest.raises(ValueError, match="mixed coefficient fields"):
+        poly_mul(x0, poly(1, {(1, 0, 0): 1}, p=11))
 
 
 def test_homogeneity_enforced():
-    with pytest.raises(ValueError):
-        HomogPoly(3, (((1, 0, 0), 1),), 7)
-
-
-def test_coefficient_range_checked_before_the_int64_store():
-    # 2^64 and -2^64 do not fit int64: the range check must come first
-    for c in (2**64, -(2**64), 5, -1):
-        with pytest.raises(ValueError, match=r"^F_p coefficients must lie in \[0, 5\)$"):
-            HomogPoly(0, (((0, 0, 0), c),), 5)
-    assert HomogPoly(0, (((0, 0, 0), 4),), 5).terms == (((0, 0, 0), 4),)
+    with pytest.raises(ValueError, match="breaks homogeneity"):
+        poly(3, {(1, 0, 0): 1}, 7)
 
 
 def test_parse_format_round_trip():
