@@ -14,11 +14,14 @@ int64 coefficient matrix), the sorted plane indices of its F_p-zeros and
 one gradient weight w_i per form at each zero, its gradient there being
 sum_i w_i grad f_i: (f,) with weight 1 for a plain curve, (a, b) with
 12a^2 and 54b for 4a^3 + 27b^2, whose values follow from those of a and b
-with one divisibility test by p.  `_singular` evaluates the partials only
-at the zeros, straight from each form's coefficient matrix, and returns
-every singular index.  A sampling run builds one `_Plane` for its p and
-degrees and evaluates every family in its buffers, in place: int32 plane
-values, reduced without an int64 `% p` and without a p^2-sized temporary.
+with one divisibility test by p.  `_singular` evaluates each composite's
+gradient only at the zeros, in one float64 pass (`_gradient`) over the
+stacked coefficient matrices with Euler's relation for the x0-partial, and
+returns every singular index.  A fibre product evaluates its second family
+only at the first discriminant's zeros, the only candidates for common
+ones.  A sampling run builds one `_Plane` for its p and degrees and
+evaluates every family in its buffers, in place: int32 plane values,
+reduced without an int64 `% p` and without a p^2-sized temporary.
 `discriminant` builds the degree-12l form only to tell a zero
 discriminant from one that vanishes on every F_p-point.
 """
@@ -165,18 +168,20 @@ def discriminant(w: WeierstrassFamily) -> HomogPoly:
 
 
 def _pow_table(p: int, max_exp: int) -> np.ndarray:
-    """x^e mod p for x in F_p and 0 <= e <= max_exp, by doubling: with
-    columns 0..m-1 filled, columns m..2m-1 are those times x^m."""
-    tab = np.empty((p, max_exp + 1), dtype=np.int64)
-    tab[:, 0] = 1
+    """x^e mod p at [x, e] for x in F_p and 0 <= e <= max_exp, by doubling:
+    with exponents 0..m-1 filled, m..2m-1 are those times x^m.  The result
+    is the transposed view of an exponent-major array, so every doubling
+    step works on whole contiguous rows."""
+    tab = np.empty((max_exp + 1, p), dtype=np.int64)
+    tab[0] = 1
     xm, m = np.arange(p, dtype=np.int64), 1  # xm holds x^m
     while m <= max_exp:
         w = min(m, max_exp + 1 - m)
-        block = np.multiply(tab[:, :w], xm[:, None], out=tab[:, m : m + w])
+        block = np.multiply(tab[:w], xm, out=tab[m : m + w])
         block %= p
         xm = xm * xm % p
         m *= 2
-    return tab
+    return tab.T
 
 
 class _Plane:
@@ -184,12 +189,16 @@ class _Plane:
     p^2 + p + 1 normalized points of P^2(F_p), built once and reused for
     every form a scan or a sampling run evaluates.
 
-    It holds the p x (degree+1) power table and its float64 copy, one p x p
-    float64 chart, and int32 value arrays `a`, `b`, `delta` and `scratch`.
-    The two bounds that keep `_eval_plane` exact are checked here, before
-    anything is allocated: every partial sum of a chart product is an
-    integer of at most (degree+1)(p-1)^2, which float64 holds exactly below
-    2^53 and int32 below 2^31 (about 6.4e6 at degree 96, p = 257).
+    It holds two float64 (degree+1) x p tables, stacked in `tabs` and
+    stored exponent-major, so that the table of x is the column V[x]: the
+    powers `tabf[e, x] = x^e` and the derivatives `dtab[e, x] = e x^(e-1)`,
+    both mod p and dtab derived from tabf in float64; one p x p float64
+    chart; and int32 value arrays `a`, `b`, `delta` and `scratch`.  The two
+    bounds that keep `_eval_plane` and `_gradient` exact are checked here,
+    before anything is allocated: every partial sum of a product of a table
+    and a coefficient matrix, or of two tables and one, reduced in between,
+    is an integer of at most (degree+1)(p-1)^2, which float64 holds exactly
+    below 2^53 and int32 below 2^31 (about 6.4e6 at degree 96, p = 257).
     """
 
     def __init__(self, p: int, degree: int):
@@ -199,10 +208,30 @@ class _Plane:
         if top >= 2**31:
             raise ValueError(f"degree {degree} at p = {p} is beyond int32 plane values")
         self.p, self.degree = p, degree
-        self.tab = _pow_table(p, degree)
-        self.tabf = self.tab.astype(np.float64)
+        self.tabs = np.empty((2, degree + 1, p))
+        self.tabf, self.dtab = self.tabs
+        self.tabf[:] = _pow_table(p, degree).T
+        # e x^(e-1) is below degree * p, exact in float64 before the reduction
+        self.dtab[0] = 0
+        np.multiply(self.tabf[:-1], np.arange(1.0, degree + 1)[:, None], out=self.dtab[1:])
+        _mod(self.dtab, p)
         self.chart = np.empty((p, p))
         self.a, self.b, self.delta, self.scratch = np.empty((4, p * p + p + 1), dtype=np.int32)
+
+
+def _mod(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p in place, for float64 integers |x| < 2^53, where floor(x / p)
+    is exact; np.mod and np.fmod on floats are many times slower."""
+    q = x / p
+    np.floor(q, out=q)
+    q *= p
+    x -= q
+    return x
+
+
+def _check_fits(f: HomogPoly, plane: _Plane):
+    if f.p != plane.p or f.degree > plane.degree:
+        raise ValueError(f"a degree {f.degree} form over F_{f.p} does not fit the plane buffers")
 
 
 def _eval_plane(f: HomogPoly, plane: _Plane, out: np.ndarray) -> np.ndarray:
@@ -211,22 +240,20 @@ def _eval_plane(f: HomogPoly, plane: _Plane, out: np.ndarray) -> np.ndarray:
 
     The points are (0,0,1), then (0,1,t), then (1,s,t); the first nonzero
     coordinate is 1.  With C[j,k] the coefficient of x1^j*x2^k and V the
-    p x (d+1) power table, the chart x0 = 1 is ((V C) mod p) V^T, the line
-    x0 = 0 is V applied to the anti-diagonal of C, and (0,0,1) is C[0,d].
-    The two chart products run in float64 BLAS, the second into
-    plane.chart; the bounds `_Plane` checks make both exact and the cast
-    to int32 exact.  out is then reduced mod p in place as
-    out -= (out // p) * p, with the quotients in plane.scratch.
+    (d+1) x p power table, the chart x0 = 1 is ((V^T C) mod p) V, the line
+    x0 = 0 is the anti-diagonal of C applied to V, and (0,0,1) is C[0,d].
+    The products run in float64 BLAS, the last into plane.chart; the bounds
+    `_Plane` checks make them exact and the cast to int32 exact.  out is
+    then reduced mod p in place as out -= (out // p) * p, with the
+    quotients in plane.scratch.
     """
-    p, d, coeffs = plane.p, f.degree, f.coeffs
-    if f.p != p or d > plane.degree:
-        raise ValueError(f"a degree {d} form over F_{f.p} does not fit the plane buffers")
-    vf = plane.tabf[:, : d + 1]
-    first = vf @ coeffs.astype(np.float64)
-    first -= np.floor(first / p) * p  # floor(x / p) is exact for integers x < 2^53
+    _check_fits(f, plane)
+    p, d, coeffs = plane.p, f.degree, f.coeffs.astype(np.float64)
+    vf = plane.tabf[: d + 1]
+    first = _mod(vf.T @ coeffs, p)
     out[0] = coeffs[0, d]
-    out[1 : p + 1] = plane.tab[:, : d + 1] @ coeffs[::-1].diagonal()
-    out[p + 1 :] = np.matmul(first, vf.T, out=plane.chart).ravel()
+    out[1 : p + 1] = coeffs[::-1].diagonal() @ vf
+    out[p + 1 :] = np.matmul(first, vf, out=plane.chart).ravel()
     quotient = np.floor_divide(out, p, out=plane.scratch)
     quotient *= p
     out -= quotient
@@ -295,39 +322,108 @@ def _scan_result(bad: np.ndarray, p: int) -> ScanResult:
 # the singular-point kernel
 
 
-def _partials(forms, weights, tab: np.ndarray, p: int, idx: np.ndarray, variables) -> list:
-    """sum_i w_i d f_i / d x_v mod p for each v in variables, at the points
-    with sorted lex indices idx, the weights aligned with idx.
-
-    A partial's coefficient matrix C is its form's, scaled by the x_v
-    exponents, shifted and reduced mod p; it is evaluated as _eval_plane
-    would: (0,0,1) is C[0,d-1], a line point (0,1,t) is V[t] applied to the
-    anti-diagonal of C, a chart point (1,s,t) is ((V[s] C) mod p) . V[t].
-    Entries are reduced mod p between products, so no int64 value exceeds
-    (d+1) p^2.  A form with a zero has degree at least 1: the scans reject
-    the zero constant.
-    """
+def _points(idx: np.ndarray, p: int):
+    """Splits sorted lex indices: how many are (0,0,1), the t of the line
+    points (0,1,t) and the s and t of the chart points (1,s,t)."""
     n0, n1 = np.searchsorted(idx, (1, p + 1))
-    s, t = np.divmod(idx[n1:] - (p + 1), p)
-    vl, vs, vt = tab[idx[n0:n1] - 1], tab[s], tab[t]
-    totals = []
-    for var in variables:
-        total = np.zeros(idx.size, dtype=np.int64)
-        for f, w in zip(forms, weights):
-            d, c = f.degree, f.coeffs
-            r = np.arange(d + 1)
-            if var == 0:
-                part = (d - np.add.outer(r, r))[:d, :d] * c[:d, :d]  # c is 0 where d - j - k < 0
-            elif var == 1:
-                part = r[1:, None] * c[1:, :d]
-            else:
-                part = r[None, 1:] * c[:d, 1:]
-            part %= p
-            line = vl[:, :d] @ part[::-1].diagonal() % p
-            chart = ((vs[:, :d] @ part) % p * vt[:, :d]).sum(axis=1) % p
-            total += w * np.concatenate((np.full(n0, part[0, d - 1]), line, chart))
-        totals.append(total % p)
-    return totals
+    return n0, idx[n0:n1] - 1, *np.divmod(idx[n1:] - (p + 1), p)
+
+
+def _stacked(forms, width: int) -> np.ndarray:
+    """The forms' coefficient matrices side by side, each zero-padded to
+    width x width: a width x (width * #forms) float64 matrix."""
+    stacked = np.zeros((width, len(forms), width))
+    for i, f in enumerate(forms):
+        stacked[: f.degree + 1, i, : f.degree + 1] = f.coeffs
+    return stacked.reshape(width, -1)
+
+
+def _line_matrix(forms, width: int) -> np.ndarray:
+    """Per form, the anti-diagonal C[d-k, k] (the terms without x0) and,
+    #forms columns later, the one beside it C[d-1-k, k] (the terms linear
+    in x0), zero-padded to width rows."""
+    lines = np.zeros((width, 2 * len(forms)))
+    for i, f in enumerate(forms):
+        d = f.degree
+        lines[: d + 1, i] = f.coeffs[::-1].diagonal()
+        lines[:d, len(forms) + i] = f.coeffs[-2::-1].diagonal()
+    return lines
+
+
+def _values_at(forms, plane: _Plane, idx: np.ndarray) -> np.ndarray:
+    """The values mod p of each form at the sorted lex indices idx, a
+    #forms x idx.size float64 array, by the formulas of _eval_plane; the
+    forms are stacked so that one matmul forms every V[s] C."""
+    for f in forms:
+        _check_fits(f, plane)
+    p, nforms, width = plane.p, len(forms), max(f.degree for f in forms) + 1
+    n0, line, s, t = _points(idx, p)
+    vf = plane.tabf[:width]
+    values = np.empty((nforms, idx.size))
+    if n0:
+        values[:, 0] = [f.coeffs[0, f.degree] for f in forms]
+    values[:, n0 : n0 + line.size] = _line_matrix(forms, width)[:, :nforms].T @ vf[:, line]
+    first = _mod(_stacked(forms, width).T @ vf[:, s], p).reshape(nforms, width, s.size)
+    np.einsum("iem,em->im", first, vf[:, t], out=values[:, n0 + line.size :])
+    return _mod(values, p)
+
+
+def _gradient(forms, weights, plane: _Plane, idx: np.ndarray) -> np.ndarray:
+    """sum_i w_i grad f_i mod p at the sorted lex indices idx, the weights
+    aligned with idx: a 3 x idx.size float64 array of integers in [0, p).
+
+    On the chart (1,s,t), with C a coefficient matrix, V[x] the powers and
+    V'[x] the derivatives of the powers at x, M = (V[s] C) mod p and
+    M' = (V'[s] C) mod p give f = M . V[t], d f/d x2 = M . V'[t] and
+    d f/d x1 = M' . V[t]; the forms are stacked so that one matmul forms
+    every M and M'.  Euler's relation
+    d f = x0 d f/d x0 + x1 d f/d x1 + x2 d f/d x2, an identity over Z that
+    holds even when p divides d, gives d f/d x0.  A line point (0,1,t)
+    reads the anti-diagonals of C: f and d f/d x0 are the terms without x0
+    and those linear in x0 applied to V[t], d f/d x2 is the first applied
+    to V'[t], and Euler gives d f/d x1.  At (0,0,1) the partials are
+    C[0,d-1], C[1,d-1] and d C[0,d].  Every sum of products of reduced
+    entries is an integer of at most (d+1)(p-1)^2, the bound `_Plane`
+    checks; the products are reduced before the Euler combination and the
+    weights, so that for the one or two forms of a composite every sum
+    stays below 2^50.  A form with a zero has degree at least 1: the scans
+    reject the zero constant.
+    """
+    p, nforms = plane.p, len(forms)
+    width = max(f.degree for f in forms) + 1
+    degrees = np.array([[f.degree] for f in forms], dtype=np.float64)
+    n0, line, s, t = _points(idx, p)
+    tabs = plane.tabs[:, :width]  # tabs[:, :, x] stacks V[x] over V'[x]
+    # per form and point: d f/d x0, d f/d x1, d f/d x2
+    partials = np.empty((3, nforms, idx.size))
+    if n0:
+        partials[:, :, 0] = [
+            [f.coeffs[0, f.degree - 1] for f in forms],
+            [f.coeffs[1, f.degree - 1] for f in forms],
+            [f.degree * f.coeffs[0, f.degree] for f in forms],
+        ]
+    # the line matrix against [V[t]; V'[t]]: the terms linear in x0 are not
+    # needed against V'[t]
+    lines = _mod(_line_matrix(forms, width).T @ tabs[:, :, line], p)
+    f, d0, d2 = lines[0, :nforms], lines[0, nforms:], lines[1, :nforms]
+    at = slice(n0, n0 + line.size)
+    partials[0, :, at] = d0
+    partials[1, :, at] = degrees * f - line * d2
+    partials[2, :, at] = d2
+    # [M; M'] from [V[s]; V'[s]] in one matmul, then f and d f/d x1 from
+    # [M; M'] . V[t] and d f/d x2 from M . V'[t]
+    first = _mod(_stacked(forms, width).T @ tabs[:, :, s], p).reshape(2, nforms, width, s.size)
+    vt = tabs[:, :, t]
+    chart = np.empty((3, nforms, s.size))
+    np.einsum("kiem,em->kim", first, vt[0], out=chart[:2])
+    np.einsum("iem,em->im", first[0], vt[1], out=chart[2])
+    f, d1, d2 = _mod(chart, p)
+    at = slice(n0 + line.size, None)
+    partials[0, :, at] = degrees * f - s * d1 - t * d2
+    partials[1, :, at] = d1
+    partials[2, :, at] = d2
+    gradient = np.einsum("vin,in->vn", partials, np.array(weights, dtype=np.float64))
+    return _mod(gradient, p)
 
 
 def _singular(plane: _Plane, *curves) -> np.ndarray:
@@ -337,32 +433,26 @@ def _singular(plane: _Plane, *curves) -> np.ndarray:
     A curve is a composite (forms, zeros, weights): the sorted indices of
     its F_p-zeros and per form an array, aligned with them, of the weight
     of its gradient in the composite's.  One curve is singular where its
-    gradient vanishes: each partial is evaluated only where the partials
-    before it vanish.  Two curves fail at their common zeros where the
-    gradients are proportional, all three 2 x 2 minors 0 mod p.  No
-    partial is evaluated where there is no zero.
+    gradient vanishes.  Two curves fail at their common zeros where the
+    gradients are proportional, all three 2 x 2 minors 0 mod p.  Each
+    composite's gradient is evaluated in one pass, at its zeros or at the
+    common ones, and not at all where there are none.
     """
-    p, tab = plane.p, plane.tab
     if len(curves) == 1:
         ((forms, bad, weights),) = curves
-        for var in range(3):
-            if not bad.size:
-                break
-            keep = _partials(forms, weights, tab, p, bad, [var])[0] == 0
-            bad, weights = bad[keep], [w[keep] for w in weights]
-        return bad
+        if not bad.size:
+            return bad
+        return bad[~_gradient(forms, weights, plane, bad).any(axis=0)]
     (f, z1, w1), (g, z2, w2) = curves
     bad, at1, at2 = np.intersect1d(z1, z2, assume_unique=True, return_indices=True)
     if not bad.size:
         return bad
     df, dg = (
-        _partials(forms, [w[at] for w in weights], tab, p, bad, range(3))
+        _gradient(forms, [w[at] for w in weights], plane, bad)
         for forms, weights, at in ((f, w1, at1), (g, w2, at2))
     )
-    dependent = np.ones(bad.size, dtype=bool)
-    for u, v in ((0, 1), (0, 2), (1, 2)):
-        dependent &= (df[u] * dg[v] - df[v] * dg[u]) % p == 0
-    return bad[dependent]
+    minors = df[[0, 0, 1]] * dg[[1, 2, 2]] - df[[1, 2, 2]] * dg[[0, 0, 1]]
+    return bad[~_mod(minors, plane.p).any(axis=0)]
 
 
 def _curve(f: HomogPoly, plane: _Plane):
@@ -371,10 +461,16 @@ def _curve(f: HomogPoly, plane: _Plane):
     return (f,), zeros, [np.ones(zeros.size, dtype=np.int64)]
 
 
+def _pair(w: WeierstrassFamily, zeros: np.ndarray, a: np.ndarray, b: np.ndarray, p: int):
+    """The composite (a, b) of 4a^3 + 27b^2 with the values of a and b at
+    its zeros: the weights 12a^2 and 54b mod p of grad a and grad b in
+    grad(4a^3 + 27b^2) = 12a^2 grad a + 54b grad b."""
+    return (w.a, w.b), zeros, [12 * (a * a % p) % p, 54 * b % p]
+
+
 def _discriminant_curve(w: WeierstrassFamily, plane: _Plane):
     """4a^3 + 27b^2 as the composite of (a, b): its F_p-zeros, from the
-    plane values of a and b, and the weights 12a^2 and 54b mod p there of
-    grad a and grad b in grad(4a^3 + 27b^2) = 12a^2 grad a + 54b grad b.
+    plane values of a and b, with their weights.
 
     The values of a and b land in plane.a and plane.b, reduced, so
     4a^3 + 27b^2 is at most 4(p-1)^3 + 27(p-1)^2; it is formed in
@@ -400,8 +496,22 @@ def _discriminant_curve(w: WeierstrassFamily, plane: _Plane):
     zeros = np.flatnonzero(delta == scratch)
     if zeros.size == delta.size and discriminant(w).is_zero():
         raise ValueError("zero polynomial")
-    a, b = av[zeros], bv[zeros]
-    return (w.a, w.b), zeros, [12 * (a * a % p) % p, 54 * b % p]
+    return _pair(w, zeros, av[zeros], bv[zeros], p)
+
+
+def _discriminant_on(w: WeierstrassFamily, plane: _Plane, where: np.ndarray):
+    """The composite of _discriminant_curve, with its zeros among the sorted
+    lex indices where: a and b are evaluated only there.  Only where
+    4a^3 + 27b^2 vanishes at every index of where, also when there is
+    none, is w evaluated on the whole plane by _discriminant_curve, which
+    tells a zero discriminant.  4(p-1)^3 + 27(p-1)^2 is exact in float64.
+    """
+    p = plane.p
+    a, b = _values_at((w.a, w.b), plane, where)
+    zero = _mod(4 * a * a * a + 27 * b * b, p) == 0
+    if zero.all():
+        return _discriminant_curve(w, plane)
+    return _pair(w, where[zero], a[zero], b[zero], p)
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +539,9 @@ def scan_discriminants(*families: WeierstrassFamily, plane: _Plane | None = None
     family; otherwise the scan builds its own."""
     p = _check_pair_args(families[0].a.p, *families)
     plane = plane or _Plane(p, max(w.b.degree for w in families))
-    curves = [_discriminant_curve(w, plane) for w in families]
+    curves = [_discriminant_curve(families[0], plane)]
+    # only the first discriminant's zeros can be common zeros
+    curves += [_discriminant_on(w, plane, curves[0][1]) for w in families[1:]]
     return _scan_result(_singular(plane, *curves), p)
 
 

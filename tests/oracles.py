@@ -291,7 +291,7 @@ def poly_scale_dict(c, f):
 
 def derivative_dict(f, var):
     """Term-by-term partial derivative in x_var: the reference for the
-    partials `weierstrass._partials` evaluates; a constant's derivative is
+    gradients `weierstrass._gradient` evaluates; a constant's derivative is
     the zero constant."""
     acc = {}
     for e, c in f.terms:
@@ -334,8 +334,8 @@ def singular_full_plane(*forms) -> np.ndarray:
     """Sorted lex indices where one form and its three partials vanish, or
     where two forms vanish with proportional gradients, every form and
     partial (from `derivative_dict`) evaluated on all p^2 + p + 1 points:
-    the reference for `weierstrass._singular`, which evaluates the partials
-    only at the zeros."""
+    the reference for `weierstrass._singular`, which evaluates each
+    composite's gradient only at the zeros."""
     p = _check_scan_args(*forms)
     tab = _pow_table(p, max(f.degree for f in forms))
     bad = np.ones(p * p + p + 1, dtype=bool)

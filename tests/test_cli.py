@@ -273,6 +273,9 @@ def test_weierstrass_twist_budget(capsys):
         # (1, 2) fibre product, then the larger family first with witnesses
         ("weierstrass --l 1 --p 101 --trials 5 --fibre-product --l2 2", "feb65c709c201a244addf7f537c49d3f"),
         ("weierstrass --l 2 --p 5 --trials 6 --fibre-product --l2 1", "122340dd089fa37d8d55d54a7c2194ab"),
+        # both records have witnesses on the line x0 = 0 and at (0:0:1)
+        ("weierstrass --l 1 --p 7 --trials 20 --fibre-product --l2 1 --seed 41",
+         "dec9b65b02cad368f426beddea8e1ec8"),
     ],
 )
 def test_scan_gate_commands_pinned(argv, md5, monkeypatch, capsys):

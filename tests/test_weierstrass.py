@@ -346,13 +346,13 @@ def test_scans_with_empty_zero_set_build_no_partial(monkeypatch):
     const = poly(0, {(0, 0, 0): 3}, p)
     x0 = poly(1, {(1, 0, 0): 1}, p)
     off_line = poly(p - 1, {(0, p - 1, 0): 1, (0, 0, p - 1): 1}, p)  # zero only at (1:0:0)
-    partials = []
-    monkeypatch.setattr(weierstrass, "_partials", lambda *args: partials.append(args))
+    gradients = []
+    monkeypatch.setattr(weierstrass, "_gradient", lambda *args: gradients.append(args))
     for f in (no_zeros, const):
         assert is_smooth_curve(f) == ScanResult(True, None, 57)
     for f, g in ((x0, off_line), (no_zeros, x0), (const, off_line)):
         assert transversal_intersection(f, g) == ScanResult(True, None, 57)
-    assert partials == []
+    assert gradients == []
     monkeypatch.undo()
     for f in (no_zeros, const):
         assert is_smooth_curve(f) == smooth_full_plane(f)
@@ -628,11 +628,40 @@ def test_discriminant_partials_from_the_pair(p):
         delta = discriminant(w)
         (built,), built_zeros, ones = weierstrass._curve(delta, plane)
         assert built_zeros.tolist() == zeros.tolist()
-        got = weierstrass._partials(pair, weights, plane.tab, p, zeros, range(3))
-        expected = weierstrass._partials((built,), ones, plane.tab, p, zeros, range(3))
-        oracle = [eval_plane(derivative_dict(delta, v), plane.tab, p)[zeros] for v in range(3)]
-        assert [g.tolist() for g in got] == [e.tolist() for e in expected]
-        assert [g.tolist() for g in got] == [o.tolist() for o in oracle]
+        got = weierstrass._gradient(pair, weights, plane, zeros)
+        expected = weierstrass._gradient((built,), ones, plane, zeros)
+        tab = _pow_table(p, 12 * l)
+        oracle = [eval_plane(derivative_dict(delta, v), tab, p)[zeros] for v in range(3)]
+        assert got.tolist() == expected.tolist()
+        assert got.tolist() == [o.tolist() for o in oracle]
+
+
+@pytest.mark.parametrize("p", (5, 7, 31))
+def test_gradient_and_values_at_every_point_match_the_oracles(p):
+    # every point of P^2(F_p), not only zeros: stacked forms of different
+    # degrees, a degree divisible by p (20 and 30 at p = 5, and p itself),
+    # a form vanishing on the line x0 = 0 and one vanishing at (0:0:1)
+    rng = random.Random(17 * p)
+    w = random_family(5 if p == 5 else 2, p, rng)
+    g = random_homog(p - 1, p, rng)
+    on_line = poly_mul_dict(poly(1, {(1, 0, 0): 1}, p), g)
+    at_001 = poly_mul_dict(poly(1, {(0, 1, 0): 1}, p), g)
+    composites = [(w.a, w.b), (on_line, at_001), (w.b, on_line), (random_homog(p, p, rng),)]
+    plane = weierstrass._Plane(p, max(w.b.degree, p))
+    tab = _pow_table(p, plane.degree)
+    idx = np.arange(p * p + p + 1)
+    assert eval_plane(on_line, tab, p)[: p + 1].tolist() == [0] * (p + 1)
+    assert eval_plane(at_001, tab, p)[0] == 0
+    for forms in composites:
+        values = weierstrass._values_at(forms, plane, idx)
+        assert values.tolist() == [eval_plane(f, tab, p).tolist() for f in forms]
+        weights = [np.array([rng.randrange(p) for _ in idx]) for _ in forms]
+        got = weierstrass._gradient(forms, weights, plane, idx)
+        expected = [
+            sum(wt * eval_plane(derivative_dict(f, v), tab, p) for f, wt in zip(forms, weights)) % p
+            for v in range(3)
+        ]
+        assert got.tolist() == [e.tolist() for e in expected], [f.degree for f in forms]
 
 
 def several_cusps(p):
@@ -710,14 +739,15 @@ def test_pair_scans_with_no_zero_build_no_partial(monkeypatch):
     p = 5
     a = poly(4, {(4, 0, 0): 1, (0, 4, 0): 1, (0, 0, 4): 1}, p)
     w = WeierstrassFamily(1, a, zero_poly(6, p))
-    partials = []
-    monkeypatch.setattr(weierstrass, "_partials", lambda *args: partials.append(args))
+    gradients = []
+    monkeypatch.setattr(weierstrass, "_gradient", lambda *args: gradients.append(args))
     assert scan_discriminants(w) == ScanResult(True, None, 31)
     assert scan_discriminants(w, random_family(1, p, random.Random(0))).ok
-    assert partials == []
+    assert gradients == []
 
 
-def test_pair_scans_evaluate_a_and_b_once_on_the_whole_plane(monkeypatch):
+def counting_plane_evaluations(monkeypatch):
+    """The forms that go through _eval_plane, in call order."""
     plane = weierstrass._eval_plane
     calls = []
 
@@ -726,15 +756,65 @@ def test_pair_scans_evaluate_a_and_b_once_on_the_whole_plane(monkeypatch):
         return plane(f, *args)
 
     monkeypatch.setattr(weierstrass, "_eval_plane", counting)
+    return calls
+
+
+def test_pair_scans_evaluate_a_and_b_once_on_the_whole_plane(monkeypatch):
+    # one family's a and b are evaluated on the whole plane; a second
+    # family whose discriminant is nonzero at some zero of the first is
+    # evaluated only at those zeros
     rng = random.Random(12)
+    cases = []
     for l, p in ((1, 101), (3, 31)):
         w1, w2 = random_family(l, p, rng), random_family(l, p, rng)
+        tab = _pow_table(p, 12 * l)
+        d1, d2 = (eval_plane(discriminant(w), tab, p) for w in (w1, w2))
+        assert (d1 == 0).any() and (d2[d1 == 0] != 0).any()
+        cases.append((w1, w2))
+    calls = counting_plane_evaluations(monkeypatch)
+    for w1, w2 in cases:
         calls.clear()
         scan_discriminants(w1)
         assert calls == [w1.a, w1.b]
         calls.clear()
         scan_discriminants(w1, w2)
-        assert calls == [w1.a, w1.b, w2.a, w2.b]
+        assert calls == [w1.a, w1.b]
+
+
+def test_pair_scans_fall_back_to_the_whole_plane(monkeypatch):
+    # the second family goes through the whole plane exactly when its
+    # discriminant vanishes at every zero of the first, also when the
+    # first has none; there a zero discriminant still raises
+    p = 5
+    # x^4 is 1 for x != 0 in F_5, so a counts the nonzero coordinates
+    a = poly(4, {(4, 0, 0): 1, (0, 4, 0): 1, (0, 0, 4): 1}, p)
+    no_zero = WeierstrassFamily(1, a, zero_poly(6, p))
+    # x0 x1 (x0^4 - x1^4) vanishes on every F_5-point, and so does 4a^3
+    everywhere = WeierstrassFamily(2, poly(8, {(5, 1, 2): 1, (1, 5, 2): -1}, p), zero_poly(12, p))
+    q = random_homog(2, p, random.Random(4))
+    q2 = poly_mul_dict(q, q)
+    zero = WeierstrassFamily(1, poly_scale_dict(-3, q2), poly_scale_dict(2, poly_mul_dict(q2, q)))
+    some = random_family(1, p, random.Random(9))
+    tab = _pow_table(p, 24)
+    deltas = {w: eval_plane(discriminant(w), tab, p) for w in (no_zero, everywhere, zero, some)}
+    assert not (deltas[no_zero] == 0).any() and (deltas[everywhere] == 0).all()
+    assert not discriminant(everywhere).is_zero() and discriminant(zero).is_zero()
+    assert (deltas[some] == 0).any() and (deltas[some] != 0).any()
+    whole = [(no_zero, some), (no_zero, zero), (some, everywhere), (some, zero)]
+    zeros_only = [(some, no_zero), (everywhere, some)]
+    calls = counting_plane_evaluations(monkeypatch)
+    for w1, w2 in whole + zeros_only:
+        calls.clear()
+        scan = scan_or_error(lambda: scan_discriminants(w1, w2))
+        assert calls == [w1.a, w1.b, w2.a, w2.b][: 4 if (w1, w2) in whole else 2]
+        assert scan == reference_transversal(w1, w2)
+        full = scan_or_error(lambda: transversal_full_plane(discriminant(w1), discriminant(w2)))
+        assert scan == full
+        assert (scan == "ValueError: zero polynomial") == (zero in (w1, w2))
+    # a zero first discriminant raises before the second family is touched
+    calls.clear()
+    assert scan_or_error(lambda: scan_discriminants(zero, some)) == "ValueError: zero polynomial"
+    assert calls == [zero.a, zero.b]
 
 
 def test_trials_never_build_the_discriminant(monkeypatch):
@@ -817,7 +897,7 @@ def test_int32_plane_values_match_the_int64_oracle_at_the_extreme_size():
         plane = weierstrass._Plane(p, d)
         values = _eval_plane(f, plane, plane.b)
         assert values is plane.b and values.dtype == np.int32
-        assert values.tolist() == eval_plane(f, plane.tab, p).tolist(), p
+        assert values.tolist() == eval_plane(f, _pow_table(p, d), p).tolist(), p
 
 
 def test_discriminant_zeros_and_weights_match_the_int64_oracle():
@@ -825,9 +905,10 @@ def test_discriminant_zeros_and_weights_match_the_int64_oracle():
     for p in primes_from_5_to(MAX_SCAN_PRIME):
         rng = random.Random(p)
         plane = weierstrass._Plane(p, 24 if p <= 47 else 12)
+        tab = _pow_table(p, plane.degree)
         for l in range(1, 5 if p <= 47 else 3):
             w = random_family(l, p, rng)
-            a, b = (eval_plane(f, plane.tab, p) for f in (w.a, w.b))
+            a, b = (eval_plane(f, tab, p) for f in (w.a, w.b))
             zeros = np.flatnonzero((4 * a**3 + 27 * b**2) % p == 0)
             _, got, weights = weierstrass._discriminant_curve(w, plane)
             assert got.tolist() == zeros.tolist(), (p, l)
