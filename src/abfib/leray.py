@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .sheafcalc import BundleExpr, coh, rank
+from .sheafcalc import BundleExpr, chern, coh
 
 
 @dataclass(frozen=True)
@@ -26,7 +26,7 @@ class DirectImageData:
     r2: BundleExpr
 
     def __post_init__(self):
-        got = (rank(self.r0), rank(self.r1), rank(self.r2))
+        got = (chern(self.r0).rank, chern(self.r1).rank, chern(self.r2).rank)
         if got != (1, 2, 1):
             raise ValueError(f"direct-image ranks must be (1, 2, 1), got {got}")
 

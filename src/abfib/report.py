@@ -247,7 +247,7 @@ def build_torus(path, seed: int = 0) -> Report:
         records.append(
             _derived(
                 f"torus/{name}/expect/{c.key}",
-                scenario.EXPECT_CITATIONS[c.key],
+                scenario.EXPECTATIONS[c.key][0],
                 c.ok,
                 {"expected": _plain(c.expected), "actual": _plain(c.actual)},
             )

@@ -14,9 +14,11 @@ A scenario declares factors, generators, and expected outputs:
 
 One `factor` line per torus coordinate or formal factor, in order.  Each
 `generator` line has one comma-separated field per factor line: torus fields
-are coordinate maps (`-z4+1/4`, `z3+t3/2`; the period symbol t<i> belongs to
-coordinate i), formal fields are `-` (act by the factor's sign) or `+` (act
-trivially).  Lines starting with `#` and blank lines are skipped.
+are `z<j>` or `-z<j>` plus shift terms `num[/den]`, `num[/den]*t<i>` or
+`t<i>[/den]` in ASCII digits (`-z4+1/4`, `z3+t3/2`; the period symbol t<i>
+belongs to coordinate i), reduced mod 1 and written over one common D.
+Formal fields are `-` (act by the factor's sign) or `+` (act trivially).
+Lines starting with `#` and blank lines are skipped.
 
 `run_scenario` returns the Hodge numbers of every four-fold quotient; the
 report decides whether h^{4,0} = 1, and `expect hodge` reads null when not.
@@ -48,14 +50,14 @@ from .torusquot import (
 SCHEMA_VERSION = 1
 
 # each expectation key, in the order the unknown-key message lists them,
-# with the citation id of the record that checks it
-EXPECT_CITATIONS = {
-    "order": "group-closure",
-    "abelian": "group-closure",
-    "max-order": "group-closure",
-    "free": "snf-fixed-point",
-    "forms": "invariant-forms",
-    "hodge": "hodge-quotient",
+# with the citation id of the record that checks it and the kind of its value
+EXPECTATIONS = {
+    "order": ("group-closure", "an integer"),
+    "abelian": ("group-closure", "true or false"),
+    "max-order": ("group-closure", "an integer"),
+    "free": ("snf-fixed-point", "true or false"),
+    "forms": ("invariant-forms", "comma-separated integers"),
+    "hodge": ("hodge-quotient", "comma-separated integers"),
 }
 
 
@@ -100,101 +102,83 @@ class ScenarioResult:
     checks: tuple[ExpectationCheck, ...]
 
 
-_Z_HEAD = re.compile(r"^(-?)z(\d+)")
-_RATIONAL = re.compile(r"^(\d+)(?:/(\d+))?$")
-_TAU = re.compile(r"^t(\d+)(?:/(\d+))?$")
-_RATIONAL_TAU = re.compile(r"^(\d+)(?:/(\d+))?\*t(\d+)$")
-
-
-def _ratio(num, den: str | None, term: str, coord: int, line: int) -> Fraction:
-    """num/den from a shift term; den None means 1, a zero den is an input error."""
-    if den is not None and int(den) == 0:
-        raise ScenarioError(line, f"field {coord + 1}: zero denominator in shift term {term!r}")
-    return Fraction(int(num), int(den or 1))
+_Z_HEAD = re.compile(r"(-?)z([0-9]+)")
+_SHIFT_TERMS = re.compile(r"([+-])([^+-]*)")
+# num[/den], num[/den]*t<i> or t<i>[/den]
+_SHIFT_TERM = re.compile(r"([0-9]+)(?:/([0-9]+))?(?:\*t([0-9]+))?|t([0-9]+)(?:/([0-9]+))?")
+_INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*")
 
 
 def _parse_coord_field(field: str, coord: int, n: int, line: int):
-    """One torus field: sign, source coordinate, (real, period) shift."""
+    """One torus field: sign, source coordinate, (real, period) shift mod 1."""
+    where = f"field {coord + 1}"
     s = field.replace(" ", "")
     m = _Z_HEAD.match(s)
     if not m:
-        raise ScenarioError(line, f"field {coord + 1}: expected a term like z{coord + 1}")
+        raise ScenarioError(line, f"{where}: expected a term like z{coord + 1}")
     sign = -1 if m.group(1) else 1
     src = int(m.group(2))
     if not 1 <= src <= n:
-        raise ScenarioError(line, f"field {coord + 1}: z{src} out of range (n = {n})")
+        raise ScenarioError(line, f"{where}: z{src} out of range (n = {n})")
     rest = s[m.end() :]
-    re_shift = Fraction(0)
-    tau_shift = Fraction(0)
-    pos = 0
-    while pos < len(rest):
-        tsign = rest[pos]
-        if tsign not in "+-":
-            raise ScenarioError(line, f"field {coord + 1}: expected + or - before a shift")
-        pos += 1
-        nxt = pos
-        while nxt < len(rest) and rest[nxt] not in "+-":
-            nxt += 1
-        term = rest[pos:nxt]
-        pos = nxt
-        factor = -1 if tsign == "-" else 1
-        if (m2 := _RATIONAL.match(term)) is not None:
-            re_shift += factor * _ratio(m2.group(1), m2.group(2), term, coord, line)
-        elif (m2 := _TAU.match(term)) is not None:
-            idx = int(m2.group(1))
-            if idx != coord + 1:
-                raise ScenarioError(
-                    line, f"field {coord + 1}: period symbol t{idx} belongs to coordinate {idx}"
-                )
-            tau_shift += factor * _ratio(1, m2.group(2), term, coord, line)
-        elif (m2 := _RATIONAL_TAU.match(term)) is not None:
-            idx = int(m2.group(3))
-            if idx != coord + 1:
-                raise ScenarioError(
-                    line, f"field {coord + 1}: period symbol t{idx} belongs to coordinate {idx}"
-                )
-            tau_shift += factor * _ratio(m2.group(1), m2.group(2), term, coord, line)
-        else:
-            raise ScenarioError(line, f"field {coord + 1}: cannot parse shift term {term!r}")
-    return sign, src - 1, re_shift, tau_shift
+    if rest[:1] not in ("", "+", "-"):
+        raise ScenarioError(line, f"{where}: expected + or - before a shift")
+    shift = [Fraction(0), Fraction(0)]
+    for tsign, term in _SHIFT_TERMS.findall(rest):
+        t = _SHIFT_TERM.fullmatch(term)
+        if t is None:
+            raise ScenarioError(line, f"{where}: cannot parse shift term {term!r}")
+        num, den, idx = (t[1], t[2], t[3]) if t[4] is None else ("1", t[5], t[4])
+        if idx is not None and int(idx) != coord + 1:
+            raise ScenarioError(line, f"{where}: period symbol t{int(idx)} belongs to coordinate {int(idx)}")
+        if den is not None and int(den) == 0:
+            raise ScenarioError(line, f"{where}: zero denominator in shift term {term!r}")
+        shift[idx is not None] += Fraction(int(tsign + num), int(den or 1))
+    return sign, src - 1, (shift[0] % 1, shift[1] % 1)
 
 
 def _parse_generator(body: str, labels, formal_count: int, torus_positions, line: int):
-    """(code, d): the generator as a code (perm, signs, t, parities) over d,
-    the lcm of its shift denominators, checked by `_check_codes`."""
+    """(kind, shifts): the generator's lattice map as a kind (perm, signs, (),
+    parities), checked by `_check_codes`, and its shifts as Fractions mod 1."""
     fields = [f.strip() for f in body.split(",")]
     total_fields = len(torus_positions) + formal_count
     if len(fields) != total_fields:
         raise ScenarioError(
             line, f"generator has {len(fields)} fields, scenario declares {total_fields} factors"
         )
-    n = len(labels)
     perm, signs, shifts, parities = [], [], [], []
-    coord = 0
     for pos, field in enumerate(fields):
         if pos in torus_positions:
-            sign, src, re_shift, tau_shift = _parse_coord_field(field, coord, n, line)
+            sign, src, shift = _parse_coord_field(field, len(perm) // 2, len(labels), line)
             perm += (2 * src, 2 * src + 1)
             signs += (sign, sign)
-            shifts += (re_shift % 1, tau_shift % 1)
-            coord += 1
+            shifts += shift
+        elif field in ("+", "-"):
+            parities.append(int(field == "-"))
         else:
-            if field == "-":
-                parities.append(1)
-            elif field == "+":
-                parities.append(0)
-            else:
-                raise ScenarioError(
-                    line, f"field {pos + 1}: formal factor field must be + or -, got {field!r}"
-                )
-    d = lcm(1, *(x.denominator for x in shifts))
-    t = tuple(x.numerator * (d // x.denominator) for x in shifts)
-    code = (tuple(perm), tuple(signs), t, tuple(parities))
+            raise ScenarioError(
+                line, f"field {pos + 1}: formal factor field must be + or -, got {field!r}"
+            )
+    kind = (tuple(perm), tuple(signs), (), tuple(parities))
     try:
-        _check_codes([code], [t], labels, d, formal_count)
+        _check_codes([kind], (), labels, 1, formal_count)
     except ValueError as e:
         raise ScenarioError(line, str(e)) from None
-    return code, d
+    return kind, shifts
+
+
+def _integer(value: str) -> int:
+    if _INTEGER.fullmatch(value) is None:
+        raise ValueError(value)
+    return int(value)
+
+
+# the reader of each value kind in EXPECTATIONS; a malformed value raises ValueError
+_READERS = {
+    "an integer": _integer,
+    "true or false": lambda value: bool(["false", "true"].index(value)),
+    "comma-separated integers": lambda value: tuple(map(_integer, value.split(","))),
+}
 
 
 def _parse_expect(body: str, line: int):
@@ -202,21 +186,13 @@ def _parse_expect(body: str, line: int):
     if len(parts) != 2:
         raise ScenarioError(line, "expect needs a key and a value")
     key, value = parts[0], parts[1].strip()
-    if key not in EXPECT_CITATIONS:
-        raise ScenarioError(line, f"unknown expectation {key!r} (one of {', '.join(EXPECT_CITATIONS)})")
-    if key in ("order", "max-order"):
-        try:
-            return key, int(value)
-        except ValueError:
-            raise ScenarioError(line, f"{key} expects an integer, got {value!r}") from None
-    if key in ("abelian", "free"):
-        if value not in ("true", "false"):
-            raise ScenarioError(line, f"{key} expects true or false, got {value!r}")
-        return key, value == "true"
+    if key not in EXPECTATIONS:
+        raise ScenarioError(line, f"unknown expectation {key!r} (one of {', '.join(EXPECTATIONS)})")
+    kind = EXPECTATIONS[key][1]
     try:
-        return key, tuple(int(x) for x in value.split(","))
+        return key, _READERS[kind](value)
     except ValueError:
-        raise ScenarioError(line, f"{key} expects comma-separated integers, got {value!r}") from None
+        raise ScenarioError(line, f"{key} expects {kind}, got {value!r}") from None
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -255,8 +231,7 @@ def parse_scenario(text: str) -> Scenario:
             elif kind in ("k3", "cy3"):
                 if len(sub) != 2 or sub[1] not in ("-1", "1", "+1"):
                     raise ScenarioError(line_no, f"{kind} factor needs a sign +1 or -1")
-                sign = -1 if sub[1] == "-1" else 1
-                formal.append(FormalFactor(2 if kind == "k3" else 3, sign))
+                formal.append(FormalFactor(2 if kind == "k3" else 3, int(sub[1])))
             else:
                 raise ScenarioError(line_no, f"unknown factor kind {kind!r}")
         elif keyword == "generator":
@@ -274,14 +249,14 @@ def parse_scenario(text: str) -> Scenario:
         _parse_generator(body, labels, len(formal), torus_positions, line_no)
         for line_no, body in generator_lines
     ]
-    D = lcm(1, *(d for _, d in parsed))
+    D = lcm(1, *(x.denominator for _, shifts in parsed for x in shifts))
     return Scenario(
         name=name,
         model=TorusModel(tuple(labels)),
         formal=tuple(formal),
         generators=tuple(
-            (perm, signs, tuple(x * (D // d) for x in t), parities)
-            for (perm, signs, t, parities), d in parsed
+            (perm, signs, tuple(x.numerator * (D // x.denominator) for x in shifts), parities)
+            for (perm, signs, _, parities), shifts in parsed
         ),
         D=D,
         expectations=tuple(expectations),

@@ -79,16 +79,6 @@ class DirectSum:
 BundleExpr = Union[Line, Cotangent, DirectSum]
 
 
-def rank(e: BundleExpr) -> int:
-    if isinstance(e, Line):
-        return 1
-    if isinstance(e, Cotangent):
-        return 2
-    if isinstance(e, DirectSum):
-        return sum(rank(s) for s in e.summands)
-    raise TypeError(f"not a bundle expression: {e!r}")
-
-
 # ---------------------------------------------------------------------------
 # normal form: a sequence of atoms ("line", a) or ("cot", a)  [= Omega^1(a)]
 

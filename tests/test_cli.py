@@ -162,20 +162,122 @@ def test_jacfib_gate_commands_pinned(argv, md5, monkeypatch, capsys):
     assert hashlib.md5(out.encode()).hexdigest() == md5
 
 
-# generators checked as lattice codes, with the exact stderr of each rejection;
-# a shift is reduced mod 1 before the check
-GENERATOR_INPUTS = [
+# every message the scenario parser can raise, with its line number, as the
+# exact stderr; the last rows are accepted inputs.  Generators are checked as
+# lattice codes after each shift is reduced mod 1, and numbers are ASCII digits
+BROKEN = "version 1\nname broken\n"
+SCENARIO_INPUTS = [
+    ("name x\n", 2, "abfib: scenario error: line 1: scenario must start with a version line\n"),
+    ("version 7\n", 2, "abfib: scenario error: line 1: unsupported version '7' (expected 1)\n"),
+    (BROKEN + "factor\n", 2, "abfib: scenario error: line 3: factor needs a kind (torus, k3, cy3)\n"),
+    (BROKEN + "factor torus\n", 2, "abfib: scenario error: line 3: torus factor needs a curve label\n"),
+    (BROKEN + "factor cy3 2\n", 2, "abfib: scenario error: line 3: cy3 factor needs a sign +1 or -1\n"),
+    (BROKEN + "factor plane x\n", 2, "abfib: scenario error: line 3: unknown factor kind 'plane'\n"),
     (
-        "factor torus e\nfactor torus e\ngenerator z1, z1\n",
+        BROKEN + "factor torus e\nfactor torus e\ngenerator z1\n",
+        2,
+        "abfib: scenario error: line 5: generator has 1 fields, scenario declares 2 factors\n",
+    ),
+    (
+        BROKEN + "factor torus e\nfactor k3 -1\ngenerator z1, flip\n",
+        2,
+        "abfib: scenario error: line 5: field 2: formal factor field must be + or -, got 'flip'\n",
+    ),
+    (
+        BROKEN + "factor torus e\ngenerator w1+1/2\n",
+        2,
+        "abfib: scenario error: line 4: field 1: expected a term like z1\n",
+    ),
+    (
+        BROKEN + "factor torus e\ngenerator z2\n",
+        2,
+        "abfib: scenario error: line 4: field 1: z2 out of range (n = 1)\n",
+    ),
+    (
+        BROKEN + "factor torus e\ngenerator z1*1/2\n",
+        2,
+        "abfib: scenario error: line 4: field 1: expected + or - before a shift\n",
+    ),
+    (
+        BROKEN + "factor torus e1\nfactor torus e2\ngenerator z1, z2+t1/2\n",
+        2,
+        "abfib: scenario error: line 5: field 2: period symbol t1 belongs to coordinate 1\n",
+    ),
+    (
+        BROKEN + "factor torus e\ngenerator z1+3/0*t1\n",
+        2,
+        "abfib: scenario error: line 4: field 1: zero denominator in shift term '3/0*t1'\n",
+    ),
+    (
+        BROKEN + "factor torus e\ngenerator z1+1/2+x\n",
+        2,
+        "abfib: scenario error: line 4: field 1: cannot parse shift term 'x'\n",
+    ),
+    (
+        BROKEN + "factor torus e\nfactor torus e\ngenerator z1, z1\n",
         2,
         "abfib: scenario error: line 5: linear part is not a signed permutation\n",
     ),
     (
-        "factor torus e1\nfactor torus e2\ngenerator z2, z1\n",
+        BROKEN + "factor torus e1\nfactor torus e2\ngenerator z2, z1\n",
         2,
         "abfib: scenario error: line 5: coordinate 1 maps onto coordinate 0 but the curves differ\n",
     ),
-    ("factor torus e1\ngenerator z1+3/4+1/2\n", 0, ""),
+    (
+        BROKEN + "factor torus e\nexpect order\n",
+        2,
+        "abfib: scenario error: line 4: expect needs a key and a value\n",
+    ),
+    (
+        BROKEN + "factor torus e\nexpect rank 2\n",
+        2,
+        "abfib: scenario error: line 4: unknown expectation 'rank'"
+        " (one of order, abelian, max-order, free, forms, hodge)\n",
+    ),
+    (
+        BROKEN + "factor torus e\nexpect order many\n",
+        2,
+        "abfib: scenario error: line 4: order expects an integer, got 'many'\n",
+    ),
+    (
+        BROKEN + "factor torus e\nexpect free yes\n",
+        2,
+        "abfib: scenario error: line 4: free expects true or false, got 'yes'\n",
+    ),
+    (
+        BROKEN + "factor torus e\nexpect forms 1,x\n",
+        2,
+        "abfib: scenario error: line 4: forms expects comma-separated integers, got '1,x'\n",
+    ),
+    (
+        BROKEN + "factor torus e\nexpect order 1\nexpect order 2\n",
+        2,
+        "abfib: scenario error: line 5: duplicate expectation 'order'\n",
+    ),
+    (
+        BROKEN + "factor torus e\nbogus stuff\n",
+        2,
+        "abfib: scenario error: line 4: unknown keyword 'bogus'\n",
+    ),
+    ("# comment only\n\n", 2, "abfib: scenario error: line 1: empty scenario: missing version line\n"),
+    # non-ASCII digits (an Arabic-Indic one) and digit separators are not numbers
+    (
+        BROKEN + "factor torus e\ngenerator z1+\u0661/2\n",
+        2,
+        "abfib: scenario error: line 4: field 1: cannot parse shift term '\u0661/2'\n",
+    ),
+    (
+        BROKEN + "factor torus e\ngenerator -z\u0661\n",
+        2,
+        "abfib: scenario error: line 4: field 1: expected a term like z1\n",
+    ),
+    (
+        BROKEN + "factor torus e\nexpect order 1_0\n",
+        2,
+        "abfib: scenario error: line 4: order expects an integer, got '1_0'\n",
+    ),
+    (BROKEN + "factor torus e1\ngenerator z1+3/4+1/2\n", 0, ""),
+    (BROKEN + "factor torus e1\ngenerator z1+t1+t1/2+3/4*t1+2*t1-1/4+5\n", 0, ""),
 ]
 
 
@@ -185,10 +287,10 @@ def test_torus_malformed_exits_2_with_line(tmp_path, capsys):
     code, out, err = run(["torus", str(f)], capsys)
     assert code == 2 and not out
     assert "line 4" in err
-    for body, want, message in GENERATOR_INPUTS:
-        f.write_text("version 1\nname broken\n" + body)
+    for text, want, message in SCENARIO_INPUTS:
+        f.write_text(text)
         code, out, err = run(["torus", str(f)], capsys)
-        assert (code, err) == (want, message), body
+        assert (code, err) == (want, message), text
         assert bool(out) == (want == 0)
 
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from abfib.scenario import (
+    EXPECTATIONS,
     ScenarioError,
     bundled_scenario_path,
     load_scenario,
@@ -10,7 +11,8 @@ from abfib.scenario import (
     resolve_scenario,
     run_scenario,
 )
-from abfib import torusquot
+from abfib import report, torusquot
+from abfib.citations import cite
 from abfib.torusquot import FormalFactor
 
 BUNDLED = ["d8.scn", "bielliptic.scn", "enriques.scn", "empty.scn"]
@@ -121,6 +123,16 @@ def test_non_free_scenario_builds_one_witness(monkeypatch):
     assert not cert.free and cert.witness is not None
 
 
+def test_every_shift_term_form_over_the_common_denominator():
+    # t1 + t1/2 + 3/4*t1 + 2*t1 = 17/4 and -1/4 + 5 = 19/4 reduce mod 1 to
+    # (3/4, 1/4) over 4; the second generator's 1/3 makes the common D 12
+    sc = parse_scenario(
+        "version 1\nfactor torus e\ngenerator z1+t1+t1/2+3/4*t1+2*t1-1/4+5\ngenerator z1+1/3\n"
+    )
+    assert sc.D == 12
+    assert sc.generators == (((0, 1), (1, 1), (9, 3), ()), ((0, 1), (1, 1), (4, 0), ()))
+
+
 def test_resolve_scenario_bundled_and_missing(tmp_path):
     assert resolve_scenario("d8.scn").exists()
     # bare names resolve against the bundled set with the .scn extension added
@@ -227,7 +239,9 @@ def test_label_mismatch_swap_rejected():
 
 def test_expect_unknown_key():
     err = parse_error("version 1\nfactor torus e\nexpect rank 2\n")
-    assert err.line == 3 and "rank" in err.message
+    assert err.line == 3
+    # the keys in table order
+    assert err.message == f"unknown expectation 'rank' (one of {', '.join(EXPECTATIONS)})"
 
 
 def test_expect_bad_value():
@@ -238,6 +252,23 @@ def test_expect_bad_value():
 def test_expect_duplicate():
     err = parse_error("version 1\nfactor torus e\nexpect order 1\nexpect order 2\n")
     assert err.line == 4 and "duplicate" in err.message
+
+
+# a well-formed value of each value kind an expectation key can name
+SAMPLE_VALUES = {"an integer": "1", "true or false": "true", "comma-separated integers": "1,1"}
+
+
+@pytest.mark.parametrize("key", list(EXPECTATIONS))
+def test_every_expectation_key_is_read_computed_and_cited(tmp_path, key):
+    # a key in the table but not among run_scenario's computed values, or
+    # without a reader for its kind, fails here rather than in a traceback
+    citation, kind = EXPECTATIONS[key]
+    f = tmp_path / "one.scn"
+    f.write_text(f"version 1\nname one\nfactor torus e\nexpect {key} {SAMPLE_VALUES[kind]}\n")
+    [check] = run_scenario(load_scenario(f)).checks
+    assert check.key == key
+    [record] = [r for r in report.build_torus(f).records if r.check.startswith("torus/one/expect/")]
+    assert record.check == f"torus/one/expect/{key}" and record.citation == cite(citation)
 
 
 def test_comments_and_blanks_skipped():
