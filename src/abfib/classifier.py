@@ -340,7 +340,10 @@ def _inequality_refutation(row: Rule, window) -> Verdict:
     return v
 
 
-_NODAL_EXCLUSION = "nodal-c1: under either equality hypothesis c1 = -3, but c1(O(-2)+O(-2)) = -4"
+_NODAL_EXCLUSION = (
+    "nodal-c1: under either equality hypothesis c1 = -3, "
+    f"but c1(O(-2)+O(-2)) = {chern(split_pair(-2, -2)).c1}"
+)
 
 # The holonomy table: the one place that says which triples a class has and
 # which rule decides each.  (0,0,0) is the one triple whose rule depends on

@@ -9,16 +9,17 @@ pushing forward to the plane, the section lives in
 
 which is O(-6) tensor Sym^6 W* for every W with c1(W) = -3.
 
-`CASES` is the one table of the four candidates for W that survive the
-direct-image analysis: each row names W, the rule that decides it
-(`repeated-root`, `genus-two-branch` or `nodal-c1`), the outcome expected
-of it and every value the report compares.  `classify_jacobian_fibrations`
-derives each row in one pass: the section space (line-bundle cohomology
-for split W, the Weyl dimension formula for the cotangent bundle), the
-first Chern class against the canonical degree, forced vanishing of the
-two lowest sextic coefficients, and, for a row that survives, its Leray
-totals and parameter count.  Exactly two admissible families remain, with
-75 and 19 parameters.
+The candidates for W are what `classifier.RULES` forces: each split
+branch of a forced-split row, and the cotangent bundle.  `CASES`, keyed by
+candidate id, gives each the rule that decides it (`repeated-root`,
+`genus-two-branch` or `nodal-c1`), the outcome expected of it and every
+value the report compares.  `classify_jacobian_fibrations` derives each
+in one pass: the section space (line-bundle cohomology for split W, the
+Weyl dimension formula for the cotangent bundle), the first Chern class
+of a branch the classifier excludes, forced vanishing of the two lowest
+sextic coefficients of the others, and, for a candidate that survives,
+its Leray totals and parameter count.  Exactly two admissible families
+remain, with 75 and 19 parameters.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .leray import DirectImageData, total_coh
 from .sheafcalc import (
     BundleExpr,
     Cotangent,
-    DirectSum,
     Line,
     chern,
     coh_line,
@@ -37,7 +37,16 @@ from .sheafcalc import (
     param_count,
     sym6_dual_twist,
 )
-from .classifier import IMPOSSIBLE, POSSIBLE, RuleStep, Verdict
+from .classifier import (
+    FORCED_COTANGENT,
+    FORCED_SPLIT,
+    IMPOSSIBLE,
+    POSSIBLE,
+    RULES,
+    RuleStep,
+    Verdict,
+    split_pair,
+)
 
 # twist degree of R^2, fixed by triviality of the canonical bundle
 CANONICAL_R2_DEGREE = -3
@@ -140,8 +149,9 @@ def repeated_root(space: SectionSpace) -> tuple[bool, RuleStep]:
 
 @dataclass(frozen=True)
 class Case:
-    """One row of the Jacobian table: a candidate W, the rule that decides
-    it, the outcome expected of it and the values the report compares.
+    """The Jacobian data of one candidate W: the rule that decides it, the
+    outcome expected of it and the values the report compares.  W itself
+    comes from `classifier.RULES`; the entry's key in CASES is its id.
 
     The expected values are data, not read off the verdict: the report
     compares them against what `classify_jacobian_fibrations` derives.  An
@@ -150,7 +160,6 @@ class Case:
     by a repeated root names the degrees of its forced-zero coefficients.
     """
 
-    w: BundleExpr
     rule_id: str
     outcome: str
     family_type: str | None = None
@@ -161,27 +170,27 @@ class Case:
     forced_zero_degrees: tuple[int, ...] = ()
 
 
-# The Jacobian table: the one place that names each candidate W, the rule
-# that decides it and every value the report compares.
-CASES: tuple[Case, ...] = (
-    Case(DirectSum((Line(0), Line(-3))), "repeated-root", IMPOSSIBLE, forced_zero_degrees=(-6, -3)),
-    Case(
-        DirectSum((Line(-1), Line(-2))), "genus-two-branch", POSSIBLE,
+# The Jacobian table, keyed by candidate id in report order: the one place
+# that names the rule deciding each W and every value the report compares.
+CASES: dict[str, Case] = {
+    "O(0) + O(-3)": Case("repeated-root", IMPOSSIBLE, forced_zero_degrees=(-6, -3)),
+    "O(-1) + O(-2)": Case(
+        "genus-two-branch", POSSIBLE,
         "Calabi-Yau four-fold", "mild-degenerations",
         dimension=84, params=75, leray_h=(1, 0, 0, 0, 1),
     ),
-    Case(
-        Cotangent(), "genus-two-branch", POSSIBLE,
+    "Omega1": Case(
+        "genus-two-branch", POSSIBLE,
         "irreducible holomorphic symplectic four-fold", "beauville-mukai",
         dimension=28, params=19, leray_h=(1, 0, 1, 0, 1),
     ),
-    Case(DirectSum((Line(-2), Line(-2))), "nodal-c1", IMPOSSIBLE),
-)
+    "O(-2) + O(-2)": Case("nodal-c1", IMPOSSIBLE),
+}
 
 
 @dataclass(frozen=True)
 class JacobianCase:
-    """What `classify_jacobian_fibrations` derives for one row of CASES."""
+    """What `classify_jacobian_fibrations` derives for one entry of CASES."""
 
     case: Case
     case_id: str
@@ -193,22 +202,37 @@ class JacobianCase:
 
 
 def classify_jacobian_fibrations() -> tuple[JacobianCase, ...]:
-    """The derived table, one row per row of CASES.
+    """The derived table, one row per entry of CASES, in CASES order.
 
     Exactly two admissible rows survive: the split (-1,-2) case (a
     Calabi-Yau four-fold, 75 parameters) and the cotangent case (an
     irreducible holomorphic symplectic four-fold, 19 parameters).
     """
+    forced = {}  # id: (W, excluded_if) for each W that the classifier forces
+    for row in RULES:
+        if row.outcome == FORCED_SPLIT:
+            for br in row.branches:
+                w = split_pair(br.a, br.b)
+                forced[format_bundle(w)] = (w, br.excluded_if)
+        elif row.outcome == FORCED_COTANGENT:
+            forced[format_bundle(Cotangent())] = (Cotangent(), None)
+    if forced.keys() != CASES.keys():
+        raise ValueError(
+            f"classifier.RULES forces {sorted(forced.keys() - CASES.keys())} without a CASES entry; "
+            f"CASES lists {sorted(CASES.keys() - forced.keys())}, which the classifier does not force"
+        )
     rows = []
-    for case in CASES:
-        case_id = format_bundle(case.w)
-        d = chern(case.w).c1
-        space = branch_section_space(case.w)
-        documented = d != CANONICAL_R2_DEGREE
+    for case_id, case in CASES.items():
+        w, excluded_if = forced[case_id]
+        d = chern(w).c1
+        space = branch_section_space(w)
+        documented = excluded_if is not None
         if documented:
-            # the direct image has c1 = -3 whenever the generic singular
-            # fibre is integral with a single node; this candidate is ruled
-            # out by arithmetic once that documented input is granted
+            # the classifier excludes this branch: c1 = -3 whenever the
+            # generic singular fibre is integral with a single node, so W is
+            # ruled out by arithmetic once that documented input is granted
+            if d == CANONICAL_R2_DEGREE:
+                raise ValueError(f"{case_id} is excluded by nodal-c1, but its c1 is {d}")
             impossible = True
             node = "generic singular fibre irreducible with one node"
             mismatch = f"c1({case_id}) = {d} != {CANONICAL_R2_DEGREE}"
@@ -221,7 +245,7 @@ def classify_jacobian_fibrations() -> tuple[JacobianCase, ...]:
             steps = (step,)
         h = params = None
         if not impossible:
-            h = total_coh(DirectImageData(Line(0), case.w, Line(CANONICAL_R2_DEGREE)))
+            h = total_coh(DirectImageData(Line(0), w, Line(CANONICAL_R2_DEGREE)))
             # projectivise the section (one rescaling), quotient by PGL(3)
             params = param_count([space.dimension], 1)
             detail = f"h^k(O_X) = {h} via the degenerate direct-image bookkeeping"

@@ -27,6 +27,7 @@ report decides whether h^{4,0} = 1, and `expect hodge` reads null when not.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -109,6 +110,16 @@ _SHIFT_TERM = re.compile(r"([0-9]+)(?:/([0-9]+))?(?:\*t([0-9]+))?|t([0-9]+)(?:/(
 _INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*")
 
 
+def _digits(value: str, what: str, where: str, line: int) -> int:
+    """The integer of a run of ASCII digits; past Python's limit on the
+    digits int() reads, a ScenarioError that names the number."""
+    try:
+        return int(value)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ScenarioError(line, f"{where}: {what} has {len(value)} digits (limit {limit})") from None
+
+
 def _parse_coord_field(field: str, coord: int, n: int, line: int):
     """One torus field: sign, source coordinate, (real, period) shift mod 1."""
     where = f"field {coord + 1}"
@@ -117,7 +128,7 @@ def _parse_coord_field(field: str, coord: int, n: int, line: int):
     if not m:
         raise ScenarioError(line, f"{where}: expected a term like z{coord + 1}")
     sign = -1 if m.group(1) else 1
-    src = int(m.group(2))
+    src = _digits(m.group(2), "z index", where, line)
     if not 1 <= src <= n:
         raise ScenarioError(line, f"{where}: z{src} out of range (n = {n})")
     rest = s[m.end() :]
@@ -129,11 +140,13 @@ def _parse_coord_field(field: str, coord: int, n: int, line: int):
         if t is None:
             raise ScenarioError(line, f"{where}: cannot parse shift term {term!r}")
         num, den, idx = (t[1], t[2], t[3]) if t[4] is None else ("1", t[5], t[4])
-        if idx is not None and int(idx) != coord + 1:
+        if idx is not None and _digits(idx, "t index", where, line) != coord + 1:
             raise ScenarioError(line, f"{where}: period symbol t{int(idx)} belongs to coordinate {int(idx)}")
-        if den is not None and int(den) == 0:
+        d = _digits(den or "1", "shift denominator", where, line)
+        if d == 0:
             raise ScenarioError(line, f"{where}: zero denominator in shift term {term!r}")
-        shift[idx is not None] += Fraction(int(tsign + num), int(den or 1))
+        value = _digits(num, "shift numerator", where, line)
+        shift[idx is not None] += Fraction(-value if tsign == "-" else value, d)
     return sign, src - 1, (shift[0] % 1, shift[1] % 1)
 
 

@@ -318,7 +318,7 @@ def test_every_rule_step_names_a_citation():
         for _, v in classify(class_id, window)
     ]
     verdicts += [row.verdict for row in classify_jacobian_fibrations()]
-    rules = {s.rule for v in verdicts for s in v.steps} | {case.rule_id for case in CASES}
+    rules = {s.rule for v in verdicts for s in v.steps} | {case.rule_id for case in CASES.values()}
     assert {"first-chern-mismatch", "genus-two-branch"} <= rules
     assert sorted(rules - CITATIONS.keys()) == []
 

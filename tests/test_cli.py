@@ -166,6 +166,8 @@ def test_jacfib_gate_commands_pinned(argv, md5, monkeypatch, capsys):
 # exact stderr; the last rows are accepted inputs.  Generators are checked as
 # lattice codes after each shift is reduced mod 1, and numbers are ASCII digits
 BROKEN = "version 1\nname broken\n"
+LIMIT = sys.get_int_max_str_digits()
+BIG = "1" * (LIMIT + 1)
 SCENARIO_INPUTS = [
     ("name x\n", 2, "abfib: scenario error: line 1: scenario must start with a version line\n"),
     ("version 7\n", 2, "abfib: scenario error: line 1: unsupported version '7' (expected 1)\n"),
@@ -275,6 +277,27 @@ SCENARIO_INPUTS = [
         BROKEN + "factor torus e\nexpect order 1_0\n",
         2,
         "abfib: scenario error: line 4: order expects an integer, got '1_0'\n",
+    ),
+    # a number past Python's limit on the digits int() reads, in each of its four places
+    (
+        BROKEN + f"factor torus e\ngenerator z{BIG}\n",
+        2,
+        f"abfib: scenario error: line 4: field 1: z index has {LIMIT + 1} digits (limit {LIMIT})\n",
+    ),
+    (
+        BROKEN + f"factor torus e\ngenerator z1+{BIG}/2\n",
+        2,
+        f"abfib: scenario error: line 4: field 1: shift numerator has {LIMIT + 1} digits (limit {LIMIT})\n",
+    ),
+    (
+        BROKEN + f"factor torus e\ngenerator z1+1/{BIG}\n",
+        2,
+        f"abfib: scenario error: line 4: field 1: shift denominator has {LIMIT + 1} digits (limit {LIMIT})\n",
+    ),
+    (
+        BROKEN + f"factor torus e\ngenerator z1+t{BIG}\n",
+        2,
+        f"abfib: scenario error: line 4: field 1: t index has {LIMIT + 1} digits (limit {LIMIT})\n",
     ),
     (BROKEN + "factor torus e1\ngenerator z1+3/4+1/2\n", 0, ""),
     (BROKEN + "factor torus e1\ngenerator z1+t1+t1/2+3/4*t1+2*t1-1/4+5\n", 0, ""),

@@ -14,13 +14,18 @@ from abfib.jacfib import (
     repeated_root,
 )
 from abfib.citations import cite
-from abfib.classifier import IMPOSSIBLE, POSSIBLE
+from abfib import classifier
+from abfib.classifier import IMPOSSIBLE, POSSIBLE, SplitBranch, split_pair
 from abfib.leray import DirectImageData, total_coh
 from abfib.report import DERIVED_FAIL, DERIVED_PASS, build_jacfib
-from abfib.sheafcalc import Line, chern, coh_line, format_bundle
+from abfib.sheafcalc import Cotangent, Line, chern, coh_line, format_bundle
 
 CASE_IDS = ("O(0) + O(-3)", "O(-1) + O(-2)", "Omega1", "O(-2) + O(-2)")
-SPLIT_03, SPLIT_12, COTANGENT, SPLIT_22 = (c.w for c in CASES)
+# the bundles the classifier forces, by hand, in CASES order
+SPLIT_03, SPLIT_12, COTANGENT, SPLIT_22 = (
+    split_pair(0, -3), split_pair(-1, -2), Cotangent(), split_pair(-2, -2)
+)
+BUNDLES = dict(zip(CASE_IDS, (SPLIT_03, SPLIT_12, COTANGENT, SPLIT_22)))
 
 
 # oracle: Gelfand-Tsetlin pattern count for GL(3) irreducible dimensions.
@@ -61,8 +66,9 @@ def test_borel_weil_symmetric_powers_match_plane_sections():
 
 
 def test_case_ids():
-    assert tuple(format_bundle(c.w) for c in CASES) == CASE_IDS
-    assert tuple(c.rule_id for c in CASES) == (
+    assert tuple(CASES) == CASE_IDS
+    assert tuple(format_bundle(w) for w in BUNDLES.values()) == CASE_IDS
+    assert tuple(c.rule_id for c in CASES.values()) == (
         "repeated-root",
         "genus-two-branch",
         "genus-two-branch",
@@ -133,7 +139,7 @@ def test_verdicts_carry_mild_degeneration_assumptions():
 def test_classification_table():
     rows = classify_jacobian_fibrations()
     assert tuple(r.case_id for r in rows) == CASE_IDS
-    assert tuple(r.case for r in rows) == CASES
+    assert tuple(r.case for r in rows) == tuple(CASES.values())
     for r in rows:
         assert r.verdict.outcome == r.case.outcome, r.case_id
         if r.verdict.outcome == POSSIBLE:
@@ -176,13 +182,13 @@ def test_admissible_set_is_exactly_two():
 
 def test_leray_cross_check_recomputes():
     for r in admissible_cases(classify_jacobian_fibrations()):
-        recomputed = total_coh(DirectImageData(Line(0), r.case.w, Line(-3)))
+        recomputed = total_coh(DirectImageData(Line(0), BUNDLES[r.case_id], Line(-3)))
         assert r.leray_h == recomputed
 
 
 def test_normalized_d_equals_chern_c1_on_table():
     for r in classify_jacobian_fibrations():
-        assert r.d == chern(r.case.w).c1
+        assert r.d == chern(BUNDLES[r.case_id]).c1
         # the c1 mismatch decides exactly the nodal-c1 rows
         assert (r.d != -3) == (r.case.rule_id == "nodal-c1"), r.case_id
 
@@ -198,26 +204,80 @@ def test_table_is_deterministic():
     assert classify_jacobian_fibrations() == classify_jacobian_fibrations()
 
 
-def _jacfib_statuses(monkeypatch, index, **changes):
-    """Statuses of the jacfib report with one row of CASES changed."""
-    cases = list(CASES)
-    cases[index] = dataclasses.replace(cases[index], **changes)
-    monkeypatch.setattr(jacfib, "CASES", tuple(cases))
+def _jacfib_statuses(monkeypatch, case_id, **changes):
+    """Statuses of the jacfib report with one entry of CASES changed."""
+    cases = dict(CASES)
+    cases[case_id] = dataclasses.replace(cases[case_id], **changes)
+    monkeypatch.setattr(jacfib, "CASES", cases)
     return {r.check: r.status for r in build_jacfib().records}
 
 
 @pytest.mark.parametrize("index", range(len(CASE_IDS)))
 def test_flipped_expected_outcome_fails_its_record(monkeypatch, index):
     # the records compare what is derived with the table, not with itself
-    flipped = POSSIBLE if CASES[index].outcome == IMPOSSIBLE else IMPOSSIBLE
-    statuses = _jacfib_statuses(monkeypatch, index, outcome=flipped)
+    flipped = POSSIBLE if CASES[CASE_IDS[index]].outcome == IMPOSSIBLE else IMPOSSIBLE
+    statuses = _jacfib_statuses(monkeypatch, CASE_IDS[index], outcome=flipped)
     assert statuses[f"jacfib/case/{CASE_IDS[index]}"] == DERIVED_FAIL
     others = [f"jacfib/case/{c}" for i, c in enumerate(CASE_IDS) if i != index]
     assert all(statuses[check] != DERIVED_FAIL for check in others)
 
 
 def test_changed_param_count_fails_case_and_admissible_set(monkeypatch):
-    statuses = _jacfib_statuses(monkeypatch, CASE_IDS.index("Omega1"), params=20)
+    statuses = _jacfib_statuses(monkeypatch, "Omega1", params=20)
     failed = sorted(check for check, status in statuses.items() if status == DERIVED_FAIL)
     assert failed == ["jacfib/admissible-set", "jacfib/case/Omega1"]
     assert statuses["jacfib/case/O(-1) + O(-2)"] == DERIVED_PASS
+
+
+# the candidates come from classifier.RULES, and the two tables must agree
+
+
+def _with_branches(monkeypatch, rule_id, branches):
+    """Point classifier.RULES, as jacfib reads it, at a copy in which the
+    forced-split row `rule_id` has the given branches."""
+    rules = tuple(
+        dataclasses.replace(row, branches=branches) if row.rule_id == rule_id else row
+        for row in classifier.RULES
+    )
+    monkeypatch.setattr(jacfib, "RULES", rules)
+
+
+def test_added_split_branch_is_named_not_dropped(monkeypatch):
+    row = next(r for r in classifier.RULES if r.rule_id == "split-forced-101")
+    _with_branches(monkeypatch, "split-forced-101", row.branches + (SplitBranch(1, -4),))
+    with pytest.raises(ValueError, match=r"forces \['O\(1\) \+ O\(-4\)'\] without a CASES entry"):
+        classify_jacobian_fibrations()
+
+
+def test_cases_entry_removed_is_named(monkeypatch):
+    cases = {k: v for k, v in CASES.items() if k != "Omega1"}
+    monkeypatch.setattr(jacfib, "CASES", cases)
+    with pytest.raises(ValueError, match=r"forces \['Omega1'\] without a CASES entry; CASES lists \[\]"):
+        classify_jacobian_fibrations()
+
+
+def test_cases_entry_the_classifier_does_not_force_is_named(monkeypatch):
+    cases = dict(CASES) | {"O(-1) + O(-3)": CASES["O(-2) + O(-2)"]}
+    monkeypatch.setattr(jacfib, "CASES", cases)
+    with pytest.raises(ValueError, match=r"CASES lists \['O\(-1\) \+ O\(-3\)'\], which the classifier"):
+        classify_jacobian_fibrations()
+
+
+def test_excluded_branch_with_canonical_c1_raises(monkeypatch):
+    # the first-chern-mismatch step would claim c1 = -3 != -3
+    row = next(r for r in classifier.RULES if r.rule_id == "split-forced-000")
+    marked = tuple(dataclasses.replace(br, excluded_if="nodal-c1") for br in row.branches)
+    _with_branches(monkeypatch, "split-forced-000", marked)
+    with pytest.raises(ValueError, match=r"O\(-1\) \+ O\(-2\) is excluded by nodal-c1, but its c1 is -3"):
+        classify_jacobian_fibrations()
+
+
+def test_nodal_c1_follows_the_classifier_marker(monkeypatch):
+    # unmarking the (-2,-2) branch sends it down the repeated-root path,
+    # which does not rule it out, so its record fails against CASES
+    _with_branches(monkeypatch, "split-forced-000", (SplitBranch(-1, -2), SplitBranch(-2, -2)))
+    by_id = {r.case_id: r for r in classify_jacobian_fibrations()}
+    assert by_id["O(-2) + O(-2)"].verdict.outcome == POSSIBLE
+    assert not by_id["O(-2) + O(-2)"].verdict.documented
+    statuses = {r.check: r.status for r in build_jacfib().records}
+    assert statuses["jacfib/case/O(-2) + O(-2)"] == DERIVED_FAIL
