@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from . import classifier, jacfib, scenario
 from .citations import cite
@@ -99,8 +100,33 @@ class Report:
         }
 
 
+def _json(value, indent: str = "\n") -> str:
+    """`json.dumps(value, indent=2, sort_keys=True)` for exactly the types a
+    report tree holds: dicts with str keys, lists, tuples, str, int, bool and
+    None.  Any other type, a subclass among them, or key raises TypeError.
+    `indent` is the newline and indentation of the line the value is on."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return repr(value)
+    inner = indent + "  "
+    if kind is dict:
+        if not value:
+            return "{}"
+        items = [encode_basestring_ascii(k) + ": " + _json(value[k], inner) for k in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json(x, inner) for x in value]) + indent + "]"
+    if value is None or kind is bool:
+        return "null" if value is None else "true" if value else "false"
+    raise TypeError(f"a report tree holds no {kind.__name__}: {value!r}")
+
+
 def render_json(report: Report) -> str:
-    return json.dumps(report.to_tree(), indent=2, sort_keys=True) + "\n"
+    return _json(report.to_tree()) + "\n"
 
 
 def render_text(report: Report) -> str:

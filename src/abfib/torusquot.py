@@ -20,15 +20,18 @@ the character averages run on the entries.  Generators arrive as codes
 too, checked by the same `_check_codes` before the closure; Fractions
 appear only in the one element a report names, the fixed-point witness,
 read off its entry as its linear part and its translation over D.
-Fixed-point analysis is exact: (L - I) z = -t over the torus is solved by
-Smith normal form; the tests back it with an independent exhaustive search
-over a torsion grid (solutions, when they exist, have denominator dividing
-twice the translation denominator, because the nonzero elementary divisors
-of L - I are 1 or 2 for signed permutations).  Everything that depends on
-the linear part alone (its order, the sparse rows of sum_{k<m} Lhat^k
-that orders read, and the SNF of Lhat - I with the sparse rows that
-freeness reads) is one `LinearPart`, computed once per distinct L and
-kept per kind in the group's `parts`.
+Fixed-point analysis is exact, by two paths.  (Lhat - I) z = -t has a
+solution on the torus iff y t = 0 mod 1 for every integer row y with
+y Lhat = y; such rows have a basis read off the cycles of L, which decides
+each element.  The one element a report names is solved by Smith normal
+form (SNF), which must agree; the tests back both with an independent
+exhaustive search over a torsion grid (solutions, when they exist, have
+denominator dividing twice the translation denominator, because the
+nonzero elementary divisors of L - I are 1 or 2 for signed permutations).
+Everything that depends on the linear part alone (its order and the sparse
+rows of sum_{k<m} Lhat^k that orders read, and the null rows that freeness
+reads) is one `LinearPart`, computed once per distinct L from its cycles
+and kept per kind in the group's `parts`.
 
 Hodge bookkeeping for quotients multiplies the graded character
 det(I + tL) of the torus block, read off the cycles of L, with one factor
@@ -77,17 +80,20 @@ def _entry(row) -> tuple[int, int]:
 
 
 def _cycles(L):
-    """(length, product of signs) for each cycle of the signed permutation L."""
+    """(walk, e) for each cycle of the signed permutation L, from its least
+    index i: walk the (column, sign) of the signed unit rows i of L^0, L^1,
+    ..., L^{k-1}, k the cycle's length, and e the product of its signs."""
     seen = set()
     for start in range(len(L)):
         if start in seen:
             continue
-        k, e, i = 0, 1, start
+        walk, e, i = [], 1, start
         while i not in seen:
             seen.add(i)
+            walk.append((i, e))
             j, x = _entry(L[i])
-            k, e, i = k + 1, e * x, j
-        yield k, e
+            e, i = e * x, j
+        yield walk, e
 
 
 def _translate(rows, t, D: int) -> tuple[int, ...]:
@@ -208,8 +214,8 @@ class FiniteGroup:
 
     def torus_free(self, kind: int, t) -> bool:
         """Whether the torus part of the element (kind, t) has no fixed point:
-        (Lhat - I) z = -t is obstructed iff U t is nonzero mod D on a zero row
-        of the SNF U (Lhat - I) V = diag.  The torus identity is not free."""
+        (Lhat - I) z = -t is obstructed iff y t is nonzero mod D for a row y
+        of the kind's `null_rows`.  The torus identity is not free."""
         for row in self.parts[kind].null_rows:
             x = 0
             for j, c in row:
@@ -339,54 +345,34 @@ class FreeCertificate:
 
 @dataclass(frozen=True)
 class LinearPart:
-    """What every element with linear part L shares.
+    """What every element with linear part L shares, read off its cycles.
 
-    order: the order m of L.  S_rows: the distinct nonzero rows up to sign
-    of S = sum_{k<m} Lhat^k as sparse (column, coefficient) pairs, all the
-    element order reads.  M: Lhat - I, with U M V = D its Smith normal form
-    and diag the diagonal of D.  null_rows: the rows of U where diag is 0,
-    sparse like S_rows, the only rows the obstruction reads.
+    order: the order m of L.  null_rows: per cycle of Lhat whose signs
+    multiply to +1, the row y that is +-1 along it and +1 at its least
+    column, so y Lhat = y; a basis over Z of all such rows, and the only
+    rows the obstruction reads.  S_rows: (m / k) y for each, k the cycle's
+    length, the distinct nonzero rows up to sign of S = sum_{k<m} Lhat^k and
+    all the element order reads.  Rows are sparse (column, coefficient)
+    pairs.  L: the linear part, which `fixed_point_free` solves by SNF.
     """
 
     order: int
     S_rows: tuple[tuple[tuple[int, int], ...], ...]
-    M: tuple[tuple[int, ...], ...]
-    U: tuple[tuple[int, ...], ...]
-    V: tuple[tuple[int, ...], ...]
-    diag: tuple[int, ...]
     null_rows: tuple[tuple[tuple[int, int], ...], ...]
-
-
-def _sparse_rows(rows) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The distinct nonzero rows up to sign, as (column, coefficient) pairs
-    whose first coefficient is positive."""
-    signed = (
-        max(tuple((j, e * c) for j, c in enumerate(row) if c) for e in (1, -1))
-        for row in rows
-        if any(row)
-    )
-    return tuple(dict.fromkeys(signed))
+    L: tuple[tuple[int, ...], ...]
 
 
 def linear_part(L) -> LinearPart:
-    """The `LinearPart` of the signed permutation L."""
+    """The `LinearPart` of the signed permutation L; no SNF runs."""
+    cycles = list(_cycles(L))
     # a cycle of length k with sign product e has order k (e = 1) or 2k
-    m = lcm(1, *(k if e == 1 else 2 * k for k, e in _cycles(L)))
-    Lhat = _lhat(L)
-    size = len(Lhat)
-    entries = [_entry(row) for row in Lhat]
-    S = [[0] * size for _ in range(size)]
-    for i, row in enumerate(S):
-        j, s = i, 1  # row i of Lhat^k is the signed unit vector s e_j
-        for _ in range(m):
-            row[j] += s
-            j, x = entries[j]
-            s *= x
-    M = tuple(tuple(Lhat[i][j] - (i == j) for j in range(size)) for i in range(size))
-    U, D, V = smith_normal_form(M)
-    diag = tuple(D[i][i] for i in range(size))
-    nulls = _sparse_rows(row for row, d in zip(U, diag) if d == 0)
-    return LinearPart(m, _sparse_rows(S), M, U, V, diag, nulls)
+    m = lcm(1, *(len(walk) if e == 1 else 2 * len(walk) for walk, e in cycles))
+    # a cycle of L is two cycles of Lhat, on its real and its period rows
+    nulls = tuple(
+        tuple(sorted((2 * i + a, c) for i, c in walk)) for walk, e in cycles if e == 1 for a in (0, 1)
+    )
+    S = tuple(tuple((j, c * (m // len(y))) for j, c in y) for y in nulls)
+    return LinearPart(m, S, nulls, L)
 
 
 def _mat_vec(M, v) -> list[int]:
@@ -397,21 +383,25 @@ def _mat_vec(M, v) -> list[int]:
 def fixed_point_free(t, D: int, lp: LinearPart) -> FreeCertificate:
     """Exact fixed-point test for (Lhat - I) z = -t / D on the torus.
 
-    t is the translation over D and `lp` the `LinearPart` of the linear part
-    (a group keeps one per kind), so the SNF of Lhat - I is not recomputed.
+    t is the translation over D and `lp` the `LinearPart` of the linear part.
+    The SNF U M V = diag of M = Lhat - I is computed here, from `lp.L`, and
+    is independent of the cycle rows that `FiniteGroup.torus_free` reads.
     Integers over D and E = D * lcm(nonzero diag); Fractions only for the
     witness, which does not depend on the choice of D.
     """
     if lp.order == 1 and not any(t):
         raise ValueError("identity fixes everything; test non-identity elements")
-    diag = lp.diag
-    Uc = _mat_vec(lp.U, [-x for x in t])  # U (-t), over D
+    Lhat = _lhat(lp.L)
+    M = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(Lhat)]
+    U, diag_matrix, V = smith_normal_form(M)
+    diag = tuple(diag_matrix[i][i] for i in range(len(M)))
+    Uc = _mat_vec(U, [-x for x in t])  # U (-t), over D
     if any(x % D for x, d in zip(Uc, diag) if d == 0):
         return FreeCertificate(True, diag, None)
     E = D * lcm(1, *(d for d in diag if d))
     w = [x * (E // (D * d)) if d else 0 for x, d in zip(Uc, diag)]
-    z = [x % E for x in _mat_vec(lp.V, w)]
-    if any((x + y * (E // D)) % E for x, y in zip(_mat_vec(lp.M, z), t)):
+    z = [x % E for x in _mat_vec(V, w)]
+    if any((x + y * (E // D)) % E for x, y in zip(_mat_vec(M, z), t)):
         raise AssertionError(f"SNF solution {z} / {E} does not solve (Lhat - I) z = -t")
     return FreeCertificate(False, diag, tuple(Fraction(x, E) for x in z))
 
@@ -436,14 +426,15 @@ def first_fixed(G: FiniteGroup):
     """The first non-identity element fixing the formal factors that has a
     fixed point on the torus block, as its linear part L, its per-coordinate
     (real, period) shifts and the certificate `fixed_point_free` gives it;
-    None if none has.  Only that entry is read with Fractions."""
+    None if none has.  The cycle rows decide freeness and the SNF of that
+    one entry certifies it; only that entry is read with Fractions."""
     entry = _first_fixed_entry(G)
     if entry is None:
         return None
     kind, t = entry
     cert = fixed_point_free(t, G.D, G.parts[kind])
     if cert.free:
-        raise AssertionError(f"the code and the certificate disagree on the freeness of {entry}")
+        raise AssertionError(f"the cycle rows and the SNF disagree on the freeness of {entry}")
     shifts = tuple((Fraction(t[i], G.D), Fraction(t[i + 1], G.D)) for i in range(0, len(t), 2))
     return G.linears[kind], shifts, cert
 
@@ -475,7 +466,8 @@ def graded_character(L) -> list[int]:
     cycle of length k whose signs multiply to e contributes 1 - e (-t)^k.
     """
     char = [1]
-    for k, e in _cycles(L):
+    for walk, e in _cycles(L):
+        k = len(walk)
         char = _poly_mult(char, [1] + [0] * (k - 1) + [-e * (-1) ** k])
     return char
 

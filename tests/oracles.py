@@ -26,6 +26,7 @@ from abfib.torusquot import (
     _compose_codes,
     _lhat,
     _linear_of,
+    smith_normal_form,
 )
 from abfib.weierstrass import (
     HomogPoly,
@@ -177,6 +178,28 @@ def fixed_point_free_brute(f) -> bool:
         return tuple(-int(G * x) % G for x in part) in images
 
     return not (solvable(f.that[0::2]) and solvable(f.that[1::2]))
+
+
+def sparse_rows(rows) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The distinct nonzero rows up to sign, as (column, coefficient) pairs
+    whose first coefficient is positive: the dense reference for the rows
+    that `torusquot.linear_part` reads off the cycles of L."""
+    signed = (
+        max(tuple((j, e * c) for j, c in enumerate(row) if c) for e in (1, -1))
+        for row in rows
+        if any(row)
+    )
+    return tuple(dict.fromkeys(signed))
+
+
+def snf_null_rows(L) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The rows of U where the diagonal is 0 in the SNF U (Lhat - I) V = diag,
+    by `sparse_rows`: a basis over Z of the rows y with y Lhat = y, found by
+    elimination rather than from the cycles of L."""
+    Lhat = _lhat(L)
+    M = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(Lhat)]
+    U, D, _ = smith_normal_form(M)
+    return sparse_rows(row for i, row in enumerate(U) if D[i][i] == 0)
 
 
 def S_by_powers(L) -> tuple[tuple[int, ...], ...]:

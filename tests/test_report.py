@@ -1,10 +1,19 @@
+import contextlib
 import hashlib
+import importlib
+import io
+import itertools
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_acceptance import report_all
+from test_source import HAND_WRITTEN_SCENARIOS, REACH_COMMANDS
 
 from abfib import report, weierstrass
+from abfib.cli import main
 from abfib.report import (
     DERIVED_FAIL,
     DERIVED_PASS,
@@ -217,3 +226,64 @@ def test_report_all_checksums_pinned():
     rep = report_all()
     assert hashlib.md5(render_text(rep).encode()).hexdigest() == "ec343e9370faa34c62f0e034ed75e12f"
     assert hashlib.md5(render_json(rep).encode()).hexdigest() == "0d8f9a1eca74aebf9e8807a3275e2fc8"
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def dumps(tree) -> str:
+    """The stdlib encoding that `report._json` reproduces."""
+    return json.dumps(tree, indent=2, sort_keys=True)
+
+
+def test_json_writer_matches_json_dumps_on_rendered_trees(tmp_path, monkeypatch):
+    # every tree that the reachability commands render, in either format,
+    # and those of the first 300 commands of each perfbench workload stream
+    for name, text in HAND_WRITTEN_SCENARIOS.items():
+        (tmp_path / name).write_text(text)
+    commands = [argv.split() for argv, _ in REACH_COMMANDS]
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    for workload in workloads.WORKLOADS:
+        for cmd in itertools.islice(workloads.commands(workload, 0, tmp_path), 300):
+            if cmd.scenario_text is not None:
+                Path(cmd.argv[1]).write_text(cmd.scenario_text)
+            commands.append(cmd.argv)
+    trees, to_tree = [], report.Report.to_tree
+    monkeypatch.setattr(report.Report, "to_tree", lambda rep: trees.append(to_tree(rep)) or trees[-1])
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            with contextlib.suppress(SystemExit):
+                main(argv)
+    # one tree per command that does not exit 2 before it builds a report
+    assert len(trees) == len(commands) - sum(code == 2 for _, code in REACH_COMMANDS)
+    for tree in trees:
+        assert report._json(tree) == dumps(tree)
+
+
+# ASCII, non-ASCII (one astral), quotes, backslashes and control characters
+TEXT = st.text(st.sampled_from('aZ 09"\\/\x00\x08\n\x1f\x7f\xe9\u4e2d\u2028\U0001f600'))
+LEAVES = st.none() | st.booleans() | st.integers() | st.integers(-(10**40), 10**40) | TEXT
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    tree=st.recursive(
+        LEAVES,
+        lambda kids: st.lists(kids) | st.lists(kids).map(tuple) | st.dictionaries(TEXT, kids),
+        max_leaves=20,
+    )
+)
+def test_json_writer_matches_json_dumps_on_any_tree(tree):
+    # TEXT, big and negative ints, bools next to ints, empty containers
+    assert report._json(tree) == dumps(tree)
+
+
+@pytest.mark.parametrize(
+    "value", [1.5, {"a": [0.0]}, {1, 2}, frozenset(), {1: "one"}, {"a": 1, 2: "b"}, {("k",): 1}]
+)
+def test_json_writer_raises_on_what_no_report_holds(value):
+    # a float, a set or a non-str key has no fallback to json.dumps
+    with pytest.raises(TypeError):
+        report._json(value)

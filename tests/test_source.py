@@ -391,6 +391,11 @@ HAND_WRITTEN_SCENARIOS = {
         "factor torus e4\ngenerator z1+1/2, z2, z3, -z4\nexpect hodge 1,0,0,0,1\n"
     ),
     "broken.scn": "version 1\nname broken\nfactor torus e1\ngenerator z2\n",
+    # its witness's SNF takes every row and column step of smith_normal_form
+    "swap.scn": (
+        "version 1\nname swap\nfactor torus e\nfactor torus e\nfactor torus e3\n"
+        "factor torus e4\ngenerator z2, z1, z3, z4\n"
+    ),
 }
 REACH_COMMANDS = [
     ("classify all", 0),
@@ -400,6 +405,7 @@ REACH_COMMANDS = [
     ("torus ecy.scn", 0),
     ("torus ek3.scn --format json", 0),
     ("torus canon.scn", 1),
+    ("torus swap.scn", 1),
     ("weierstrass --l 1 --p 101 --trials 5", 0),
     ("weierstrass --l 2 --p 5 --trials 6 --fibre-product --l2 1 --format json", 0),
     ("jacfib", 0),

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import itertools
 import os
 import random
@@ -9,15 +11,19 @@ from operator import mul
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from abfib.scenario import bundled_scenario_path, load_scenario
 from abfib import torusquot
+from abfib.cli import main
 from abfib.torusquot import (
     ClosureError,
     FormalFactor,
     TorusModel,
+    _lhat,
     action_free,
     delegated_elements,
     first_fixed,
@@ -41,6 +47,8 @@ from oracles import (
     graded_character_minors,
     lhat,
     S_by_powers,
+    snf_null_rows,
+    sparse_rows,
 )
 
 F = Fraction
@@ -323,19 +331,53 @@ def test_four_fold_groups_match_the_fraction_oracles(four_fold_groups):
 
 def test_linear_part_rows_match_dense_oracles(oracle_groups, four_fold_groups):
     # the sparse S rows against m - 1 dense products; the order gcd over the
-    # sparse S rows and the obstruction over the sparse null rows against the
-    # dense rows
+    # sparse S rows against the dense rows, and the obstruction over the
+    # cycle null rows against the null rows of the SNF of Lhat - I
     for G in [*oracle_groups, *four_fold_groups]:
         D = G.D
         dense = [S_by_powers(L) for L in G.linears]
+        snf_nulls = [snf_null_rows(L) for L in G.linears]
         for kind, S in enumerate(dense):
-            assert G.parts[kind].S_rows == torusquot._sparse_rows(S)
+            assert G.parts[kind].S_rows == sparse_rows(S)
         for (kind, t), order in zip(G.entries, G.element_orders, strict=True):
             lp = G.parts[kind]
             k = lp.order * (D // gcd(D, *(sum(map(mul, row, t)) for row in dense[kind])))
             assert order == (2 * k if k % 2 and any(G.kinds[kind][3]) else k)
-            null = [row for row, d in zip(lp.U, lp.diag, strict=True) if d == 0]
-            assert G.torus_free(kind, t) == any(sum(map(mul, row, t)) % D for row in null)
+            assert G.torus_free(kind, t) == obstructed(snf_nulls[kind], t, D)
+
+
+def obstructed(rows, t, D) -> bool:
+    """Whether y t is nonzero mod D for some sparse row y among rows."""
+    return any(sum(c * t[j] for j, c in row) % D for row in rows)
+
+
+@st.composite
+def signed_permutations(draw, max_n=4):
+    n = draw(st.integers(0, max_n))
+    perm = draw(st.permutations(range(n)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    return tuple(tuple(signs[i] if perm[i] == j else 0 for j in range(n)) for i in range(n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(L=signed_permutations(), D=st.integers(2, 8), data=st.data())
+def test_cycle_rows_match_the_snf_rows(L, D, data):
+    # the rows read off the cycles are invariant, as many as the SNF's null
+    # rows, and decide every translation over D as they and the certificate
+    # do; the S rows are the sparse dense S
+    lp, snf = linear_part(L), snf_null_rows(L)
+    assert lp.S_rows == sparse_rows(S_by_powers(L))
+    assert len(lp.null_rows) == len(snf)
+    Lhat = _lhat(L)
+    for row in lp.null_rows:
+        y = [dict(row).get(j, 0) for j in range(len(Lhat))]
+        assert [sum(map(mul, y, col)) for col in zip(*Lhat)] == y
+    ts = st.lists(st.integers(0, D - 1), min_size=len(Lhat), max_size=len(Lhat))
+    for t in data.draw(st.lists(ts, min_size=1, max_size=6)):
+        cycle = obstructed(lp.null_rows, t, D)
+        assert cycle == obstructed(snf, t, D)
+        if lp.order > 1 or any(t):
+            assert fixed_point_free(t, D, lp).free == cycle
 
 
 def test_kinds_are_distinct_used_and_closed_under_products(oracle_groups, four_fold_groups):
@@ -371,26 +413,29 @@ def test_group_table_certificates_match_fresh_ones(oracle_groups):
                 assert fixed_point_free(t, G.D, G.parts[kind]) == certificate(e)
 
 
-def test_snf_runs_once_per_distinct_linear_part(monkeypatch):
-    # the kinds (I, (0, 0)) and (I, (1, 1)) share L = I and so one SNF; d8
-    # has one SNF per distinct L, through closure, orders, freeness, Hodge
-    # and the certificate of a reported element
+def test_snf_runs_only_for_a_reported_witness(monkeypatch):
+    # the cycle rows decide freeness, so the formal-only group and d8 run no
+    # SNF through closure, orders, freeness, forms and Hodge, nor a free
+    # `abfib torus` run; neg runs one, for the certificate of its witness
     calls, snf = [], torusquot.smith_normal_form
     monkeypatch.setattr(torusquot, "smith_normal_form", lambda M: calls.append(M) or snf(M))
     G = closed([Element.of(TorusModel(()), [], [], (1, 1))])
     assert len(G.kinds) == 2 and G.linears[0] == G.linears[1]
-    G.element_orders, delegated_elements(G), action_free(G)
-    quotient_hodge((FormalFactor(2, -1), FormalFactor(2, -1)), G)
-    assert len(calls) == 1
-    calls.clear()
+    G.element_orders, delegated_elements(G), action_free(G), first_fixed(G)
+    invariant_form_dims(G), quotient_hodge((FormalFactor(2, -1), FormalFactor(2, -1)), G)
     _, g1, g2, g3 = d8_setup()
     G = closed([g1, g2, g3])
-    G.element_orders, action_free(G), quotient_hodge((), G)
-    assert len(calls) == len(set(G.linears)) == 8
-    calls.clear()
+    G.element_orders, action_free(G), first_fixed(G)
+    invariant_form_dims(G), quotient_hodge((), G)
+    assert len(set(G.linears)) == 8
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["torus", "d8"]) == main(["torus", "bielliptic"]) == 0
+    assert calls == []
     neg = closed([Element.of(one_curve(), [[-1]], [(0, 0)])])
+    neg.element_orders, action_free(neg)
+    assert calls == []
     assert first_fixed(neg)[2].witness is not None
-    assert len(calls) == len(set(neg.linears)) == 2
+    assert calls == [[[-2, 0], [0, -2]]]
 
 
 def test_code_path_matches_decoded_fraction_path(oracle_groups):
